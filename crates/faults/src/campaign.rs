@@ -1,11 +1,13 @@
 //! Campaign runner: golden reference, faulty runs, parallel fan-out.
 
 use crate::classify::{classify, Observation, Outcome};
-use itr_core::{ItrConfig, ItrEvent, ItrMode};
+use crate::lockstep::{observe_passive, run_active, PrefixSet};
+use itr_core::{ItrConfig, ItrMode};
 use itr_isa::Program;
-use itr_sim::{CommitRecord, DecodeFault, FuncSim, Pipeline, PipelineConfig, RunExit, TraceStream};
+use itr_sim::{CommitRecord, DecodeFault, FuncSim, PipelineConfig, RunExit, TraceStream};
 use itr_stats::{Counters, Report, SplitMix64, Unit};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::OnceLock;
 
 /// Parameters of one fault-injection campaign (per benchmark).
 #[derive(Debug, Clone)]
@@ -102,7 +104,9 @@ pub(crate) fn golden_reference(
     max_instrs: u64,
 ) -> (Vec<CommitRecord>, HashMap<u64, u64>) {
     let mut sim = FuncSim::new(program);
-    let (records, _) = sim.run_collect(max_instrs);
+    let (mut records, _) = sim.run_collect(max_instrs);
+    // Plans keep the stream for their lifetime; drop the growth slack.
+    records.shrink_to_fit();
     let mut sigs = HashMap::new();
     for t in TraceStream::new(program, max_instrs) {
         sigs.entry(t.start_pc).or_insert(t.signature);
@@ -131,18 +135,11 @@ pub fn observe_fault(
         .expect("one window observed")
 }
 
-/// [`observe_fault`] fanned out over several observation windows in one
-/// faulty execution — the engine of the window-sensitivity study, which
-/// previously re-simulated the same fault once per window.
-///
-/// `windows` must be strictly ascending. The injection phase is
-/// window-independent, and [`Pipeline::run_with`] does not latch
-/// [`RunExit::CycleLimit`], so resuming the same pipeline with each
-/// successively larger budget executes exactly the cycles a dedicated
-/// single-window run would. The observation captured at each boundary
-/// (point-in-time report, first mismatch event, resident cache lines)
-/// is therefore identical to what [`observe_fault`] returns for that
-/// window alone.
+/// [`observe_fault`] fanned out over several strictly ascending
+/// observation windows in one faulty execution — the engine of the
+/// window-sensitivity study. The observation at each window is identical
+/// to what [`observe_fault`] returns for that window alone (see
+/// [`crate::Lockstep::observe`]).
 pub fn observe_fault_multi(
     program: &Program,
     fault: DecodeFault,
@@ -150,94 +147,7 @@ pub fn observe_fault_multi(
     itr: ItrConfig,
     windows: &[u64],
 ) -> Vec<(Observation, Report)> {
-    assert!(windows.windows(2).all(|w| w[0] < w[1]), "windows must be strictly ascending");
-    let cfg = PipelineConfig {
-        itr: Some(ItrConfig { mode: ItrMode::Passive, ..itr }),
-        faults: vec![fault],
-        spc_check: true,
-        ..PipelineConfig::default()
-    };
-    let mut pipe = Pipeline::new(program, cfg);
-
-    let mut sdc = false;
-    let mut commit_idx = 0usize;
-
-    // Phase 1: run until the fault has been injected (or the program ends
-    // first — then the fault never materialized).
-    let chunk = 10_000u64;
-    let inject_cycle = loop {
-        let budget = pipe.cycle() + chunk;
-        let exit = {
-            let golden = &golden;
-            pipe.run_with(budget, |r| {
-                if commit_idx >= golden.len() || golden[commit_idx] != *r {
-                    sdc = true;
-                }
-                commit_idx += 1;
-                true
-            })
-        };
-        if pipe.stats().decoded > fault.nth_decode {
-            break pipe.cycle();
-        }
-        if exit != RunExit::CycleLimit {
-            break pipe.cycle(); // program ended before the injection point
-        }
-        if pipe.cycle() > 50_000_000 {
-            break pipe.cycle(); // safety valve
-        }
-    };
-
-    // Phase 2: observe at each window boundary, resuming the same run.
-    let mut observed = Vec::with_capacity(windows.len());
-    for &window in windows {
-        let limit = inject_cycle + window;
-        let exit = {
-            let golden = &golden;
-            pipe.run_with(limit, |r| {
-                if commit_idx >= golden.len() || golden[commit_idx] != *r {
-                    sdc = true;
-                }
-                commit_idx += 1;
-                true
-            })
-        };
-        // A faulty run that halts/aborts earlier or later than the golden
-        // run is an architectural divergence too. Computed per boundary
-        // (not folded into `sdc`): the same condition re-evaluates
-        // identically at every later boundary once the run has ended.
-        let sdc_here = sdc
-            || (matches!(exit, RunExit::Halted | RunExit::Aborted(_))
-                && commit_idx != golden.len());
-
-        // Classification consumes the run's `itr-stats/v1` export:
-        // mismatch and SPC counts come from the report, and only a
-        // non-zero mismatch count is resolved to its first event for the
-        // signature detail.
-        let report = Report::from_json(&pipe.stats_json())
-            .expect("pipeline emits a valid itr-stats/v1 report");
-        let first_mismatch = if report.counter("itr", "mismatches").unwrap_or(0) == 0 {
-            None
-        } else {
-            pipe.itr_events().iter().find_map(|(_, e)| match e {
-                ItrEvent::Mismatch { start_pc, cached_signature, new_signature, .. } => {
-                    Some((*start_pc, *cached_signature, *new_signature))
-                }
-                _ => None,
-            })
-        };
-        let resident_lines =
-            pipe.itr().map(|u| u.cache().iter_lines().collect()).unwrap_or_default();
-        let obs = Observation {
-            sdc: sdc_here,
-            deadlock: exit == RunExit::Deadlock,
-            first_mismatch,
-            spc_fired: report.counter("pipeline", "spc_violations").unwrap_or(0) > 0,
-            resident_lines,
-        };
-        observed.push((obs, report));
-    }
-    observed
+    observe_passive(program, itr, golden, None, |c| c.faults.push(fault), fault.nth_decode, windows)
 }
 
 /// Cross-validates a passive classification in *active* recovery mode:
@@ -268,27 +178,15 @@ pub fn validate_active_recovery(
     itr: ItrConfig,
     window_cycles: u64,
 ) -> Result<(), String> {
-    let cfg = PipelineConfig {
-        itr: Some(ItrConfig { mode: ItrMode::Active, ..itr }),
-        faults: vec![record.fault],
-        ..PipelineConfig::default()
-    };
-    let mut pipe = Pipeline::new(program, cfg);
-    let mut diverged = false;
-    let mut idx = 0usize;
-    let exit = pipe.run_with(window_cycles * 4 + 1_000_000, |r| {
-        if idx >= golden.len() || golden[idx] != *r {
-            diverged = true;
-        }
-        idx += 1;
-        true
-    });
+    let (exit, run) =
+        run_active(program, itr, golden, window_cycles, |c| c.faults.push(record.fault));
     match record.outcome {
         Outcome::ItrSdcR | Outcome::ItrMask | Outcome::ItrWdogR => {
-            if diverged {
+            if run.first_divergence().is_some() {
                 return Err(format!(
-                    "{}: active run diverged at commit {idx} despite predicted recovery",
-                    record.outcome
+                    "{}: active run diverged at commit {} despite predicted recovery",
+                    record.outcome,
+                    run.commits()
                 ));
             }
             if matches!(exit, RunExit::MachineCheck { .. }) {
@@ -332,10 +230,15 @@ pub fn shard_bounds(faults: u32, shards: u32) -> Vec<(u32, u32)> {
 /// list. Shards address `faults()` by `[lo, hi)` index range, so the
 /// shard decomposition is a pure function of the campaign parameters —
 /// never of thread count or scheduling.
+///
+/// Faulty runs fork from fault-free prefix snapshots, built by one clean
+/// run on the first `run_range*` call and shared by every later call and
+/// thread. Forked and fresh runs observe identically.
 pub struct CampaignPlan {
     golden: Vec<CommitRecord>,
     clean_sigs: HashMap<u64, u64>,
     faults: Vec<DecodeFault>,
+    prefixes: OnceLock<PrefixSet>,
 }
 
 /// The classified records and merged `itr-stats` report of one shard
@@ -369,7 +272,7 @@ impl CampaignPlan {
                 bit: rng.gen_range(0..64),
             })
             .collect();
-        CampaignPlan { golden, clean_sigs, faults }
+        CampaignPlan { golden, clean_sigs, faults, prefixes: OnceLock::new() }
     }
 
     /// The planned fault list (index space for [`CampaignPlan::run_range`]).
@@ -381,6 +284,18 @@ impl CampaignPlan {
     /// [`validate_active_recovery`]).
     pub fn golden(&self) -> &[CommitRecord] {
         &self.golden
+    }
+
+    /// The clean per-trace signature map.
+    pub fn clean_signatures(&self) -> &HashMap<u64, u64> {
+        &self.clean_sigs
+    }
+
+    /// The prefix snapshots, built on first use.
+    fn prefixes(&self, program: &Program, itr: ItrConfig) -> &PrefixSet {
+        self.prefixes.get_or_init(|| {
+            PrefixSet::build(program, itr, &self.golden, self.faults.iter().map(|f| f.nth_decode))
+        })
     }
 
     /// Runs and classifies the faults in `[lo, hi)`.
@@ -397,33 +312,16 @@ impl CampaignPlan {
         hi: u32,
         cancelled: &dyn Fn() -> bool,
     ) -> CampaignShard {
-        let mut shard = CampaignShard::default();
-        let mut counts: BTreeMap<Outcome, u32> = BTreeMap::new();
-        for &fault in &self.faults[lo as usize..hi as usize] {
-            if cancelled() {
-                break;
-            }
-            let (obs, report) =
-                observe_fault(program, fault, &self.golden, cfg.itr, cfg.window_cycles);
-            let record = FaultRecord {
-                fault,
-                field: itr_isa::DecodeSignals::field_of_bit(fault.bit),
-                outcome: classify(&obs, &self.clean_sigs),
-            };
-            *counts.entry(record.outcome).or_insert(0) += 1;
-            shard.records.push(record);
-            shard.report.merge(&report);
-        }
-        seal_shard(&mut shard, &counts);
-        shard
+        self.run_range_windows(program, cfg, &[cfg.window_cycles], lo, hi, cancelled)
+            .pop()
+            .expect("one window observed")
     }
 
     /// [`CampaignPlan::run_range`] fanned out over several observation
-    /// windows: every fault in `[lo, hi)` is simulated **once** (via
-    /// [`observe_fault_multi`]) and classified at each boundary of the
-    /// strictly ascending `windows`. Returns one [`CampaignShard`] per
-    /// window, each identical to what `run_range` would produce for a
-    /// campaign dedicated to that window.
+    /// windows: every fault in `[lo, hi)` is simulated **once** and
+    /// classified at each boundary of the strictly ascending `windows`.
+    /// Returns one [`CampaignShard`] per window, each identical to what
+    /// `run_range` would produce for a campaign dedicated to that window.
     pub fn run_range_windows(
         &self,
         program: &Program,
@@ -440,7 +338,17 @@ impl CampaignPlan {
             if cancelled() {
                 break;
             }
-            let observed = observe_fault_multi(program, fault, &self.golden, cfg.itr, windows);
+            let from = self.prefixes(program, cfg.itr).fork_point(cfg.itr, fault.nth_decode);
+            let inject = |c: &mut PipelineConfig| c.faults.push(fault);
+            let observed = observe_passive(
+                program,
+                cfg.itr,
+                &self.golden,
+                from,
+                inject,
+                fault.nth_decode,
+                windows,
+            );
             for (wi, (obs, report)) in observed.into_iter().enumerate() {
                 let record = FaultRecord {
                     fault,
@@ -526,6 +434,7 @@ pub fn run_campaign(program: &Program, cfg: &CampaignConfig) -> CampaignResult {
 mod tests {
     use super::*;
     use itr_isa::asm::assemble;
+    use itr_sim::Pipeline;
     use itr_workloads::kernels;
 
     fn small_campaign(faults: u32) -> CampaignConfig {

@@ -20,6 +20,11 @@
 //! detection and the would-be architectural outcome; active-mode recovery
 //! is validated separately by `itr-sim`'s pipeline tests and the
 //! `fault_injection` example.
+//!
+//! Every faulty run goes through one golden-vs-faulty driver,
+//! [`Lockstep`]. Campaign plans fork their faulty runs from snapshots of
+//! one fault-free run instead of re-simulating each fault's prefix; a
+//! forked run observes exactly what a fresh one does.
 
 // Tests opt back out of the workspace `unwrap_used` deny: panicking on
 // a broken expectation is exactly what a test should do.
@@ -27,6 +32,7 @@
 
 mod campaign;
 mod classify;
+mod lockstep;
 mod models;
 
 pub use campaign::{
@@ -34,6 +40,7 @@ pub use campaign::{
     CampaignConfig, CampaignPlan, CampaignResult, CampaignShard, FaultRecord,
 };
 pub use classify::{classify, classify_logical, Observation, Outcome};
+pub use lockstep::Lockstep;
 pub use models::{
     observe_model, validate_model_recovery, FaultModel, FaultPersistence, ModelKind, ModelPlan,
     ModelRecord, ModelShard,

@@ -28,13 +28,15 @@
 
 use crate::campaign::{golden_reference, seal_report, CampaignConfig};
 use crate::classify::{classify, Observation, Outcome};
-use itr_core::{ItrConfig, ItrEvent, ItrMode};
+use crate::lockstep::{observe_passive, run_active, PrefixSet, PrefixSnapshot};
+use itr_core::ItrConfig;
 use itr_isa::Program;
 use itr_sim::{
-    BurstFault, CommitRecord, DecodeFault, Pipeline, PipelineConfig, RunExit, SignalFault, SignalOp,
+    BurstFault, CommitRecord, DecodeFault, PipelineConfig, RunExit, SignalFault, SignalOp,
 };
 use itr_stats::{Report, SplitMix64};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::OnceLock;
 
 /// How long a fault model keeps perturbing the machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -313,69 +315,22 @@ pub fn observe_model(
     itr: ItrConfig,
     window_cycles: u64,
 ) -> (Observation, Report) {
-    let mut cfg = PipelineConfig {
-        itr: Some(ItrConfig { mode: ItrMode::Passive, ..itr }),
-        spc_check: true,
-        ..PipelineConfig::default()
-    };
-    model.inject_into(&mut cfg);
-    let mut pipe = Pipeline::new(program, cfg);
+    observe_model_from(program, model, golden, itr, window_cycles, None)
+}
 
-    let mut sdc = false;
-    let mut commit_idx = 0usize;
-    let first_strike = model.first_strike();
-
-    // Phase 1: run until the model's first possible strike has decoded
-    // (or the program ends first).
-    let chunk = 10_000u64;
-    let inject_cycle = loop {
-        let budget = pipe.cycle() + chunk;
-        let exit = pipe.run_with(budget, |r| {
-            if commit_idx >= golden.len() || golden[commit_idx] != *r {
-                sdc = true;
-            }
-            commit_idx += 1;
-            true
-        });
-        if pipe.stats().decoded > first_strike {
-            break pipe.cycle();
-        }
-        if exit != RunExit::CycleLimit || pipe.cycle() > 50_000_000 {
-            break pipe.cycle();
-        }
-    };
-
-    // Phase 2: observe at the window boundary.
-    let exit = pipe.run_with(inject_cycle + window_cycles, |r| {
-        if commit_idx >= golden.len() || golden[commit_idx] != *r {
-            sdc = true;
-        }
-        commit_idx += 1;
-        true
-    });
-    let sdc = sdc
-        || (matches!(exit, RunExit::Halted | RunExit::Aborted(_)) && commit_idx != golden.len());
-    let report =
-        Report::from_json(&pipe.stats_json()).expect("pipeline emits a valid itr-stats/v1 report");
-    let first_mismatch = if report.counter("itr", "mismatches").unwrap_or(0) == 0 {
-        None
-    } else {
-        pipe.itr_events().iter().find_map(|(_, e)| match e {
-            ItrEvent::Mismatch { start_pc, cached_signature, new_signature, .. } => {
-                Some((*start_pc, *cached_signature, *new_signature))
-            }
-            _ => None,
-        })
-    };
-    let resident_lines = pipe.itr().map(|u| u.cache().iter_lines().collect()).unwrap_or_default();
-    let obs = Observation {
-        sdc,
-        deadlock: exit == RunExit::Deadlock,
-        first_mismatch,
-        spc_fired: report.counter("pipeline", "spc_violations").unwrap_or(0) > 0,
-        resident_lines,
-    };
-    (obs, report)
+/// [`observe_model`], forked from `from` when given.
+fn observe_model_from(
+    program: &Program,
+    model: &FaultModel,
+    golden: &[CommitRecord],
+    itr: ItrConfig,
+    window_cycles: u64,
+    from: Option<&PrefixSnapshot>,
+) -> (Observation, Report) {
+    let inject = |cfg: &mut PipelineConfig| model.inject_into(cfg);
+    observe_passive(program, itr, golden, from, inject, model.first_strike(), &[window_cycles])
+        .pop()
+        .expect("one window observed")
 }
 
 /// Cross-validates a passive `ITR+SDC+R` classification of a *transient*
@@ -401,22 +356,8 @@ pub fn validate_model_recovery(
             model.persistence()
         ));
     }
-    let mut cfg = PipelineConfig {
-        itr: Some(ItrConfig { mode: ItrMode::Active, ..itr }),
-        ..PipelineConfig::default()
-    };
-    model.inject_into(&mut cfg);
-    let mut pipe = Pipeline::new(program, cfg);
-    let mut diverged_at = None;
-    let mut idx = 0usize;
-    let exit = pipe.run_with(window_cycles * 4 + 1_000_000, |r| {
-        if idx >= golden.len() || golden[idx] != *r {
-            diverged_at.get_or_insert(idx);
-        }
-        idx += 1;
-        true
-    });
-    if let Some(at) = diverged_at {
+    let (exit, run) = run_active(program, itr, golden, window_cycles, |c| model.inject_into(c));
+    if let Some(at) = run.first_divergence() {
         return Err(format!("active run diverged at commit {at} despite predicted recovery"));
     }
     if matches!(exit, RunExit::MachineCheck { .. }) {
@@ -445,11 +386,13 @@ pub struct ModelShard {
 
 /// Precomputed per-(program, kind) campaign state: golden references and
 /// the full sampled model list, addressed by shards as `[lo, hi)` index
-/// ranges (same decomposition contract as [`crate::CampaignPlan`]).
+/// ranges (same decomposition contract, and the same lazily built prefix
+/// snapshots, as [`crate::CampaignPlan`]).
 pub struct ModelPlan {
     golden: Vec<CommitRecord>,
     clean_sigs: HashMap<u64, u64>,
     models: Vec<FaultModel>,
+    prefixes: OnceLock<PrefixSet>,
 }
 
 impl ModelPlan {
@@ -466,7 +409,7 @@ impl ModelPlan {
         let models = (0..cfg.faults)
             .map(|_| FaultModel::sample(kind, &mut rng, cfg.min_decode, max_decode))
             .collect();
-        ModelPlan { golden, clean_sigs, models }
+        ModelPlan { golden, clean_sigs, models, prefixes: OnceLock::new() }
     }
 
     /// The sampled model list (index space for [`ModelPlan::run_range`]).
@@ -485,6 +428,14 @@ impl ModelPlan {
         &self.clean_sigs
     }
 
+    /// The prefix snapshots, built on first use.
+    fn prefixes(&self, program: &Program, itr: ItrConfig) -> &PrefixSet {
+        self.prefixes.get_or_init(|| {
+            let strikes = self.models.iter().map(FaultModel::first_strike);
+            PrefixSet::build(program, itr, &self.golden, strikes)
+        })
+    }
+
     /// Runs and classifies the sampled models in `[lo, hi)`.
     pub fn run_range(
         &self,
@@ -500,8 +451,9 @@ impl ModelPlan {
             if cancelled() {
                 break;
             }
+            let from = self.prefixes(program, cfg.itr).fork_point(cfg.itr, model.first_strike());
             let (obs, report) =
-                observe_model(program, model, &self.golden, cfg.itr, cfg.window_cycles);
+                observe_model_from(program, model, &self.golden, cfg.itr, cfg.window_cycles, from);
             let outcome = classify(&obs, &self.clean_sigs);
             *counts.entry(outcome).or_insert(0) += 1;
             shard.records.push(ModelRecord { model: model.clone(), outcome });

@@ -103,8 +103,12 @@ fn worker_loop(shared: &Shared, slot: usize, epoch: usize) {
         if shared.epochs[slot].load(Ordering::SeqCst) != epoch {
             return; // superseded by a respawn
         }
-        // Own work first (front), then steal from siblings (back).
-        let task = shared.queues[slot].lock().expect("queue poisoned").pop_front().or_else(|| {
+        // Own work first (front), then steal from siblings (back). The
+        // own-queue guard must drop before stealing: holding it while
+        // locking a sibling's queue deadlocks two workers stealing from
+        // each other at once.
+        let own = shared.queues[slot].lock().expect("queue poisoned").pop_front();
+        let task = own.or_else(|| {
             (1..n).find_map(|d| {
                 shared.queues[(slot + d) % n].lock().expect("queue poisoned").pop_back()
             })

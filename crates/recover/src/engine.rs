@@ -85,7 +85,9 @@ impl GoldenRun {
     /// Captures the golden run of `program` within `max_instrs`.
     pub fn capture(program: &Program, max_instrs: u64) -> GoldenRun {
         let mut sim = FuncSim::new(program);
-        let (records, stop) = sim.run_collect(max_instrs);
+        let (mut records, stop) = sim.run_collect(max_instrs);
+        // A golden run outlives its capture; drop the growth slack.
+        records.shrink_to_fit();
         GoldenRun { records, output: sim.output().to_string(), halted: stop == StopReason::Halted }
     }
 }

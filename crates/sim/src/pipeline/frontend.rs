@@ -25,7 +25,7 @@ pub(in crate::pipeline) struct Fetched {
 }
 
 /// Fetch-stage state: PC, I-cache, predictors, and the output queue.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(in crate::pipeline) struct Frontend {
     pub fetch_pc: u64,
     pub icache: TimingCache,

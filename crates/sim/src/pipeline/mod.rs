@@ -108,7 +108,11 @@ pub struct CheckpointRecord {
 /// Fields are visible to the sibling stage modules (`pub(in
 /// crate::pipeline)`) and nowhere else; external code goes through the
 /// accessors.
-#[derive(Debug)]
+///
+/// A clone is an exact fork: both copies continue cycle for cycle as the
+/// original would have, which is what lets fault campaigns branch faulty
+/// runs off one fault-free prefix (see [`Pipeline::arm`]).
+#[derive(Debug, Clone)]
 pub struct Pipeline {
     pub(in crate::pipeline) cfg: PipelineConfig,
     pub(in crate::pipeline) mem: Memory,
@@ -139,9 +143,12 @@ pub struct Pipeline {
     // Fault injection.
     pub(in crate::pipeline) faults: Vec<DecodeFault>,
     pub(in crate::pipeline) signal_faults: Vec<SignalFault>,
-    /// First decode index the armed burst fault strikes (`None` until
-    /// the first ITR mismatch surfaces).
-    pub(in crate::pipeline) burst_from: Option<u64>,
+    /// Instructions decoded when the run's first ITR mismatch surfaced —
+    /// the first decode index a planned burst fault strikes. Recorded
+    /// whether or not a burst is planned, so a fault-free pipeline armed
+    /// with a burst later ([`Pipeline::arm`]) arms it exactly where a
+    /// fresh faulty run would have.
+    pub(in crate::pipeline) first_mismatch_decode: Option<u64>,
     pub(in crate::pipeline) swap_done: bool,
 
     /// `itr-tap/v1` recorder: when enabled, every ITR-relevant dispatch,
@@ -201,7 +208,7 @@ impl Pipeline {
             verified_miss: None,
             faults: cfg.faults.clone(),
             signal_faults: cfg.signal_faults.clone(),
-            burst_from: None,
+            first_mismatch_decode: None,
             swap_done: false,
             tap: None,
             output: String::new(),
@@ -260,6 +267,57 @@ impl Pipeline {
     /// ITR events paired with the cycle they surfaced in.
     pub fn itr_events(&self) -> &[(u64, ItrEvent)] {
         &self.itr_events
+    }
+
+    /// Takes the ITR event log recorded so far, leaving it empty; later
+    /// events append to the empty log (mirrors [`Pipeline::take_tap`]).
+    pub fn take_itr_events(&mut self) -> Vec<(u64, ItrEvent)> {
+        std::mem::take(&mut self.itr_events)
+    }
+
+    /// Arms planned faults on a pipeline that has not reached them yet —
+    /// typically a clone of a fault-free run. `inject` edits the
+    /// pipeline's configuration the way it would edit a fresh
+    /// [`PipelineConfig`]; from here on the run is exactly the run
+    /// [`Pipeline::new`] would have produced with the edited
+    /// configuration, because before its first strike a faulty run is
+    /// bit-identical to the fault-free one. Only the fault-injection
+    /// fields may change.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an armed fault would already have struck: its decode
+    /// (or rename/issue) index has been passed, or a burst fault's
+    /// arming mismatch has already surfaced and been passed.
+    pub fn arm(&mut self, inject: impl FnOnce(&mut PipelineConfig)) {
+        inject(&mut self.cfg);
+        let cfg = &self.cfg;
+        let decoded = self.metrics.get(self.metrics.decoded);
+        let first_strike = cfg
+            .faults
+            .iter()
+            .map(|f| f.nth_decode)
+            .chain(cfg.signal_faults.iter().map(|f| f.from_decode))
+            .chain(cfg.swap_fault)
+            .chain(cfg.rename_fault.map(|f| f.nth_rename))
+            .chain(cfg.burst_fault.and(self.first_mismatch_decode))
+            .min();
+        if let Some(strike) = first_strike {
+            assert!(
+                decoded <= strike,
+                "cannot arm a fault striking decode {strike}: {decoded} already decoded"
+            );
+        }
+        if let Some(f) = cfg.scheduler_fault {
+            let issued = self.metrics.get(self.metrics.issued);
+            assert!(
+                issued <= f.nth_issue,
+                "cannot arm a scheduler fault at issue {}: {issued} already issued",
+                f.nth_issue
+            );
+        }
+        self.faults = cfg.faults.clone();
+        self.signal_faults = cfg.signal_faults.clone();
     }
 
     /// Sequential-PC check violations observed at retirement.
@@ -352,14 +410,13 @@ impl Pipeline {
         if let Some(unit) = &mut self.itr {
             let cycle = self.cycle;
             let drained = unit.drain_events();
-            // Arm a planned burst fault on the run's first signature
+            // A planned burst fault arms on the run's first signature
             // mismatch: the next `len` decodes (in active mode, the
             // refetched trace) are struck.
-            if self.cfg.burst_fault.is_some()
-                && self.burst_from.is_none()
+            if self.first_mismatch_decode.is_none()
                 && drained.iter().any(|e| matches!(e, ItrEvent::Mismatch { .. }))
             {
-                self.burst_from = Some(self.metrics.get(self.metrics.decoded));
+                self.first_mismatch_decode = Some(self.metrics.get(self.metrics.decoded));
             }
             self.itr_events.extend(drained.into_iter().map(|e| (cycle, e)));
         }

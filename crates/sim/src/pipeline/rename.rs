@@ -25,7 +25,7 @@ pub(in crate::pipeline) struct DstAlloc {
 }
 
 /// Register-rename state: map table, free list, physical register file.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(in crate::pipeline) struct RenameState {
     /// Architectural → physical map (65 architectural registers).
     pub map: [u16; 65],
@@ -127,7 +127,7 @@ impl Pipeline {
             }
             // An armed burst fault strikes the next `len` decodes after
             // the run's first ITR mismatch.
-            if let (Some(burst), Some(from)) = (self.cfg.burst_fault, self.burst_from) {
+            if let (Some(burst), Some(from)) = (self.cfg.burst_fault, self.first_mismatch_decode) {
                 if decoded_so_far >= from && decoded_so_far < from.saturating_add(burst.len) {
                     sig = sig.with_bit_flipped(burst.bit % 64);
                     self.metrics.event(self.cycle, Stage::Dispatch, f.pc, "burst fault injected");

@@ -102,7 +102,7 @@ pub struct StageEvent {
 }
 
 /// Counter handles + histograms + event ring for one pipeline instance.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(in crate::pipeline) struct SimMetrics {
     counters: Counters,
     pub cycles: Counter,

@@ -645,3 +645,93 @@ fn stats_report_exports_pipeline_and_itr_sections() {
     let parsed = itr_stats::Report::from_json(&pipe.stats_json()).expect("parses");
     assert_eq!(parsed.counter("pipeline", "committed"), Some(stats.committed));
 }
+
+/// Runs `pipe` to its end, returning the commit stream it produced.
+fn finish(pipe: &mut Pipeline) -> (RunExit, Vec<crate::arch::CommitRecord>) {
+    let mut records = Vec::new();
+    let exit = pipe.run_with(2_000_000, |r| {
+        records.push(*r);
+        true
+    });
+    (exit, records)
+}
+
+#[test]
+fn clone_mid_run_continues_exactly_like_the_original() {
+    let p = assemble(SUM_LOOP).unwrap();
+    let mut original = Pipeline::new(&p, PipelineConfig::with_itr());
+    let mut prefix = Vec::new();
+    original.run_with(60, |r| {
+        prefix.push(*r);
+        true
+    });
+    assert!(!prefix.is_empty() && original.exit().is_none(), "cloned mid-run");
+    let mut fork = original.clone();
+    let (exit_a, rest_a) = finish(&mut original);
+    let (exit_b, rest_b) = finish(&mut fork);
+    assert_eq!(exit_a, RunExit::Halted);
+    assert_eq!(exit_a, exit_b);
+    assert_eq!(rest_a, rest_b);
+    assert_eq!(original.stats_json(), fork.stats_json());
+    assert_eq!(original.output(), fork.output());
+
+    // And both equal one uninterrupted run.
+    let mut straight = Pipeline::new(&p, PipelineConfig::with_itr());
+    let (_, all) = finish(&mut straight);
+    prefix.extend(rest_a);
+    assert_eq!(all, prefix);
+    assert_eq!(straight.stats_json(), original.stats_json());
+}
+
+#[test]
+fn armed_fork_equals_a_fresh_faulty_run() {
+    let p = assemble(SUM_LOOP).unwrap();
+    let fault = DecodeFault { nth_decode: 40, bit: 35 };
+    let mut fresh =
+        Pipeline::new(&p, PipelineConfig { faults: vec![fault], ..PipelineConfig::with_itr() });
+    let (fresh_exit, fresh_records) = finish(&mut fresh);
+
+    let mut clean = Pipeline::new(&p, PipelineConfig::with_itr());
+    while clean.stats().decoded + 4 <= fault.nth_decode {
+        clean.run(clean.cycle() + 1);
+    }
+    let mut fork = clean.clone();
+    fork.arm(|cfg| cfg.faults.push(fault));
+    let mut records = Vec::new();
+    let mut replay = Pipeline::new(&p, PipelineConfig::with_itr());
+    replay.run_with(clean.cycle(), |r| {
+        records.push(*r);
+        true
+    });
+    let (fork_exit, rest) = finish(&mut fork);
+    records.extend(rest);
+    assert_eq!(fork_exit, fresh_exit);
+    assert_eq!(records, fresh_records);
+    assert_eq!(fork.stats_json(), fresh.stats_json());
+    assert_eq!(fork.output(), fresh.output());
+    assert!(fork.itr().unwrap().stats().mismatches > 0, "the armed fault struck");
+}
+
+#[test]
+#[should_panic(expected = "cannot arm a fault striking decode 40")]
+fn arming_past_the_strike_panics() {
+    let p = assemble(SUM_LOOP).unwrap();
+    let mut pipe = Pipeline::new(&p, PipelineConfig::with_itr());
+    while pipe.stats().decoded <= 40 {
+        pipe.run(pipe.cycle() + 1);
+    }
+    pipe.arm(|cfg| cfg.faults.push(DecodeFault { nth_decode: 40, bit: 3 }));
+}
+
+#[test]
+fn take_itr_events_empties_the_log() {
+    let p = assemble(SUM_LOOP).unwrap();
+    let fault = DecodeFault { nth_decode: 40, bit: 35 };
+    let mut pipe =
+        Pipeline::new(&p, PipelineConfig { faults: vec![fault], ..PipelineConfig::with_itr() });
+    pipe.run(2_000_000);
+    let n = pipe.itr_events().len();
+    assert!(n > 0);
+    assert_eq!(pipe.take_itr_events().len(), n);
+    assert!(pipe.itr_events().is_empty());
+}

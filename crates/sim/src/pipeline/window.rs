@@ -50,7 +50,7 @@ impl Uop {
 }
 
 /// The ROB + issue queue pair.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(in crate::pipeline) struct Window {
     pub rob: VecDeque<Uop>,
     /// Sequence number of the ROB head (commit point).
