@@ -1,16 +1,16 @@
 //! `itr-repro` — the paper's entire evaluation as one resumable,
 //! sharded harness run.
 //!
-//! Replaces the serial 12-binary sweep `scripts/reproduce_all.sh` used
-//! to run: every table and figure registers as a job in the
-//! `itr-harness` DAG, fault campaigns and workload sweeps shard across a
-//! work-stealing pool, and each completed shard is journaled to
-//! `results/journal.jsonl` so an interrupted run picks up with
-//! `--resume` and zero recomputation. Artifacts are byte-identical to
-//! the standalone binaries' output (they share compute and render code).
+//! The only entry point to the experiments: every table and figure
+//! registers as a job in the `itr-harness` DAG, and `--only JOB[,JOB]`
+//! produces any subset of them (plus their dependencies). Fault
+//! campaigns and workload sweeps shard across a work-stealing pool, and
+//! each completed shard is journaled to `results/journal.jsonl` so an
+//! interrupted run picks up with `--resume` and zero recomputation.
+//! Artifacts are byte-identical across `--jobs` and across resumes.
 //!
 //! ```text
-//! itr-repro [--mode quick|full] [--jobs N] [--resume] [--out DIR]
+//! itr-repro [--mode quick|full] [--jobs N] [--resume] [--only JOB[,JOB]] [--out DIR]
 //!           [--faults N] [--window N] [--instrs N] [--program-instrs N]
 //!           [--seed N] [--fuzz-budget N] [--from-programs] [--grace-secs N]
 //!           [--no-progress]

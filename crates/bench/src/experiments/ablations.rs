@@ -226,8 +226,8 @@ pub fn redundant_fetch_unit(
     }
 }
 
-/// Renders the three studies exactly as the `ablations` binary prints
-/// them. `units` must arrive in shard order: all checked-bit units, then
+/// Renders the three studies (`ablations.txt` / `ablations.csv`).
+/// `units` must arrive in shard order: all checked-bit units, then
 /// trace-length, then redundant-fetch.
 pub fn render_ablations(units: &[AblationUnit]) -> Emitted {
     let mut text = String::new();

@@ -10,7 +10,7 @@
 //! uploaded as a CI artifact; being wall-clock, it is exempt from the
 //! byte-identity checks the other artifacts must pass.
 
-use super::{sweep, Scale};
+use super::{obj, sweep, Scale};
 use itr_analyze::{gap_report, GapObservations};
 use itr_core::{CoverageModel, ItrCacheConfig};
 use itr_faults::{FaultModel, ModelKind};
@@ -72,10 +72,6 @@ const RECOVER_PROBE_RUNS: u64 = 480;
 /// execution budget of the observation pass.
 const GAP_PROBE_REPS: u64 = 32;
 const GAP_PROBE_BUDGET: u64 = 60_000;
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
 
 /// Times the simulators and the sweep's replay-vs-direct race; returns
 /// the ledger body (everything except per-family wall-clock).

@@ -1,7 +1,6 @@
 //! Trace-stream characterization: one pass per benchmark feeds Table 1
-//! and Figures 1–4. The old serial script collected the same streams
-//! three times (once per binary); here a single `characterize` job does
-//! it once and three emit jobs render from its payloads.
+//! and Figures 1–4. A single `characterize` job collects each stream
+//! once and three emit jobs render from its payloads.
 
 use super::{
     data_payload, emit_payload, get_arr, get_bool, get_f64, get_str, get_u64, obj, Csv, Emitted,
@@ -104,8 +103,7 @@ impl BenchChar {
     }
 }
 
-/// Characterizes one benchmark — the compute shard body, also called
-/// serially by the `table1`/`fig1_2`/`fig3_4` binaries.
+/// Characterizes one benchmark — the compute shard body.
 pub fn characterize_bench(
     profile: SpecProfile,
     seed: u64,
@@ -125,7 +123,7 @@ pub fn characterize_bench(
     }
 }
 
-/// Renders Table 1 exactly as the `table1_static_traces` binary prints it.
+/// Renders Table 1 (`table1.txt` / `table1_static_traces.csv`).
 pub fn render_table1(units: &[BenchChar]) -> Emitted {
     let mut text = String::new();
     let _ = writeln!(text, "=== Table 1: static traces per benchmark ===");
@@ -151,8 +149,7 @@ pub fn render_table1(units: &[BenchChar]) -> Emitted {
     }
 }
 
-/// Renders Figures 1–2 exactly as the `fig1_2_repetition` binary prints
-/// them.
+/// Renders Figures 1–2 (`fig1_2.txt` and its CSV).
 pub fn render_fig1_2(units: &[BenchChar]) -> Emitted {
     let mut text = String::new();
     let mut rows = Vec::new();
@@ -199,8 +196,7 @@ pub fn render_fig1_2(units: &[BenchChar]) -> Emitted {
     }
 }
 
-/// Renders Figures 3–4 exactly as the `fig3_4_distance` binary prints
-/// them.
+/// Renders Figures 3–4 (`fig3_4.txt` and its CSV).
 pub fn render_fig3_4(units: &[BenchChar]) -> Emitted {
     let buckets = dist_buckets();
     let mut text = String::new();

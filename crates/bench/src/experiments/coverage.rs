@@ -86,8 +86,7 @@ impl CoverageUnit {
     }
 }
 
-/// Measures one benchmark — the compute shard body, also used serially
-/// by the `fig6_7_coverage` binary. The stream is collected once and
+/// Measures one benchmark — the compute shard body. The stream is collected once and
 /// fanned out to every configuration's [`CoverageModel`] in a single
 /// pass ([`fan_out_records`]); each model observes the identical
 /// record sequence it would see in a dedicated run.
@@ -135,8 +134,7 @@ pub fn coverage_unit(
     }
 }
 
-/// Renders Figures 6–7 exactly as the `fig6_7_coverage` binary prints
-/// them.
+/// Renders Figures 6–7 (`fig6_7.txt` and its CSV).
 pub fn render_fig6_7(units: &[CoverageUnit]) -> Emitted {
     let mut text = String::new();
     let mut rows = Vec::new();

@@ -11,8 +11,7 @@ use itr_workloads::{generate_mimic_sized, profiles, SpecProfile};
 use std::fmt::Write as _;
 use std::path::Path;
 
-/// The generated-program size Figure 9 runs at (fixed in both modes,
-/// matching the `--program-instrs 300000` the script always passed).
+/// The generated-program size Figure 9 runs at (fixed in both modes).
 pub const FIG9_PROGRAM_INSTRS: u64 = 300_000;
 
 /// One benchmark's Figure 9 row.
@@ -66,8 +65,7 @@ impl EnergyUnit {
     }
 }
 
-/// Measures one benchmark — the compute shard body, also used serially
-/// by the `fig9_energy` binary.
+/// Measures one benchmark — the compute shard body.
 pub fn energy_unit(profile: SpecProfile, seed: u64, program_instrs: u64) -> EnergyUnit {
     let program = generate_mimic_sized(profile, seed, program_instrs);
     let mut pipe = Pipeline::new(&program, PipelineConfig::with_itr());
@@ -86,7 +84,7 @@ pub fn energy_unit(profile: SpecProfile, seed: u64, program_instrs: u64) -> Ener
     }
 }
 
-/// Renders Figure 9 exactly as the `fig9_energy` binary prints it.
+/// Renders Figure 9 (`fig9.txt` and its CSV).
 pub fn render_fig9(units: &[EnergyUnit]) -> Emitted {
     let mut text = String::new();
     let _ = writeln!(text, "=== Figure 9: energy of ITR cache vs I-cache second fetch (mJ) ===");

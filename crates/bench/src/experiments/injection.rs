@@ -22,8 +22,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Target faults per campaign shard (the unit of resume/steal).
 pub const FAULTS_PER_SHARD: u32 = 50;
 
-/// The generated-program size the by-field study runs at (the script
-/// never overrode the binary's default).
+/// The generated-program size the by-field study runs at (fixed in both
+/// modes).
 pub const BYFIELD_PROGRAM_INSTRS: u64 = 100_000;
 
 /// A campaign ready to shard: program, configuration and plan.
@@ -66,8 +66,7 @@ pub fn planned_campaign(
     planned
 }
 
-/// The Figure 8 campaign configuration (mirrors the `fig8_injection`
-/// binary).
+/// The Figure 8 campaign configuration.
 pub fn fig8_cfg(base_seed: u64, faults: u32, window: u64, program_instrs: u64) -> CampaignConfig {
     CampaignConfig {
         faults,
@@ -80,8 +79,7 @@ pub fn fig8_cfg(base_seed: u64, faults: u32, window: u64, program_instrs: u64) -
     }
 }
 
-/// The by-field campaign configuration (mirrors the `fig8_by_field`
-/// binary).
+/// The by-field campaign configuration.
 pub fn byfield_cfg(
     base_seed: u64,
     faults: u32,
@@ -134,7 +132,7 @@ pub struct Fig8Unit {
     pub counts: OutcomeCounts,
 }
 
-/// Renders Figure 8 exactly as the `fig8_injection` binary prints it.
+/// Renders Figure 8 (`fig8.txt` / `fig8_injection.csv`).
 pub fn render_fig8(units: &[Fig8Unit], faults: u32, window: u64) -> Emitted {
     let mut text = String::new();
     let _ = writeln!(
@@ -210,8 +208,7 @@ pub fn tally_by_field(records: &[FaultRecord]) -> FieldCounts {
     fields
 }
 
-/// Renders the by-field supplement exactly as the `fig8_by_field` binary
-/// prints it.
+/// Renders the by-field supplement (`fig8_by_field.txt` and its CSV).
 pub fn render_byfield(fields: &FieldCounts, faults: u32, bench: &str) -> Emitted {
     let mut text = String::new();
     let _ =

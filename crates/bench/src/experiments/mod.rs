@@ -1,16 +1,15 @@
 //! The declarative experiment registry behind `itr-repro`.
 //!
 //! Every figure and table of the paper registers here as an
-//! `itr-harness` job. Expensive measurement work (trace characterization,
-//! coverage sweeps, fault campaigns, pipeline runs) lives in *compute*
-//! jobs whose shards carry structured JSON payloads; cheap *emit* jobs
-//! depend on them and render the exact text/CSV artifacts the standalone
-//! binaries produce. The standalone binaries call the same compute and
-//! render functions serially, so `itr-repro` and
-//! `cargo run --bin fig8_injection` are byte-identical by construction.
+//! `itr-harness` job, and `itr-repro --only JOB` is the one way to
+//! produce any artifact. Expensive measurement work (trace
+//! characterization, coverage sweeps, fault campaigns, pipeline runs)
+//! lives in *compute* jobs whose shards carry structured JSON payloads;
+//! cheap *emit* jobs depend on them and render the text/CSV artifacts.
+//! A replayed journal feeds the same render functions, so a resumed run
+//! writes the same bytes as an uninterrupted one.
 //!
-//! Dataflow (the DAG `reproduce_all.sh` used to run serially, 12 times
-//! over):
+//! Dataflow:
 //!
 //! ```text
 //! characterize ──► table1, fig1_2, fig3_4
@@ -29,7 +28,7 @@
 //! env-interleave, env-faultmodels,
 //! env-workloads (hostile environments)        ──► env-report
 //! bench-measure + every compute family        ──► bench (BENCH_repro.json)
-//! table2, area (leaf emit jobs)
+//! table2, area, width-sweep, signature-fold (leaf emit jobs)
 //! ```
 
 pub mod ablations;
@@ -39,6 +38,7 @@ pub mod characterize;
 pub mod coverage;
 pub mod energy;
 pub mod env;
+pub mod fold;
 pub mod fuzz;
 pub mod gap;
 pub mod injection;
@@ -46,6 +46,7 @@ pub mod perf;
 pub mod recover;
 pub mod statics;
 pub mod sweep;
+pub mod width;
 pub mod window;
 
 use itr_harness::{Registry, ShardPayload};
@@ -64,7 +65,7 @@ pub struct Scale {
     pub instrs: u64,
     /// Generated-program size for pipeline studies (`--program-instrs`).
     pub program_instrs: u64,
-    /// Base RNG seed (each experiment derives its own, as the binaries do).
+    /// Base RNG seed (each experiment derives its own from it).
     pub seed: u64,
     /// Drive characterization from generated programs instead of the
     /// statistical stream model.
@@ -117,13 +118,12 @@ impl Scale {
     }
 }
 
-/// A rendered experiment: the stdout text of the old standalone binary
-/// plus its CSV artifact (if it wrote one).
+/// A rendered experiment: its text table plus its CSV artifact (if any).
 pub struct Emitted {
     /// Artifact file name for the text (e.g. `fig8.txt`).
     pub txt_name: &'static str,
-    /// Exact stdout of the standalone binary, *before* the final
-    /// `[wrote …]` line `write_csv` appends.
+    /// The text table, *before* the final `[wrote …]` line
+    /// [`Emitted::write`] appends when there is a CSV.
     pub text: String,
     /// CSV artifact, if any.
     pub csv: Option<Csv>,
@@ -140,9 +140,9 @@ pub struct Csv {
 }
 
 impl Emitted {
-    /// Writes the artifacts exactly as `reproduce_all.sh` captured them
-    /// (CSV via `write_csv`, text via `tee` of stdout — including the
-    /// trailing `[wrote …]` line). Returns the artifact file names.
+    /// Writes the CSV (if any) and the text artifact, which ends with a
+    /// `[wrote <csv path>]` line naming the CSV. Returns the artifact
+    /// file names.
     pub fn write(&self, out: &Path) -> Vec<String> {
         std::fs::create_dir_all(out).expect("create output dir");
         let mut artifacts = Vec::new();
@@ -163,16 +163,6 @@ impl Emitted {
         std::fs::write(out.join(self.txt_name), text).expect("write text artifact");
         artifacts.push(self.txt_name.to_string());
         artifacts
-    }
-
-    /// Runs the binary-compatible serial path: print the text to stdout
-    /// and write the CSV through [`crate::write_csv`] (which prints the
-    /// `[wrote …]` line itself).
-    pub fn print_and_write_csv(&self, args: &crate::Args) {
-        print!("{}", self.text);
-        if let Some(csv) = &self.csv {
-            crate::write_csv(args, csv.name, &csv.header, &csv.rows);
-        }
     }
 }
 
@@ -220,8 +210,7 @@ pub(crate) fn get_bool(v: &Value, key: &str) -> bool {
     }
 }
 
-/// Registers the whole reproduction DAG (the 12 artifacts
-/// `reproduce_all.sh` produces) against `reg`.
+/// Registers the whole reproduction DAG against `reg`.
 pub fn register_all(reg: &mut Registry, scale: &Scale, out: &Path) {
     statics::register(reg, out);
     characterize::register(reg, scale, out);
@@ -237,5 +226,7 @@ pub fn register_all(reg: &mut Registry, scale: &Scale, out: &Path) {
     sweep::register(reg, scale, out);
     env::register(reg, scale, out);
     recover::register(reg, scale, out);
+    width::register(reg, scale, out);
+    fold::register(reg, scale, out);
     bench::register(reg, scale, out);
 }

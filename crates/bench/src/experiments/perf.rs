@@ -69,8 +69,7 @@ impl PerfUnit {
     }
 }
 
-/// Measures one workload — the shard body, also used serially by the
-/// `perf_overhead` binary.
+/// Measures one workload — the shard body.
 pub fn measure(name: &str, program: &Program, budget: u64) -> PerfUnit {
     let base = ipc(program, PipelineConfig::default(), budget);
     let itr = ipc(program, PipelineConfig::with_itr(), budget);
@@ -82,7 +81,7 @@ pub fn measure(name: &str, program: &Program, budget: u64) -> PerfUnit {
     PerfUnit { name: name.to_string(), base, itr, rfod }
 }
 
-/// Renders the study exactly as the `perf_overhead` binary prints it.
+/// Renders the study (`perf_overhead.txt` and its CSV).
 pub fn render_perf(units: &[PerfUnit]) -> Emitted {
     let mut text = String::new();
     let _ = writeln!(text, "=== ITR performance overhead (IPC) ===");

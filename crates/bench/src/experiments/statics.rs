@@ -9,7 +9,7 @@ use itr_power::{itr_cache_area_cm2, AreaComparison};
 use std::fmt::Write as _;
 use std::path::Path;
 
-/// Renders Table 2 exactly as the `table2_signals` binary prints it.
+/// Renders Table 2 (`table2_signals.txt`).
 pub fn render_table2() -> Emitted {
     let mut text = String::new();
     let _ = writeln!(text, "=== Table 2: list of decode signals ===");
@@ -24,8 +24,7 @@ pub fn render_table2() -> Emitted {
     Emitted { txt_name: "table2_signals.txt", text, csv: None }
 }
 
-/// Renders the §5 area comparison exactly as the `table_area` binary
-/// prints it.
+/// Renders the §5 area comparison (`table_area.txt`).
 pub fn render_area() -> Emitted {
     let cmp = AreaComparison::paper_itr_cache();
     let mut text = String::new();

@@ -22,12 +22,10 @@ use std::path::Path;
 /// The windows the study sweeps.
 pub const WINDOWS: [u64; 5] = [1_000, 4_000, 16_000, 64_000, 256_000];
 
-/// The generated-program size (the script never overrode the binary's
-/// default).
+/// The generated-program size (fixed in both modes).
 pub const WINDOW_PROGRAM_INSTRS: u64 = 200_000;
 
-/// The campaign configuration for one window point (mirrors the
-/// `window_sensitivity` binary).
+/// The campaign configuration for one window point.
 pub fn window_cfg(base_seed: u64, faults: u32, window: u64, program_instrs: u64) -> CampaignConfig {
     CampaignConfig {
         faults,
@@ -64,8 +62,7 @@ impl WindowUnit {
     }
 }
 
-/// Renders the study exactly as the `window_sensitivity` binary prints
-/// it.
+/// Renders the study (`window_sensitivity.txt` and its CSV).
 pub fn render_window(units: &[WindowUnit], faults: u32, bench: &str) -> Emitted {
     let mut text = String::new();
     let _ = writeln!(

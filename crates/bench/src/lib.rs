@@ -1,100 +1,21 @@
-//! Shared plumbing for the experiment binaries: argument parsing, trace
-//! sources, and table/CSV output.
-//!
-//! Every binary accepts `--instrs N`, `--seed S`, `--out DIR` and
-//! `--from-programs` (run the generated mimic programs on the functional
-//! simulator instead of sampling the statistical stream model — slower,
-//! but exercises the full stack).
+//! The `itr-repro` experiment registry ([`experiments`]) and the helpers
+//! its experiments share: trace sources, percentage formatting and
+//! committed-stream statistics.
 
 // Tests opt back out of the workspace `unwrap_used` deny: panicking on
 // a broken expectation is exactly what a test should do.
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod experiments;
-pub mod timing;
 
 use itr_core::TraceRecord;
 use itr_sim::TraceStream;
 use itr_workloads::{generate_mimic_sized, SpecProfile, SyntheticTraceStream};
 use std::collections::HashMap;
-use std::fmt::Write as _;
-use std::path::PathBuf;
-
-/// Common command-line options.
-#[derive(Debug, Clone)]
-pub struct Args {
-    /// Dynamic-instruction budget per benchmark.
-    pub instrs: u64,
-    /// RNG seed.
-    pub seed: u64,
-    /// Output directory for CSV artifacts.
-    pub out: PathBuf,
-    /// Drive trace streams from generated programs instead of the
-    /// statistical model.
-    pub from_programs: bool,
-    /// Free-form extras: `--faults`, `--window`, etc.
-    pub extra: HashMap<String, u64>,
-}
-
-impl Args {
-    /// Parses `std::env::args`, accepting `--key value` pairs.
-    pub fn parse() -> Args {
-        let mut args = Args {
-            instrs: 2_000_000,
-            seed: 0x1712_2007,
-            out: PathBuf::from("results"),
-            from_programs: false,
-            extra: HashMap::new(),
-        };
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < argv.len() {
-            match argv[i].as_str() {
-                "--instrs" => {
-                    args.instrs = argv[i + 1].parse().expect("--instrs takes a number");
-                    i += 2;
-                }
-                "--seed" => {
-                    args.seed = argv[i + 1].parse().expect("--seed takes a number");
-                    i += 2;
-                }
-                "--out" => {
-                    args.out = PathBuf::from(&argv[i + 1]);
-                    i += 2;
-                }
-                "--from-programs" => {
-                    args.from_programs = true;
-                    i += 1;
-                }
-                key if key.starts_with("--") => {
-                    let value = argv
-                        .get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| panic!("{key} takes a number"));
-                    args.extra.insert(key[2..].to_string(), value);
-                    i += 2;
-                }
-                other => panic!("unknown argument `{other}`"),
-            }
-        }
-        args
-    }
-
-    /// An extra numeric option with a default.
-    pub fn extra_or(&self, key: &str, default: u64) -> u64 {
-        self.extra.get(key).copied().unwrap_or(default)
-    }
-}
 
 /// Produces the committed trace stream for one benchmark, from either the
 /// statistical model or a generated program run on the functional
 /// simulator.
-pub fn trace_stream(profile: SpecProfile, args: &Args) -> Box<dyn Iterator<Item = TraceRecord>> {
-    stream_with(profile, args.seed, args.instrs, args.from_programs)
-}
-
-/// [`trace_stream`] with explicit parameters instead of [`Args`] — the
-/// form the harness experiment shards use.
 pub fn stream_with(
     profile: SpecProfile,
     seed: u64,
@@ -107,19 +28,6 @@ pub fn stream_with(
     } else {
         Box::new(SyntheticTraceStream::new(profile, seed, instrs))
     }
-}
-
-/// Writes a CSV artifact under the output directory and reports the path.
-pub fn write_csv(args: &Args, name: &str, header: &str, rows: &[String]) {
-    std::fs::create_dir_all(&args.out).expect("create output dir");
-    let path = args.out.join(name);
-    let mut body = String::with_capacity(rows.len() * 32);
-    let _ = writeln!(body, "{header}");
-    for r in rows {
-        let _ = writeln!(body, "{r}");
-    }
-    std::fs::write(&path, body).expect("write CSV");
-    println!("\n[wrote {}]", path.display());
 }
 
 /// Formats a percentage for the text tables.

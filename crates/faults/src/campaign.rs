@@ -107,11 +107,18 @@ pub(crate) fn golden_reference(
     let (mut records, _) = sim.run_collect(max_instrs);
     // Plans keep the stream for their lifetime; drop the growth slack.
     records.shrink_to_fit();
+    (records, clean_signatures(program, max_instrs))
+}
+
+/// The per-trace clean-signature map: the fault-free signature of the
+/// first instance of each trace start PC within `max_instrs` committed
+/// instructions. This is the ground truth [`crate::classify`] reads.
+pub fn clean_signatures(program: &Program, max_instrs: u64) -> HashMap<u64, u64> {
     let mut sigs = HashMap::new();
     for t in TraceStream::new(program, max_instrs) {
         sigs.entry(t.start_pc).or_insert(t.signature);
     }
-    (records, sigs)
+    sigs
 }
 
 /// Runs one faulty execution in passive-ITR mode and collects the

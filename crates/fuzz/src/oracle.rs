@@ -35,8 +35,8 @@ use crate::coverage;
 use crate::diag;
 use itr_core::{ItrConfig, ItrMode};
 use itr_faults::{
-    classify, observe_fault, observe_model, validate_active_recovery, validate_model_recovery,
-    FaultModel, FaultRecord, ModelKind, Outcome,
+    classify, clean_signatures, observe_fault, observe_model, validate_active_recovery,
+    validate_model_recovery, FaultModel, FaultRecord, ModelKind, Outcome,
 };
 use itr_isa::{DecodeSignals, Program, SignalFlags};
 use itr_recover::{run_recovery, sound_violation, GoldenRun, RecoverConfig};
@@ -395,15 +395,6 @@ fn check_static_subset(program: &Program, cfg: &OracleConfig, out: &mut Evaluati
             return;
         }
     }
-}
-
-/// The per-trace clean-signature map used as classifier ground truth.
-fn clean_signatures(program: &Program, max_instrs: u64) -> HashMap<u64, u64> {
-    let mut sigs = HashMap::new();
-    for t in TraceStream::new(program, max_instrs) {
-        sigs.entry(t.start_pc).or_insert(t.signature);
-    }
-    sigs
 }
 
 /// Checks one specific fault against the consistency oracle, returning

@@ -25,7 +25,7 @@ cd "$(dirname "$0")/.."
 # path:justification — keep alphabetized.
 ALLOWLIST=(
   "crates/bench/src/experiments/injection.rs:per-process plan memo, keyed lookup only"
-  "crates/bench/src/lib.rs:CLI extras are keyed lookups; histogram values sorted before use"
+  "crates/bench/src/lib.rs:StreamStats histogram values sorted before use"
   "crates/faults/src/campaign.rs:clean-run signature map, keyed lookup only"
   "crates/faults/src/classify.rs:public classify() API takes a lookup-only map"
   "crates/faults/src/models.rs:clean-run signature map, keyed lookup only"

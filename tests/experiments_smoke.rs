@@ -1,6 +1,6 @@
 //! Miniature versions of every experiment pipeline, asserting the paper's
-//! qualitative claims hold end to end. (The full-scale runs live in the
-//! `itr-bench` binaries; these keep the claims under test.)
+//! qualitative claims hold end to end. (The full-scale runs are
+//! `itr-repro` jobs; these keep the claims under test.)
 
 #![allow(clippy::unwrap_used)] // test code: panicking on broken expectations is the point
 

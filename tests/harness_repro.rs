@@ -1,7 +1,8 @@
 //! End-to-end tests of the `itr-harness` reproduction pipeline: a tiny
-//! quick run journals every shard, resumes with zero recomputation, and
-//! produces artifacts byte-identical to the standalone binaries' shared
-//! render path.
+//! quick run journals every shard, resumes with zero recomputation,
+//! regenerates every committed `results/` artifact, and writes what the
+//! experiments' compute and render functions produce when called
+//! directly.
 
 #![allow(clippy::unwrap_used)] // test code: panicking on broken expectations is the point
 
@@ -9,7 +10,7 @@ use itr_bench::experiments::{register_all, Scale};
 use itr_harness::{fingerprint, run, Registry, RunOptions};
 use std::path::{Path, PathBuf};
 
-/// A budget small enough that the whole 135-shard DAG runs in seconds.
+/// A budget small enough that the whole DAG runs in seconds.
 fn tiny_scale() -> Scale {
     Scale {
         faults: 10,
@@ -59,6 +60,15 @@ fn quick_run_journals_and_resumes_without_recomputation() {
     ] {
         assert!(out.join(artifact).exists(), "missing {artifact}");
     }
+    // Every committed text artifact has a job that regenerates it.
+    let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
+    for entry in std::fs::read_dir(&committed).expect("read results/") {
+        let name = entry.expect("results/ entry").file_name();
+        let name = name.to_str().expect("UTF-8 artifact name");
+        if name.ends_with(".txt") {
+            assert!(out.join(name).exists(), "no job writes the committed results/{name}");
+        }
+    }
     let fig8_first = std::fs::read_to_string(out.join("fig8.txt")).expect("fig8.txt");
 
     let resumed = run(registry(&scale, &out), &RunOptions { resume: true, threads: 1, ..opts })
@@ -81,10 +91,9 @@ fn harness_artifacts_match_the_standalone_render_path() {
         .expect("run");
     assert_eq!(summary.quarantined, 0, "{:?}", summary.quarantines);
 
-    // Recompute Figure 8 the way the standalone binary does — serial
-    // campaigns per benchmark through the same render function — and
-    // compare the artifact text up to the CSV path line (the harness
-    // writes into `out`, the binary into `results/`).
+    // Recompute Figure 8 without the harness — serial campaigns per
+    // benchmark through the same render function — and compare the
+    // artifact text up to the `[wrote …]` line that names the CSV.
     let units: Vec<Fig8Unit> = profiles::coverage_figure_set()
         .into_iter()
         .map(|profile| {
@@ -98,7 +107,7 @@ fn harness_artifacts_match_the_standalone_render_path() {
     let artifact = std::fs::read_to_string(out.join("fig8.txt")).expect("fig8.txt");
     assert!(
         artifact.starts_with(&expected.text),
-        "harness artifact diverges from the standalone render:\n{artifact}"
+        "harness artifact diverges from the direct render:\n{artifact}"
     );
     let csv = std::fs::read_to_string(out.join("fig8_injection.csv")).expect("csv");
     let expected_csv = expected.csv.expect("fig8 writes a CSV");
