@@ -2,8 +2,8 @@
 
 use crate::classify::{classify, Observation, Outcome};
 use crate::lockstep::{observe_passive, run_active, PrefixSet};
-use itr_core::{ItrConfig, ItrMode};
-use itr_isa::Program;
+use itr_core::{ItrConfig, ItrMode, TraceBuilder, MAX_TRACE_LEN};
+use itr_isa::{DecodeSignals, Program};
 use itr_sim::{CommitRecord, DecodeFault, FuncSim, PipelineConfig, RunExit, TraceStream};
 use itr_stats::{Counters, Report, SplitMix64, Unit};
 use std::collections::{BTreeMap, HashMap};
@@ -98,16 +98,22 @@ impl CampaignResult {
 }
 
 /// Builds the golden references: the committed stream and the per-trace
-/// clean-signature map.
+/// clean-signature map, folded from one functional pass.
 pub(crate) fn golden_reference(
     program: &Program,
     max_instrs: u64,
 ) -> (Vec<CommitRecord>, HashMap<u64, u64>) {
     let mut sim = FuncSim::new(program);
-    let (mut records, _) = sim.run_collect(max_instrs);
+    let mut records = Vec::new();
+    // The fold consumes each step as the commit stream is collected.
+    let steps = std::iter::from_fn(|| sim.step()).take(max_instrs as usize);
+    let clean_sigs = clean_signatures_of(steps.map(|step| {
+        records.push(step.record);
+        (step.record.pc, step.signals)
+    }));
     // Plans keep the stream for their lifetime; drop the growth slack.
     records.shrink_to_fit();
-    (records, clean_signatures(program, max_instrs))
+    (records, clean_sigs)
 }
 
 /// The per-trace clean-signature map: the fault-free signature of the
@@ -117,6 +123,23 @@ pub fn clean_signatures(program: &Program, max_instrs: u64) -> HashMap<u64, u64>
     let mut sigs = HashMap::new();
     for t in TraceStream::new(program, max_instrs) {
         sigs.entry(t.start_pc).or_insert(t.signature);
+    }
+    sigs
+}
+
+/// [`clean_signatures`] folded from an already recorded decode stream —
+/// each committed instruction's PC and decode signals, in commit order —
+/// so a golden pass that collects the stream builds the map without a
+/// second functional run.
+pub fn clean_signatures_of(
+    decodes: impl IntoIterator<Item = (u64, DecodeSignals)>,
+) -> HashMap<u64, u64> {
+    let mut builder = TraceBuilder::new(MAX_TRACE_LEN);
+    let mut sigs = HashMap::new();
+    for (pc, signals) in decodes {
+        if let Some(t) = builder.push(pc, &signals) {
+            sigs.entry(t.start_pc).or_insert(t.signature);
+        }
     }
     sigs
 }

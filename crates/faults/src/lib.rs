@@ -36,9 +36,9 @@ mod lockstep;
 mod models;
 
 pub use campaign::{
-    clean_signatures, observe_fault, observe_fault_multi, run_campaign, shard_bounds,
-    validate_active_recovery, CampaignConfig, CampaignPlan, CampaignResult, CampaignShard,
-    FaultRecord,
+    clean_signatures, clean_signatures_of, observe_fault, observe_fault_multi, run_campaign,
+    shard_bounds, validate_active_recovery, CampaignConfig, CampaignPlan, CampaignResult,
+    CampaignShard, FaultRecord,
 };
 pub use classify::{classify, classify_logical, Observation, Outcome};
 pub use lockstep::Lockstep;

@@ -47,6 +47,7 @@ pub mod coverage;
 pub mod diag;
 pub mod directed;
 pub mod engine;
+pub mod execution;
 pub mod gen;
 pub mod mutate;
 pub mod oracle;
@@ -62,6 +63,7 @@ pub use coverage::{CoverageMap, MAP_SIZE};
 pub use diag::{first_divergence, Divergence};
 pub use directed::{directed_mutate, BranchGoal, DirectedPlan, GAP_LENS};
 pub use engine::{run, FuzzConfig, FuzzOutcome, FuzzStats, Fuzzer, STATS_SCHEMA};
+pub use execution::Execution;
 pub use oracle::{evaluate, replay_fault, Evaluation, Finding, OracleConfig, OracleKind};
 pub use schedule::{PowerSchedule, Schedule};
 pub use server::{serve, ServeConfig, SERVE_SCHEMA};

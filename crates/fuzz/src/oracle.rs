@@ -1,4 +1,4 @@
-//! The four differential oracles run on every fuzz input.
+//! The five differential oracles run on every fuzz input.
 //!
 //! 1. **Commit-stream equivalence** — the functional reference and the
 //!    cycle-level pipeline (plain and ITR-protected) must commit the
@@ -29,22 +29,30 @@
 //!
 //! Alongside verdicts the oracles emit the coverage features the engine
 //! feeds its novelty map.
+//!
+//! Every oracle reads one recorded golden [`Execution`] of the case. The
+//! one independent functional re-execution is the second pass of the
+//! signature-determinism check, because run-to-run determinism is what
+//! that oracle tests.
 
 use crate::case::FuzzCase;
 use crate::coverage;
 use crate::diag;
-use itr_core::{ItrConfig, ItrMode};
+use crate::execution::Execution;
+use itr_core::{ItrConfig, ItrMode, TraceBuilder, TraceRecord};
 use itr_faults::{
-    classify, clean_signatures, observe_fault, observe_model, validate_active_recovery,
+    classify, clean_signatures_of, observe_fault, observe_model, validate_active_recovery,
     validate_model_recovery, FaultModel, FaultRecord, ModelKind, Outcome,
 };
 use itr_isa::{DecodeSignals, Program, SignalFlags};
 use itr_recover::{run_recovery, sound_violation, GoldenRun, RecoverConfig};
-use itr_sim::{
-    CommitRecord, DecodeFault, FuncSim, Pipeline, PipelineConfig, RunExit, StopReason, TraceStream,
-};
-use itr_stats::{Report, SplitMix64};
+use itr_sim::{CommitRecord, DecodeFault, FuncSim, Pipeline, PipelineConfig, RunExit, StopReason};
+use itr_stats::SplitMix64;
 use std::collections::{BTreeMap, HashMap};
+
+/// Trace-length configurations the signature and static-subset oracles
+/// check.
+const TRACE_LENS: [u32; 3] = [4, 8, 16];
 
 /// Budgets and knobs of one oracle evaluation.
 #[derive(Debug, Clone)]
@@ -142,55 +150,43 @@ pub struct Evaluation {
     pub edges: Vec<(u64, u64)>,
 }
 
-/// Runs the golden functional reference, collecting the committed
-/// stream, its control-flow coverage features and the observed CFG edge
-/// set.
-fn golden_run(
-    program: &Program,
-    cfg: &OracleConfig,
-    out: &mut Evaluation,
-) -> (Vec<CommitRecord>, StopReason) {
-    let mut sim = FuncSim::new(program);
-    let mut records = Vec::new();
+/// Derives the golden run's control-flow coverage features and its
+/// observed CFG edge set from the recording.
+fn golden_features(exec: &Execution, out: &mut Evaluation) {
     let mut prev_op: Option<u8> = None;
-    while (records.len() as u64) < cfg.max_instrs {
-        let Some(step) = sim.step() else { break };
-        let op = step.signals.opcode;
+    for (record, signals) in exec.records.iter().zip(&exec.signals) {
+        let op = signals.opcode;
         if let Some(p) = prev_op {
             out.features.push(coverage::pair_feature(p, op));
         }
-        if step.signals.flags.contains(SignalFlags::IS_BRANCH) {
-            let taken = step.record.next_pc != step.record.pc + 4;
+        if signals.flags.contains(SignalFlags::IS_BRANCH) {
+            let taken = record.next_pc != record.pc + 4;
             out.features.push(coverage::branch_feature(op, taken));
-            out.edges.push((step.record.pc, step.record.next_pc));
+            out.edges.push((record.pc, record.next_pc));
         }
         prev_op = Some(op);
-        records.push(step.record);
     }
-    let stop = sim.stopped().unwrap_or(StopReason::InstrLimit);
-    out.features.push(coverage::stop_feature(stop));
+    out.features.push(coverage::stop_feature(exec.stop));
     out.edges.sort_unstable();
     out.edges.dedup();
-    (records, stop)
 }
 
 /// Collects a pipeline run's commit stream, capped a little past the
-/// golden length so runaway runs cannot flood memory.
+/// golden length so runaway runs cannot flood memory. The finished
+/// pipeline is returned for its ITR events and statistics.
 fn pipeline_run(
     program: &Program,
     pipe_cfg: PipelineConfig,
     max_cycles: u64,
     cap: usize,
-) -> (Vec<CommitRecord>, RunExit, Vec<(u64, itr_core::ItrEvent)>, String) {
+) -> (Vec<CommitRecord>, RunExit, Pipeline) {
     let mut pipe = Pipeline::new(program, pipe_cfg);
     let mut records = Vec::with_capacity(cap.min(4096));
     let exit = pipe.run_with(max_cycles, |r| {
         records.push(*r);
         records.len() < cap
     });
-    let events = pipe.itr_events().to_vec();
-    let stats = pipe.stats_json();
-    (records, exit, events, stats)
+    (records, exit, pipe)
 }
 
 /// True when `exit` is the pipeline analogue of `stop`, for complete
@@ -215,11 +211,11 @@ fn check_equivalence(
 ) {
     let is_itr = pipe_cfg.itr.is_some();
     let cap = golden.len() + 8;
-    let (records, exit, events, stats) = pipeline_run(program, pipe_cfg, cfg.max_cycles(), cap);
+    let (records, exit, pipe) = pipeline_run(program, pipe_cfg, cfg.max_cycles(), cap);
     out.features.push(coverage::exit_feature(exit));
     if is_itr {
         let mut counts: BTreeMap<u32, (itr_core::ItrEvent, u64)> = BTreeMap::new();
-        for (_, ev) in &events {
+        for (_, ev) in pipe.itr_events() {
             let k = coverage::event_feature(ev, 1);
             let e = counts.entry(k).or_insert((*ev, 0));
             e.1 += 1;
@@ -227,9 +223,7 @@ fn check_equivalence(
         for (ev, n) in counts.values() {
             out.features.push(coverage::event_feature(ev, *n));
         }
-        if let Ok(report) = Report::from_json(&stats) {
-            coverage::counter_features(&report, &mut out.features);
-        }
+        coverage::counter_features(&pipe.stats_report(), &mut out.features);
     }
     let complete = matches!(stop, StopReason::Halted | StopReason::Aborted(_));
     if matches!(stop, StopReason::DecodeError(_)) {
@@ -281,15 +275,50 @@ fn check_equivalence(
     }
 }
 
+/// Start PC -> `(signature, dynamic trace length)` of a trace stream's
+/// first instance of each start.
+type SignatureMap = BTreeMap<u64, (u64, u32)>;
+
+/// The traces of every [`TRACE_LENS`] configuration formed within
+/// `budget` instructions, derived from the recording.
+fn derived_traces(exec: &Execution, budget: u64) -> [(u32, Vec<TraceRecord>); 3] {
+    TRACE_LENS.map(|max_len| (max_len, exec.traces(budget, max_len)))
+}
+
+/// The run-to-run half of oracle 2: one independent functional
+/// re-execution of `budget` instructions, folding the traces of every
+/// [`TRACE_LENS`] configuration side by side.
+fn rerun_signature_maps(program: &Program, budget: u64) -> [SignatureMap; 3] {
+    let mut sim = FuncSim::new(program);
+    let mut builders = TRACE_LENS.map(TraceBuilder::new);
+    let mut maps = TRACE_LENS.map(|_| SignatureMap::new());
+    for _ in 0..budget {
+        let Some(step) = sim.step() else { break };
+        for (builder, map) in builders.iter_mut().zip(&mut maps) {
+            if let Some(t) = builder.push(step.record.pc, &step.signals) {
+                map.entry(t.start_pc).or_insert((t.signature, t.len));
+            }
+        }
+    }
+    maps
+}
+
 /// Oracle 2: signature determinism within and across trace-length
-/// configurations.
-fn check_signatures(program: &Program, cfg: &OracleConfig, out: &mut Evaluation) {
-    let budget = cfg.max_instrs.min(1200);
+/// configurations. Within a run it reads the traces derived from the
+/// recording; across runs it compares them against one independent
+/// re-execution.
+fn check_signatures(
+    program: &Program,
+    derived: &[(u32, Vec<TraceRecord>); 3],
+    budget: u64,
+    out: &mut Evaluation,
+) {
     // (trace_len_config, start_pc) -> (signature, dynamic trace length)
-    let mut by_config: BTreeMap<u32, BTreeMap<u64, (u64, u32)>> = BTreeMap::new();
-    for max_len in [4u32, 8, 16] {
+    let mut by_config: BTreeMap<u32, SignatureMap> = BTreeMap::new();
+    let mut rerun: Option<[SignatureMap; 3]> = None;
+    for (i, &(max_len, ref traces)) in derived.iter().enumerate() {
         let map = by_config.entry(max_len).or_default();
-        for t in TraceStream::with_trace_len(program, budget, max_len) {
+        for t in traces {
             out.features.push(coverage::trace_len_feature(t.len));
             match map.get(&t.start_pc) {
                 None => {
@@ -312,11 +341,8 @@ fn check_signatures(program: &Program, cfg: &OracleConfig, out: &mut Evaluation)
         }
         // Re-run the identical stream: fold must be a pure function of
         // the trace content.
-        let mut second: BTreeMap<u64, (u64, u32)> = BTreeMap::new();
-        for t in TraceStream::with_trace_len(program, budget, max_len) {
-            second.entry(t.start_pc).or_insert((t.signature, t.len));
-        }
-        if second != *map {
+        let second = &rerun.get_or_insert_with(|| rerun_signature_maps(program, budget))[i];
+        if second != map {
             out.findings.push(Finding {
                 kind: OracleKind::SignatureDeterminism,
                 detail: format!("trace_len={max_len}: signature map differs between two runs"),
@@ -363,14 +389,16 @@ fn check_signatures(program: &Program, cfg: &OracleConfig, out: &mut Evaluation)
 /// set cannot predict). Content mismatches are never excused — the
 /// fuzz generator pins stores away from the text region, so the static
 /// image is exactly what fetch sees.
-fn check_static_subset(program: &Program, cfg: &OracleConfig, out: &mut Evaluation) {
-    let budget = cfg.max_instrs.min(1200);
+fn check_static_subset(
+    program: &Program,
+    derived: &[(u32, Vec<TraceRecord>); 3],
+    out: &mut Evaluation,
+) {
     let image = itr_analyze::ProgramImage::new(program);
-    for max_len in [4u32, 8, 16] {
+    for (max_len, dynamic) in derived {
         let universe =
-            itr_analyze::enumerate(&image, max_len, &itr_analyze::EnumOptions::default());
-        let dynamic: Vec<_> = TraceStream::with_trace_len(program, budget, max_len).collect();
-        let cv = itr_analyze::cross_validate(&image, &universe, &dynamic);
+            itr_analyze::enumerate(&image, *max_len, &itr_analyze::EnumOptions::default());
+        let cv = itr_analyze::cross_validate(&image, &universe, dynamic);
         if let Some(v) = cv.violations.first() {
             out.findings.push(Finding {
                 kind: OracleKind::StaticSubset,
@@ -563,13 +591,14 @@ fn check_recovery(
 /// fault additionally takes the full trip through the recovery engine.
 fn check_faults(
     program: &Program,
-    golden: &[CommitRecord],
+    exec: &Execution,
     cfg: &OracleConfig,
     rng: &mut SplitMix64,
     out: &mut Evaluation,
 ) {
-    let clean_sigs = clean_signatures(program, cfg.max_instrs);
-    let grun = GoldenRun::capture(program, cfg.max_instrs);
+    let golden = exec.records.as_slice();
+    let clean_sigs = clean_signatures_of(exec.decodes());
+    let grun = exec.golden_run();
     let rcfg = RecoverConfig {
         checkpoint_min_gap: 0,
         max_cycles: cfg.max_cycles(),
@@ -607,13 +636,11 @@ fn check_faults(
 /// regime.
 pub fn replay_fault(case: &FuzzCase, fault: DecodeFault, cfg: &OracleConfig) -> Option<Finding> {
     let program = case.program();
-    let mut sim = FuncSim::new(&program);
-    let (golden, stop) = sim.run_collect(cfg.max_instrs);
-    if stop != StopReason::Halted || golden.len() < 3 {
+    let exec = Execution::record(&program, cfg.max_instrs);
+    if exec.stop != StopReason::Halted || exec.records.len() < 3 {
         return None;
     }
-    let clean_sigs = clean_signatures(&program, cfg.max_instrs);
-    check_one_fault(&program, &golden, &clean_sigs, fault, cfg).1
+    check_one_fault(&program, &exec.records, &clean_signatures_of(exec.decodes()), fault, cfg).1
 }
 
 /// Evaluates one case against the oracles.
@@ -629,15 +656,19 @@ pub fn evaluate(
     rng: &mut SplitMix64,
 ) -> Evaluation {
     let program = case.program();
-    let mut out = Evaluation::default();
-    let (golden, stop) = golden_run(&program, cfg, &mut out);
-    out.golden_len = golden.len();
-    check_equivalence(&program, "plain", PipelineConfig::default(), &golden, stop, cfg, &mut out);
-    check_equivalence(&program, "itr", PipelineConfig::with_itr(), &golden, stop, cfg, &mut out);
-    check_signatures(&program, cfg, &mut out);
-    check_static_subset(&program, cfg, &mut out);
+    let exec = Execution::record(&program, cfg.max_instrs);
+    let mut out = Evaluation { golden_len: exec.records.len(), ..Evaluation::default() };
+    golden_features(&exec, &mut out);
+    let (golden, stop) = (exec.records.as_slice(), exec.stop);
+    check_equivalence(&program, "plain", PipelineConfig::default(), golden, stop, cfg, &mut out);
+    check_equivalence(&program, "itr", PipelineConfig::with_itr(), golden, stop, cfg, &mut out);
+    // Oracles 2 and 4 read the traces of the first 1200 instructions.
+    let budget = cfg.max_instrs.min(1200);
+    let derived = derived_traces(&exec, budget);
+    check_signatures(&program, &derived, budget, &mut out);
+    check_static_subset(&program, &derived, &mut out);
     if with_faults && stop == StopReason::Halted && golden.len() >= 20 {
-        check_faults(&program, &golden, cfg, rng, &mut out);
+        check_faults(&program, &exec, cfg, rng, &mut out);
     }
     out
 }
@@ -724,23 +755,20 @@ mod tests {
         // plus the active-recovery half where the model is transient.
         let cfg = OracleConfig::default();
         let mut gen_rng = SplitMix64::new(11);
-        let (case, golden) = loop {
-            let case = gen::generate(&mut gen_rng, 48);
-            let program = case.program();
-            let mut sim = FuncSim::new(&program);
-            let (golden, stop) = sim.run_collect(cfg.max_instrs);
-            if stop == StopReason::Halted && golden.len() >= 20 {
-                break (case, golden);
+        let (program, exec) = loop {
+            let program = gen::generate(&mut gen_rng, 48).program();
+            let exec = Execution::record(&program, cfg.max_instrs);
+            if exec.stop == StopReason::Halted && exec.records.len() >= 20 {
+                break (program, exec);
             }
         };
-        let program = case.program();
-        let clean_sigs = clean_signatures(&program, cfg.max_instrs);
+        let (golden, clean_sigs) = (&exec.records, clean_signatures_of(exec.decodes()));
         let mut rng = SplitMix64::new(0xE21);
         for kind in ModelKind::ALL {
             for _ in 0..3 {
                 let model = FaultModel::sample(kind, &mut rng, 2, golden.len() as u64);
                 let (outcome, finding) =
-                    check_one_model(&program, &golden, &clean_sigs, &model, &cfg);
+                    check_one_model(&program, golden, &clean_sigs, &model, &cfg);
                 assert!(
                     finding.is_none(),
                     "{}: {model:?} -> {outcome:?}: {:?}",

@@ -1,0 +1,131 @@
+//! Recording-equals-live: every value a fuzz oracle derives from the one
+//! recorded golden execution ([`Execution`]) must equal what the live
+//! functional sources compute by re-running the program — the trace
+//! streams, the clean-signature map and the recovery golden run. The
+//! same holds for the fault campaigns' one-pass golden reference against
+//! the two-pass construction it replaced.
+
+#![allow(clippy::unwrap_used)] // test code: panicking on broken expectations is the point
+
+use itr::faults::{
+    clean_signatures, clean_signatures_of, CampaignConfig, CampaignPlan, ModelKind, ModelPlan,
+};
+use itr::fuzz::{gen, seed_corpus, Execution, OracleConfig};
+use itr::isa::asm::assemble;
+use itr::isa::{decode, Program, DATA_BASE};
+use itr::sim::{FuncSim, StopReason, TraceStream};
+use itr::stats::SplitMix64;
+use itr::workloads::{generate_mimic_sized, profiles};
+use itr_recover::GoldenRun;
+
+/// Asserts every derivation of `program`'s recording within `max_instrs`
+/// against its live counterpart; returns the recording's stop reason.
+fn assert_record_equals_live(name: &str, program: &Program, max_instrs: u64) -> StopReason {
+    let exec = Execution::record(program, max_instrs);
+    let budgets = [max_instrs.min(1200), max_instrs, max_instrs + 100];
+    for budget in budgets {
+        for len in [4u32, 8, 16] {
+            let live: Vec<_> =
+                TraceStream::with_trace_len(program, budget.min(max_instrs), len).collect();
+            assert_eq!(
+                exec.traces(budget, len),
+                live,
+                "{name}: traces at len {len}, budget {budget}"
+            );
+        }
+    }
+    assert_eq!(
+        clean_signatures_of(exec.decodes()),
+        clean_signatures(program, max_instrs),
+        "{name}: clean-signature map"
+    );
+    let derived = exec.golden_run();
+    let live = GoldenRun::capture(program, max_instrs);
+    assert_eq!(derived.records, live.records, "{name}: golden records");
+    assert_eq!(derived.output, live.output, "{name}: golden output");
+    assert_eq!(derived.halted, live.halted, "{name}: golden halted");
+
+    let mut sim = FuncSim::new(program);
+    let (records, stop) = sim.run_collect(max_instrs);
+    assert_eq!(exec.records, records, "{name}: commit stream");
+    assert_eq!(exec.stop, stop, "{name}: stop reason");
+    assert_eq!(exec.signals.len(), exec.records.len(), "{name}: decode stream length");
+    exec.stop
+}
+
+#[test]
+fn generated_cases_record_equals_live() {
+    let max_instrs = OracleConfig::default().max_instrs;
+    for seed in 0..32u64 {
+        let case = gen::generate(&mut SplitMix64::new(seed), 48);
+        assert_record_equals_live(&format!("gen seed {seed}"), &case.program(), max_instrs);
+    }
+}
+
+#[test]
+fn seed_corpus_records_equal_live() {
+    let max_instrs = OracleConfig::default().max_instrs;
+    let seeds = seed_corpus(1, 1500);
+    assert!(!seeds.is_empty());
+    for (i, case) in seeds.iter().enumerate() {
+        assert_record_equals_live(&format!("seed corpus #{i}"), &case.program(), max_instrs);
+    }
+}
+
+#[test]
+fn every_stop_reason_records_equal_live() {
+    let output = "    li r4, 42\n    trap 1\n";
+    let undecodable = (0..64u32)
+        .flat_map(|major| (0..64u32).map(move |funct| major << 26 | funct))
+        .find(|&word| decode(word).is_err())
+        .unwrap();
+    let cases = [
+        (
+            "instruction budget",
+            format!(".text\nmain:\n{output}loop:\n    addi r8, r8, 1\n    j loop\n"),
+            StopReason::InstrLimit,
+        ),
+        (
+            "decode error",
+            format!(
+                ".data\nbad: .word {undecodable}\n.text\nmain:\n{output}    la r8, bad\n    jr r8\n"
+            ),
+            StopReason::DecodeError(DATA_BASE),
+        ),
+        (
+            "abort",
+            format!(".text\nmain:\n{output}    li r4, 7\n    trap 3\n"),
+            StopReason::Aborted(7),
+        ),
+        ("halt", format!(".text\nmain:\n{output}    halt\n"), StopReason::Halted),
+    ];
+    for (name, src, want) in cases {
+        let program = assemble(&src).unwrap();
+        assert_eq!(assert_record_equals_live(name, &program, 300), want, "{name}: stop reason");
+    }
+}
+
+#[test]
+fn one_pass_golden_reference_equals_two_passes() {
+    let program = generate_mimic_sized(profiles::by_name("vortex").unwrap(), 1, 20_000);
+    let cfg = CampaignConfig {
+        faults: 2,
+        window_cycles: 1_000,
+        min_decode: 100,
+        max_decode: 4_000,
+        threads: 1,
+        ..CampaignConfig::default()
+    };
+    // The plans' golden budget: the longest faulty observation.
+    let golden_len = cfg.max_decode + cfg.window_cycles * 4 + 10_000;
+    let (records, _) = FuncSim::new(&program).run_collect(golden_len);
+    let clean = clean_signatures(&program, golden_len);
+    assert!(!clean.is_empty());
+
+    let plan = CampaignPlan::new(&program, &cfg);
+    assert_eq!(plan.golden(), records.as_slice(), "campaign golden stream");
+    assert_eq!(plan.clean_signatures(), &clean, "campaign clean-signature map");
+    let plan = ModelPlan::new(&program, ModelKind::ALL[0], &cfg);
+    assert_eq!(plan.golden(), records.as_slice(), "model golden stream");
+    assert_eq!(plan.clean_signatures(), &clean, "model clean-signature map");
+}
