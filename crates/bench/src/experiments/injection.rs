@@ -11,7 +11,7 @@
 use super::{data_payload, emit_payload, get_str, obj, Csv, Emitted, Scale};
 use itr_faults::{shard_bounds, CampaignConfig, CampaignPlan, FaultRecord, Outcome};
 use itr_harness::{JobSpec, Registry, ShardSpec};
-use itr_isa::Program;
+use itr_isa::{DecodeSignals, Program};
 use itr_stats::json::Value;
 use itr_workloads::{generate_mimic_sized, profiles, SpecProfile};
 use std::collections::{BTreeMap, HashMap};
@@ -203,7 +203,8 @@ pub fn tally_by_field(records: &[FaultRecord]) -> FieldCounts {
     let mut fields = FieldCounts::new();
     for r in records {
         let i = Outcome::ALL.iter().position(|o| *o == r.outcome).expect("known outcome");
-        fields.entry(r.field.to_string()).or_insert([0u64; 10])[i] += 1;
+        let field = DecodeSignals::field_of_bit(r.fault.bit);
+        fields.entry(field.to_string()).or_insert([0u64; 10])[i] += 1;
     }
     fields
 }

@@ -7,7 +7,7 @@
 //! [`CampaignPlan::run_range_windows`] — one fifth of the pre-fan-out
 //! simulation work, byte-identical artifacts.
 //!
-//! [`CampaignPlan::run_range_windows`]: itr_faults::CampaignPlan::run_range_windows
+//! [`CampaignPlan::run_range_windows`]: itr_faults::Plan::run_range_windows
 
 use super::{data_payload, emit_payload, get_arr, get_u64, obj, Csv, Emitted, Scale};
 use crate::experiments::injection::{planned_campaign, tally, OutcomeCounts, FAULTS_PER_SHARD};

@@ -1,4 +1,5 @@
-//! Campaign runner: golden reference, faulty runs, parallel fan-out.
+//! The fault campaign: golden reference, the sampled plan, faulty runs,
+//! parallel fan-out.
 
 use crate::classify::{classify, Observation, Outcome};
 use crate::lockstep::{observe_passive, run_active, PrefixSet};
@@ -7,6 +8,7 @@ use itr_isa::{DecodeSignals, Program};
 use itr_sim::{CommitRecord, DecodeFault, FuncSim, PipelineConfig, RunExit, TraceStream};
 use itr_stats::{Counters, Report, SplitMix64, Unit};
 use std::collections::{BTreeMap, HashMap};
+use std::fmt;
 use std::sync::OnceLock;
 
 /// Parameters of one fault-injection campaign (per benchmark).
@@ -44,18 +46,60 @@ impl Default for CampaignConfig {
     }
 }
 
+/// A fault a campaign can inject: a single-bit SEU ([`DecodeFault`]) or
+/// any [`crate::FaultModel`]. One instance is one *logical* fault,
+/// however many decodes it strikes, and is observed and classified once.
+pub trait Fault: fmt::Debug {
+    /// First decode index the fault can strike: the injection point the
+    /// observer runs past before opening the window.
+    fn first_strike(&self) -> u64;
+
+    /// Expands the fault into the pipeline's fault-injection hooks.
+    fn inject_into(&self, cfg: &mut PipelineConfig);
+
+    /// `true` when the fault is transient, so a retried trace re-executes
+    /// fault-free and active-mode recovery predictions are sound.
+    fn active_recovery_sound(&self) -> bool;
+}
+
+impl Fault for DecodeFault {
+    fn first_strike(&self) -> u64 {
+        self.nth_decode
+    }
+
+    fn inject_into(&self, cfg: &mut PipelineConfig) {
+        cfg.faults.push(*self);
+    }
+
+    fn active_recovery_sound(&self) -> bool {
+        true
+    }
+}
+
+impl<F: Fault + ?Sized> Fault for &F {
+    fn first_strike(&self) -> u64 {
+        (**self).first_strike()
+    }
+
+    fn inject_into(&self, cfg: &mut PipelineConfig) {
+        (**self).inject_into(cfg);
+    }
+
+    fn active_recovery_sound(&self) -> bool {
+        (**self).active_recovery_sound()
+    }
+}
+
 /// One injected fault and its classified outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultRecord {
+pub struct FaultRecord<F = DecodeFault> {
     /// The injected fault.
-    pub fault: DecodeFault,
-    /// Signal field the flipped bit belongs to.
-    pub field: &'static str,
+    pub fault: F,
     /// Classified outcome.
     pub outcome: Outcome,
 }
 
-/// Aggregated campaign results.
+/// Aggregated results of an SEU campaign.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignResult {
     /// Every fault with its outcome.
@@ -69,14 +113,6 @@ pub struct CampaignResult {
 }
 
 impl CampaignResult {
-    /// Fraction of faults with the given outcome.
-    pub fn fraction(&self, outcome: Outcome) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        *self.counts.get(&outcome).unwrap_or(&0) as f64 / self.records.len() as f64
-    }
-
     /// Fraction of faults detected through the ITR cache (the paper
     /// reports 95.4% on average).
     pub fn itr_detected_fraction(&self) -> f64 {
@@ -84,16 +120,21 @@ impl CampaignResult {
             / self.records.len().max(1) as f64
     }
 
-    /// Outcome counts grouped by the Table-2 field the flipped bit
-    /// belongs to — the analysis behind the paper's §4 discussion of
-    /// field-specific behaviour (masked `lat` flips, deadlocking
-    /// `num_rsrc` flips, `is_branch` flips caught by `spc`, …).
-    pub fn by_field(&self) -> BTreeMap<&'static str, BTreeMap<Outcome, u32>> {
-        let mut map: BTreeMap<&'static str, BTreeMap<Outcome, u32>> = BTreeMap::new();
-        for r in &self.records {
-            *map.entry(r.field).or_default().entry(r.outcome).or_insert(0) += 1;
+    /// Folds per-shard results in shard order into the aggregate. The
+    /// outcome is identical for any shard decomposition of the same
+    /// fault list ([`Report::merge`] is commutative over disjoint runs;
+    /// records concatenate in fault order because shards are contiguous
+    /// ranges).
+    pub fn from_shards<I: IntoIterator<Item = CampaignShard>>(shards: I) -> CampaignResult {
+        let mut result = CampaignResult::default();
+        for shard in shards {
+            result.records.extend(shard.records);
+            result.report.merge(&shard.report);
         }
-        map
+        for r in &result.records {
+            *result.counts.entry(r.outcome).or_insert(0) += 1;
+        }
+        result
     }
 }
 
@@ -155,29 +196,15 @@ pub fn clean_signatures_of(
 /// oracle can observe single faults outside a campaign.
 pub fn observe_fault(
     program: &Program,
-    fault: DecodeFault,
+    fault: impl Fault,
     golden: &[CommitRecord],
     itr: ItrConfig,
     window_cycles: u64,
 ) -> (Observation, Report) {
-    observe_fault_multi(program, fault, golden, itr, &[window_cycles])
+    let inject = |c: &mut PipelineConfig| fault.inject_into(c);
+    observe_passive(program, itr, golden, None, inject, fault.first_strike(), &[window_cycles])
         .pop()
         .expect("one window observed")
-}
-
-/// [`observe_fault`] fanned out over several strictly ascending
-/// observation windows in one faulty execution — the engine of the
-/// window-sensitivity study. The observation at each window is identical
-/// to what [`observe_fault`] returns for that window alone (see
-/// [`crate::Lockstep::observe`]).
-pub fn observe_fault_multi(
-    program: &Program,
-    fault: DecodeFault,
-    golden: &[CommitRecord],
-    itr: ItrConfig,
-    windows: &[u64],
-) -> Vec<(Observation, Report)> {
-    observe_passive(program, itr, golden, None, |c| c.faults.push(fault), fault.nth_decode, windows)
 }
 
 /// Cross-validates a passive classification in *active* recovery mode:
@@ -199,28 +226,35 @@ pub fn observe_fault_multi(
 /// is sound in every corner case — differential checks (`itr-fuzz`)
 /// validate that one alone.
 ///
+/// A fault that can re-strike the refetched trace (one whose
+/// [`Fault::active_recovery_sound`] is false) is refused with `Err`:
+/// the caller gates, because validating it this way is exactly the
+/// unsoundness the gate exists to prevent.
+///
 /// Returns `Ok(())` when the prediction holds, or a description of the
 /// divergence.
 pub fn validate_active_recovery(
     program: &Program,
-    record: &FaultRecord,
+    fault: impl Fault,
+    outcome: Outcome,
     golden: &[CommitRecord],
     itr: ItrConfig,
     window_cycles: u64,
 ) -> Result<(), String> {
-    let (exit, run) =
-        run_active(program, itr, golden, window_cycles, |c| c.faults.push(record.fault));
-    match record.outcome {
+    if !fault.active_recovery_sound() {
+        return Err(format!("{fault:?}: active-recovery validation is unsound for this fault"));
+    }
+    let (exit, run) = run_active(program, itr, golden, window_cycles, |c| fault.inject_into(c));
+    match outcome {
         Outcome::ItrSdcR | Outcome::ItrMask | Outcome::ItrWdogR => {
             if run.first_divergence().is_some() {
                 return Err(format!(
-                    "{}: active run diverged at commit {} despite predicted recovery",
-                    record.outcome,
+                    "{outcome}: active run diverged at commit {} despite predicted recovery",
                     run.commits()
                 ));
             }
             if matches!(exit, RunExit::MachineCheck { .. }) {
-                return Err(format!("{}: unexpected machine check", record.outcome));
+                return Err(format!("{outcome}: unexpected machine check"));
             }
             Ok(())
         }
@@ -256,7 +290,7 @@ pub fn shard_bounds(faults: u32, shards: u32) -> Vec<(u32, u32)> {
 }
 
 /// Precomputed per-campaign state shared by every shard: the golden
-/// committed stream, the clean-signature map and the full planned fault
+/// committed stream, the clean-signature map and the full sampled fault
 /// list. Shards address `faults()` by `[lo, hi)` index range, so the
 /// shard decomposition is a pure function of the campaign parameters —
 /// never of thread count or scheduling.
@@ -264,27 +298,68 @@ pub fn shard_bounds(faults: u32, shards: u32) -> Vec<(u32, u32)> {
 /// Faulty runs fork from fault-free prefix snapshots, built by one clean
 /// run on the first `run_range*` call and shared by every later call and
 /// thread. Forked and fresh runs observe identically.
-pub struct CampaignPlan {
+///
+/// [`CampaignPlan`] samples SEUs, [`crate::ModelPlan`] instances of one
+/// [`crate::ModelKind`]; the two constructors are all that differs.
+pub struct Plan<F> {
     golden: Vec<CommitRecord>,
     clean_sigs: HashMap<u64, u64>,
-    faults: Vec<DecodeFault>,
+    faults: Vec<F>,
     prefixes: OnceLock<PrefixSet>,
 }
 
+/// The plan of the paper's §4 campaign: single-bit SEUs on uniformly
+/// random `(decode index, signal bit)` pairs.
+pub type CampaignPlan = Plan<DecodeFault>;
+
 /// The classified records and merged `itr-stats` report of one shard
 /// (one contiguous fault range).
-#[derive(Debug, Clone, Default)]
-pub struct CampaignShard {
+#[derive(Debug, Clone)]
+pub struct CampaignShard<F = DecodeFault> {
     /// Records for the shard's fault range, in fault order.
-    pub records: Vec<FaultRecord>,
+    pub records: Vec<FaultRecord<F>>,
     /// Merged report of the shard's faulty runs plus its `campaign`
     /// outcome counters.
     pub report: Report,
 }
 
+impl<F> CampaignShard<F> {
+    /// Appends the outcome tallies as a `campaign` section: one
+    /// `injected` counter plus one counter per outcome, registered for
+    /// every outcome (zeros included) so all shards export the same
+    /// counter set and the merged report is shard-decomposition-independent.
+    fn seal(&mut self) {
+        let mut campaign = Counters::new();
+        let c = campaign.register("injected", Unit::Events, "faults injected and classified");
+        campaign.set(c, self.records.len() as u64);
+        for outcome in Outcome::ALL {
+            let c = campaign.register(outcome.label(), Unit::Events, "faults with this outcome");
+            campaign.set(c, self.records.iter().filter(|r| r.outcome == outcome).count() as u64);
+        }
+        self.report.push_section("campaign", &campaign, &[]);
+    }
+}
+
 impl CampaignPlan {
-    /// Builds the golden references and samples the fault list.
+    /// Builds the golden references and samples the SEU list.
     pub fn new(program: &Program, cfg: &CampaignConfig) -> CampaignPlan {
+        Plan::sample(program, cfg, cfg.seed, |rng, lo, hi| DecodeFault {
+            nth_decode: rng.gen_range(lo..hi),
+            bit: rng.gen_range(0..64),
+        })
+    }
+}
+
+impl<F> Plan<F> {
+    /// Builds the golden references and draws `cfg.faults` faults from
+    /// an RNG seeded with `seed`: `draw(rng, lo, hi)` samples one fault
+    /// whose first strike lies in `[lo, hi)`.
+    pub(crate) fn sample(
+        program: &Program,
+        cfg: &CampaignConfig,
+        seed: u64,
+        mut draw: impl FnMut(&mut SplitMix64, u64, u64) -> F,
+    ) -> Plan<F> {
         // Golden streams must cover the longest possible faulty
         // observation: commits ≤ decodes before injection + width ×
         // window cycles.
@@ -295,23 +370,18 @@ impl CampaignPlan {
         // decodes (committed length is a lower bound on decoded length),
         // so every sampled fault materializes.
         let max_decode = cfg.max_decode.min(golden.len() as u64).max(cfg.min_decode + 1);
-        let mut rng = SplitMix64::new(cfg.seed);
-        let faults: Vec<DecodeFault> = (0..cfg.faults)
-            .map(|_| DecodeFault {
-                nth_decode: rng.gen_range(cfg.min_decode..max_decode),
-                bit: rng.gen_range(0..64),
-            })
-            .collect();
-        CampaignPlan { golden, clean_sigs, faults, prefixes: OnceLock::new() }
+        let mut rng = SplitMix64::new(seed);
+        let faults = (0..cfg.faults).map(|_| draw(&mut rng, cfg.min_decode, max_decode)).collect();
+        Plan { golden, clean_sigs, faults, prefixes: OnceLock::new() }
     }
 
-    /// The planned fault list (index space for [`CampaignPlan::run_range`]).
-    pub fn faults(&self) -> &[DecodeFault] {
+    /// The sampled fault list (index space for [`Plan::run_range`]).
+    pub fn faults(&self) -> &[F] {
         &self.faults
     }
 
-    /// The golden committed stream (also used by
-    /// [`validate_active_recovery`]).
+    /// The golden committed stream (also what
+    /// [`validate_active_recovery`] compares against).
     pub fn golden(&self) -> &[CommitRecord] {
         &self.golden
     }
@@ -320,11 +390,14 @@ impl CampaignPlan {
     pub fn clean_signatures(&self) -> &HashMap<u64, u64> {
         &self.clean_sigs
     }
+}
 
+impl<F: Fault + Clone> Plan<F> {
     /// The prefix snapshots, built on first use.
     fn prefixes(&self, program: &Program, itr: ItrConfig) -> &PrefixSet {
         self.prefixes.get_or_init(|| {
-            PrefixSet::build(program, itr, &self.golden, self.faults.iter().map(|f| f.nth_decode))
+            let strikes = self.faults.iter().map(F::first_strike);
+            PrefixSet::build(program, itr, &self.golden, strikes)
         })
     }
 
@@ -341,17 +414,17 @@ impl CampaignPlan {
         lo: u32,
         hi: u32,
         cancelled: &dyn Fn() -> bool,
-    ) -> CampaignShard {
+    ) -> CampaignShard<F> {
         self.run_range_windows(program, cfg, &[cfg.window_cycles], lo, hi, cancelled)
             .pop()
             .expect("one window observed")
     }
 
-    /// [`CampaignPlan::run_range`] fanned out over several observation
-    /// windows: every fault in `[lo, hi)` is simulated **once** and
-    /// classified at each boundary of the strictly ascending `windows`.
-    /// Returns one [`CampaignShard`] per window, each identical to what
-    /// `run_range` would produce for a campaign dedicated to that window.
+    /// [`Plan::run_range`] fanned out over several observation windows:
+    /// every fault in `[lo, hi)` is simulated **once** and classified at
+    /// each boundary of the strictly ascending `windows`. Returns one
+    /// [`CampaignShard`] per window, each identical to what `run_range`
+    /// would produce for a campaign dedicated to that window.
     pub fn run_range_windows(
         &self,
         program: &Program,
@@ -360,84 +433,34 @@ impl CampaignPlan {
         lo: u32,
         hi: u32,
         cancelled: &dyn Fn() -> bool,
-    ) -> Vec<CampaignShard> {
-        let mut shards: Vec<CampaignShard> =
-            windows.iter().map(|_| CampaignShard::default()).collect();
-        let mut counts: Vec<BTreeMap<Outcome, u32>> = vec![BTreeMap::new(); windows.len()];
-        for &fault in &self.faults[lo as usize..hi as usize] {
+    ) -> Vec<CampaignShard<F>> {
+        let mut shards: Vec<CampaignShard<F>> = windows
+            .iter()
+            .map(|_| CampaignShard { records: Vec::new(), report: Report::new() })
+            .collect();
+        for fault in &self.faults[lo as usize..hi as usize] {
             if cancelled() {
                 break;
             }
-            let from = self.prefixes(program, cfg.itr).fork_point(cfg.itr, fault.nth_decode);
-            let inject = |c: &mut PipelineConfig| c.faults.push(fault);
-            let observed = observe_passive(
-                program,
-                cfg.itr,
-                &self.golden,
-                from,
-                inject,
-                fault.nth_decode,
-                windows,
-            );
-            for (wi, (obs, report)) in observed.into_iter().enumerate() {
-                let record = FaultRecord {
-                    fault,
-                    field: itr_isa::DecodeSignals::field_of_bit(fault.bit),
-                    outcome: classify(&obs, &self.clean_sigs),
-                };
-                *counts[wi].entry(record.outcome).or_insert(0) += 1;
-                shards[wi].records.push(record);
-                shards[wi].report.merge(&report);
+            let strike = fault.first_strike();
+            let from = self.prefixes(program, cfg.itr).fork_point(cfg.itr, strike);
+            let inject = |c: &mut PipelineConfig| fault.inject_into(c);
+            let observed =
+                observe_passive(program, cfg.itr, &self.golden, from, inject, strike, windows);
+            for ((obs, report), shard) in observed.into_iter().zip(&mut shards) {
+                let outcome = classify(&obs, &self.clean_sigs);
+                shard.records.push(FaultRecord { fault: fault.clone(), outcome });
+                shard.report.merge(&report);
             }
         }
-        for (shard, counts) in shards.iter_mut().zip(&counts) {
-            seal_shard(shard, counts);
+        for shard in &mut shards {
+            shard.seal();
         }
         shards
     }
 }
 
-/// Appends the outcome tallies as a `campaign` section, registered for
-/// every outcome (zeros included) so all shards export the same counter
-/// set and the merged report is shard-decomposition-independent.
-fn seal_shard(shard: &mut CampaignShard, counts: &BTreeMap<Outcome, u32>) {
-    seal_report(&mut shard.report, shard.records.len(), counts);
-}
-
-/// The [`seal_shard`] core, shared with the fault-model campaigns
-/// (`crate::models`): one `injected` counter plus one counter per
-/// outcome, zeros included.
-pub(crate) fn seal_report(report: &mut Report, injected: usize, counts: &BTreeMap<Outcome, u32>) {
-    let mut campaign = Counters::new();
-    let c = campaign.register("injected", Unit::Events, "faults injected and classified");
-    campaign.set(c, injected as u64);
-    for outcome in Outcome::ALL {
-        let c = campaign.register(outcome.label(), Unit::Events, "faults with this outcome");
-        campaign.set(c, u64::from(*counts.get(&outcome).unwrap_or(&0)));
-    }
-    report.push_section("campaign", &campaign, &[]);
-}
-
-impl CampaignResult {
-    /// Folds per-shard results in shard order into the aggregate. The
-    /// outcome is identical for any shard decomposition of the same
-    /// fault list ([`Report::merge`] is commutative over disjoint runs;
-    /// records concatenate in fault order because shards are contiguous
-    /// ranges).
-    pub fn from_shards<I: IntoIterator<Item = CampaignShard>>(shards: I) -> CampaignResult {
-        let mut result = CampaignResult::default();
-        for shard in shards {
-            result.records.extend(shard.records);
-            result.report.merge(&shard.report);
-        }
-        for r in &result.records {
-            *result.counts.entry(r.outcome).or_insert(0) += 1;
-        }
-        result
-    }
-}
-
-/// Runs a full campaign over `program`.
+/// Runs a full SEU campaign over `program`.
 ///
 /// Faults are sampled uniformly over `(decode index, signal bit)` pairs;
 /// each faulty run is compared against a shared golden reference and
@@ -594,8 +617,15 @@ mod tests {
         let mut validated = 0;
         for r in &result.records {
             if r.outcome.itr_detected() {
-                validate_active_recovery(&p, r, &golden, cfg.itr, cfg.window_cycles)
-                    .unwrap_or_else(|e| panic!("fault {:?}: {e}", r.fault));
+                validate_active_recovery(
+                    &p,
+                    r.fault,
+                    r.outcome,
+                    &golden,
+                    cfg.itr,
+                    cfg.window_cycles,
+                )
+                .unwrap_or_else(|e| panic!("fault {:?}: {e}", r.fault));
                 validated += 1;
             }
         }

@@ -137,37 +137,6 @@ pub fn classify(obs: &Observation, clean_signatures: &HashMap<u64, u64>) -> Outc
     }
 }
 
-/// Classifies one *logical* fault observed over several epochs as a
-/// single injection.
-///
-/// Multi-cycle fault models (stuck-at windows, intermittent duty cycles,
-/// retry bursts) can be observed more than once — e.g. at successive
-/// window boundaries, or once per active phase. Counting each epoch as
-/// its own injection would double-count the fault and skew the Figure-8
-/// distribution, so this folds the epochs into one [`Observation`]
-/// first and classifies exactly once:
-///
-/// * `sdc` / `spc_fired` latch — architectural divergence or an SPC
-///   violation in any epoch is divergence of the logical fault;
-/// * `first_mismatch` is the *earliest* epoch's mismatch (detection
-///   happens once, at the first surfaced mismatch);
-/// * `deadlock` and `resident_lines` come from the *last* epoch — they
-///   describe machine state, which only the final snapshot reflects.
-///
-/// Folding a single epoch is the identity, so `classify_logical(&[obs])
-/// == classify(&obs)`.
-pub fn classify_logical(epochs: &[Observation], clean_signatures: &HashMap<u64, u64>) -> Outcome {
-    let last = epochs.last().expect("at least one epoch observed");
-    let folded = Observation {
-        sdc: epochs.iter().any(|o| o.sdc),
-        deadlock: last.deadlock,
-        first_mismatch: epochs.iter().find_map(|o| o.first_mismatch),
-        spc_fired: epochs.iter().any(|o| o.spc_fired),
-        resident_lines: last.resident_lines.clone(),
-    };
-    classify(&folded, clean_signatures)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,87 +209,6 @@ mod tests {
         assert_eq!(classify(&obs, &clean), Outcome::UndetWdog);
         let obs = Observation::default();
         assert_eq!(classify(&obs, &clean), Outcome::UndetMask);
-    }
-
-    #[test]
-    fn logical_fold_of_one_epoch_is_identity() {
-        let clean = clean_map();
-        for obs in [
-            Observation::default(),
-            Observation {
-                sdc: true,
-                first_mismatch: Some((0x100, 111, 999)),
-                ..Default::default()
-            },
-            Observation { deadlock: true, ..Default::default() },
-        ] {
-            assert_eq!(
-                classify_logical(std::slice::from_ref(&obs), &clean),
-                classify(&obs, &clean)
-            );
-        }
-    }
-
-    #[test]
-    fn intermittent_epochs_fold_to_one_injection() {
-        // An intermittent fault observed across three active phases:
-        // masked, then a detected mismatch, then quiet again. The logical
-        // fault is ONE detected-SDC injection, not three outcomes.
-        let clean = clean_map();
-        let epochs = [
-            Observation::default(),
-            Observation {
-                sdc: true,
-                first_mismatch: Some((0x100, 111, 999)),
-                ..Default::default()
-            },
-            Observation { resident_lines: vec![(0x100, 111)], ..Default::default() },
-        ];
-        assert_eq!(classify_logical(&epochs, &clean), Outcome::ItrSdcR);
-    }
-
-    #[test]
-    fn stuck_at_epochs_latch_sdc_and_keep_the_earliest_mismatch() {
-        // A stuck-at window whose first epoch already mismatches with a
-        // faulty accessor; a later epoch mismatches again with a clean
-        // accessor. The earliest mismatch decides recoverability.
-        let clean = clean_map();
-        let epochs = [
-            Observation { first_mismatch: Some((0x100, 111, 999)), ..Default::default() },
-            Observation {
-                sdc: true,
-                first_mismatch: Some((0x100, 999, 111)),
-                ..Default::default()
-            },
-        ];
-        assert_eq!(classify_logical(&epochs, &clean), Outcome::ItrSdcR);
-    }
-
-    #[test]
-    fn burst_epochs_take_machine_state_from_the_last_snapshot() {
-        // A burst whose early epoch left a tainted line that the final
-        // snapshot shows evicted: no MayITR claim survives, but a
-        // deadlock in the final epoch does.
-        let clean = clean_map();
-        let epochs = [
-            Observation { resident_lines: vec![(0x200, 555)], ..Default::default() },
-            Observation {
-                deadlock: true,
-                resident_lines: vec![(0x100, 111)],
-                ..Default::default()
-            },
-        ];
-        assert_eq!(classify_logical(&epochs, &clean), Outcome::UndetWdog);
-    }
-
-    #[test]
-    fn spc_latches_across_epochs() {
-        let clean = clean_map();
-        let epochs = [
-            Observation { spc_fired: true, ..Default::default() },
-            Observation { sdc: true, ..Default::default() },
-        ];
-        assert_eq!(classify_logical(&epochs, &clean), Outcome::SpcSdc);
     }
 
     #[test]

@@ -21,10 +21,15 @@
 //! is validated separately by `itr-sim`'s pipeline tests and the
 //! `fault_injection` example.
 //!
-//! Every faulty run goes through one golden-vs-faulty driver,
-//! [`Lockstep`]. Campaign plans fork their faulty runs from snapshots of
-//! one fault-free run instead of re-simulating each fault's prefix; a
-//! forked run observes exactly what a fresh one does.
+//! The SEU campaign is one fault model among several ([`FaultModel`]):
+//! anything that implements [`Fault`] runs through the one campaign
+//! [`Plan`] — [`CampaignPlan`] samples SEUs, [`ModelPlan`] instances of
+//! one [`ModelKind`] — and the one passive entry point
+//! ([`observe_fault`]) and active cross-check
+//! ([`validate_active_recovery`]). Every faulty run goes through one
+//! golden-vs-faulty driver, [`Lockstep`]. A plan forks its faulty runs
+//! from snapshots of one fault-free run instead of re-simulating each
+//! fault's prefix; a forked run observes exactly what a fresh one does.
 
 // Tests opt back out of the workspace `unwrap_used` deny: panicking on
 // a broken expectation is exactly what a test should do.
@@ -36,13 +41,10 @@ mod lockstep;
 mod models;
 
 pub use campaign::{
-    clean_signatures, clean_signatures_of, observe_fault, observe_fault_multi, run_campaign,
-    shard_bounds, validate_active_recovery, CampaignConfig, CampaignPlan, CampaignResult,
-    CampaignShard, FaultRecord,
+    clean_signatures, clean_signatures_of, observe_fault, run_campaign, shard_bounds,
+    validate_active_recovery, CampaignConfig, CampaignPlan, CampaignResult, CampaignShard, Fault,
+    FaultRecord, Plan,
 };
-pub use classify::{classify, classify_logical, Observation, Outcome};
+pub use classify::{classify, Observation, Outcome};
 pub use lockstep::Lockstep;
-pub use models::{
-    observe_model, validate_model_recovery, FaultModel, FaultPersistence, ModelKind, ModelPlan,
-    ModelRecord, ModelShard,
-};
+pub use models::{FaultModel, FaultPersistence, ModelKind, ModelPlan};

@@ -9,34 +9,27 @@
 //! during the ITR retry itself, which stresses the recovery controller.
 //!
 //! Each [`FaultModel`] expands to the `itr-sim` fault-injection hooks
-//! ([`DecodeFault`], [`SignalFault`], [`BurstFault`]) and is observed
-//! and classified through the same passive-run machinery and outcome
-//! taxonomy as the SEU campaign, so Figure-8-style outcome profiles are
-//! directly comparable across models.
+//! ([`DecodeFault`], [`SignalFault`], [`BurstFault`]) and runs through
+//! the same campaign [`Plan`] and outcome taxonomy as the SEU campaign
+//! ([`ModelPlan`]), so Figure-8-style outcome profiles are directly
+//! comparable across models.
 //!
 //! ## Soundness notes
 //!
 //! One model instance is one *logical* fault, however many decodes it
-//! strikes; [`observe_model`] therefore produces exactly one
-//! [`Observation`] (and [`crate::classify_logical`] folds multi-epoch
-//! observations) so a stuck-at fault is never tallied as thousands of
-//! injections. Active-mode recovery prediction (`ITR+SDC+R` ⇒ retry
-//! succeeds) is only sound for [`FaultPersistence::Transient`] models:
-//! a persistent or intermittent fault can re-strike the refetched trace,
-//! so [`FaultModel::active_recovery_sound`] gates which instances the
-//! differential oracles (`itr-fuzz`) may validate that way.
+//! strikes; the campaign observes it once over its whole window, so a
+//! stuck-at fault is never tallied as thousands of injections.
+//! Active-mode recovery prediction (`ITR+SDC+R` ⇒ retry succeeds) is
+//! only sound for [`FaultPersistence::Transient`] models: a persistent
+//! or intermittent fault can re-strike the refetched trace, so
+//! [`FaultModel::active_recovery_sound`] gates which instances the
+//! differential oracles (`itr-fuzz`) may validate that way, and
+//! [`crate::validate_active_recovery`] refuses the rest.
 
-use crate::campaign::{golden_reference, seal_report, CampaignConfig};
-use crate::classify::{classify, Observation, Outcome};
-use crate::lockstep::{observe_passive, run_active, PrefixSet, PrefixSnapshot};
-use itr_core::ItrConfig;
+use crate::campaign::{CampaignConfig, Fault, Plan};
 use itr_isa::Program;
-use itr_sim::{
-    BurstFault, CommitRecord, DecodeFault, PipelineConfig, RunExit, SignalFault, SignalOp,
-};
-use itr_stats::{Report, SplitMix64};
-use std::collections::{BTreeMap, HashMap};
-use std::sync::OnceLock;
+use itr_sim::{BurstFault, DecodeFault, PipelineConfig, SignalFault, SignalOp};
+use itr_stats::SplitMix64;
 
 /// How long a fault model keeps perturbing the machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -305,168 +298,49 @@ impl FaultModel {
     }
 }
 
-/// Runs one model instance in passive-ITR mode and collects the single
-/// logical-fault observation, exactly like
-/// [`crate::observe_fault`] does for an SEU.
-pub fn observe_model(
-    program: &Program,
-    model: &FaultModel,
-    golden: &[CommitRecord],
-    itr: ItrConfig,
-    window_cycles: u64,
-) -> (Observation, Report) {
-    observe_model_from(program, model, golden, itr, window_cycles, None)
-}
-
-/// [`observe_model`], forked from `from` when given.
-fn observe_model_from(
-    program: &Program,
-    model: &FaultModel,
-    golden: &[CommitRecord],
-    itr: ItrConfig,
-    window_cycles: u64,
-    from: Option<&PrefixSnapshot>,
-) -> (Observation, Report) {
-    let inject = |cfg: &mut PipelineConfig| model.inject_into(cfg);
-    observe_passive(program, itr, golden, from, inject, model.first_strike(), &[window_cycles])
-        .pop()
-        .expect("one window observed")
-}
-
-/// Cross-validates a passive `ITR+SDC+R` classification of a *transient*
-/// model in active recovery mode: the retried trace re-executes
-/// fault-free, so the active run must reproduce the golden committed
-/// stream without a machine check.
-///
-/// Panics (via `Err`) when called for a model whose
-/// [`FaultModel::active_recovery_sound`] is false — the caller is
-/// responsible for gating, because validating a re-striking model this
-/// way is exactly the unsoundness the gate exists to prevent.
-pub fn validate_model_recovery(
-    program: &Program,
-    model: &FaultModel,
-    golden: &[CommitRecord],
-    itr: ItrConfig,
-    window_cycles: u64,
-) -> Result<(), String> {
-    if !model.active_recovery_sound() {
-        return Err(format!(
-            "{}: active-recovery validation is unsound for {:?} models",
-            model.kind().label(),
-            model.persistence()
-        ));
+impl Fault for FaultModel {
+    fn first_strike(&self) -> u64 {
+        FaultModel::first_strike(self)
     }
-    let (exit, run) = run_active(program, itr, golden, window_cycles, |c| model.inject_into(c));
-    if let Some(at) = run.first_divergence() {
-        return Err(format!("active run diverged at commit {at} despite predicted recovery"));
+
+    fn inject_into(&self, cfg: &mut PipelineConfig) {
+        FaultModel::inject_into(self, cfg);
     }
-    if matches!(exit, RunExit::MachineCheck { .. }) {
-        return Err("unexpected machine check in predicted-recoverable run".to_string());
+
+    fn active_recovery_sound(&self) -> bool {
+        FaultModel::active_recovery_sound(self)
     }
-    Ok(())
 }
 
-/// One sampled model instance with its classified outcome.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ModelRecord {
-    /// The injected model instance.
-    pub model: FaultModel,
-    /// Classified outcome (same taxonomy as the SEU campaign).
-    pub outcome: Outcome,
-}
-
-/// The classified records and merged report of one model-campaign shard.
-#[derive(Debug, Clone, Default)]
-pub struct ModelShard {
-    /// Records in sample order.
-    pub records: Vec<ModelRecord>,
-    /// Merged `itr-stats` report plus `campaign` outcome counters.
-    pub report: Report,
-}
-
-/// Precomputed per-(program, kind) campaign state: golden references and
-/// the full sampled model list, addressed by shards as `[lo, hi)` index
-/// ranges (same decomposition contract, and the same lazily built prefix
-/// snapshots, as [`crate::CampaignPlan`]).
-pub struct ModelPlan {
-    golden: Vec<CommitRecord>,
-    clean_sigs: HashMap<u64, u64>,
-    models: Vec<FaultModel>,
-    prefixes: OnceLock<PrefixSet>,
-}
+/// The plan of one fault-model campaign: instances of one [`ModelKind`]
+/// over one program.
+pub type ModelPlan = Plan<FaultModel>;
 
 impl ModelPlan {
     /// Builds the golden references and samples `cfg.faults` instances
     /// of `kind`. The RNG seed is perturbed by the kind's position so
-    /// different kinds over the same program draw independent streams.
+    /// different kinds over the same program draw independent streams;
+    /// `Seu`'s perturbation is zero, so it draws exactly the faults
+    /// [`crate::CampaignPlan::new`] does.
     pub fn new(program: &Program, kind: ModelKind, cfg: &CampaignConfig) -> ModelPlan {
-        let golden_len = cfg.max_decode + cfg.window_cycles * 4 + 10_000;
-        let (golden, clean_sigs) = golden_reference(program, golden_len);
-        let max_decode = cfg.max_decode.min(golden.len() as u64).max(cfg.min_decode + 1);
         let kind_idx =
             ModelKind::ALL.iter().position(|&k| k == kind).expect("kind is in ALL") as u64;
-        let mut rng = SplitMix64::new(cfg.seed ^ (kind_idx.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
-        let models = (0..cfg.faults)
-            .map(|_| FaultModel::sample(kind, &mut rng, cfg.min_decode, max_decode))
-            .collect();
-        ModelPlan { golden, clean_sigs, models, prefixes: OnceLock::new() }
+        let seed = cfg.seed ^ (kind_idx.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        Plan::sample(program, cfg, seed, |rng, lo, hi| FaultModel::sample(kind, rng, lo, hi))
     }
 
-    /// The sampled model list (index space for [`ModelPlan::run_range`]).
+    /// The sampled model list (index space for [`Plan::run_range`]).
     pub fn models(&self) -> &[FaultModel] {
-        &self.models
-    }
-
-    /// The golden committed stream (also what
-    /// [`validate_model_recovery`] compares against).
-    pub fn golden(&self) -> &[CommitRecord] {
-        &self.golden
-    }
-
-    /// The clean per-trace signature map.
-    pub fn clean_signatures(&self) -> &HashMap<u64, u64> {
-        &self.clean_sigs
-    }
-
-    /// The prefix snapshots, built on first use.
-    fn prefixes(&self, program: &Program, itr: ItrConfig) -> &PrefixSet {
-        self.prefixes.get_or_init(|| {
-            let strikes = self.models.iter().map(FaultModel::first_strike);
-            PrefixSet::build(program, itr, &self.golden, strikes)
-        })
-    }
-
-    /// Runs and classifies the sampled models in `[lo, hi)`.
-    pub fn run_range(
-        &self,
-        program: &Program,
-        cfg: &CampaignConfig,
-        lo: u32,
-        hi: u32,
-        cancelled: &dyn Fn() -> bool,
-    ) -> ModelShard {
-        let mut shard = ModelShard::default();
-        let mut counts: BTreeMap<Outcome, u32> = BTreeMap::new();
-        for model in &self.models[lo as usize..hi as usize] {
-            if cancelled() {
-                break;
-            }
-            let from = self.prefixes(program, cfg.itr).fork_point(cfg.itr, model.first_strike());
-            let (obs, report) =
-                observe_model_from(program, model, &self.golden, cfg.itr, cfg.window_cycles, from);
-            let outcome = classify(&obs, &self.clean_sigs);
-            *counts.entry(outcome).or_insert(0) += 1;
-            shard.records.push(ModelRecord { model: model.clone(), outcome });
-            shard.report.merge(&report);
-        }
-        seal_report(&mut shard.report, shard.records.len(), &counts);
-        shard
+        self.faults()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::golden_reference;
+    use crate::{classify, observe_fault, validate_active_recovery, Outcome};
+    use itr_core::ItrConfig;
     use itr_isa::asm::assemble;
     use itr_workloads::kernels;
 
@@ -549,7 +423,7 @@ mod tests {
         let c = cfg();
         let golden_len = c.max_decode + c.window_cycles * 4 + 10_000;
         let (golden, clean) = golden_reference(&p, golden_len);
-        let (obs, _) = observe_model(&p, &model, &golden, c.itr, c.window_cycles);
+        let (obs, _) = observe_fault(&p, &model, &golden, c.itr, c.window_cycles);
         assert_eq!(classify(&obs, &clean), Outcome::UndetMask);
     }
 
@@ -579,9 +453,10 @@ mod tests {
             len: 4,
         };
         assert!(!burst.active_recovery_sound());
-        assert!(validate_model_recovery(
+        assert!(validate_active_recovery(
             &assemble(kernels::FIB.source).unwrap(),
             &burst,
+            Outcome::ItrSdcR,
             &[],
             ItrConfig::paper_default(),
             1_000
@@ -598,8 +473,9 @@ mod tests {
             let plan = ModelPlan::new(&p, kind, &c);
             let shard = plan.run_range(&p, &c, 0, c.faults, &|| false);
             for r in &shard.records {
-                if r.outcome == Outcome::ItrSdcR && r.model.active_recovery_sound() {
-                    validate_model_recovery(&p, &r.model, plan.golden(), c.itr, c.window_cycles)
+                if r.outcome == Outcome::ItrSdcR && r.fault.active_recovery_sound() {
+                    let (golden, itr) = (plan.golden(), c.itr);
+                    validate_active_recovery(&p, &r.fault, r.outcome, golden, itr, c.window_cycles)
                         .unwrap_or_else(|e| panic!("{}: {e}", kind.label()));
                     validated += 1;
                 }

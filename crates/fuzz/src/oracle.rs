@@ -41,10 +41,10 @@ use crate::diag;
 use crate::execution::Execution;
 use itr_core::{ItrConfig, ItrMode, TraceBuilder, TraceRecord};
 use itr_faults::{
-    classify, clean_signatures_of, observe_fault, observe_model, validate_active_recovery,
-    validate_model_recovery, FaultModel, FaultRecord, ModelKind, Outcome,
+    classify, clean_signatures_of, observe_fault, validate_active_recovery, FaultModel, ModelKind,
+    Outcome,
 };
-use itr_isa::{DecodeSignals, Program, SignalFlags};
+use itr_isa::{Program, SignalFlags};
 use itr_recover::{run_recovery, sound_violation, GoldenRun, RecoverConfig};
 use itr_sim::{CommitRecord, DecodeFault, FuncSim, Pipeline, PipelineConfig, RunExit, StopReason};
 use itr_stats::SplitMix64;
@@ -425,9 +425,9 @@ fn check_static_subset(
     }
 }
 
-/// Checks one specific fault against the consistency oracle, returning
-/// the classified outcome and a finding when the verdict contradicts
-/// the architectural ground truth.
+/// Checks one fault (an SEU or any extended model) against the
+/// consistency oracle, returning the classified outcome and a finding
+/// when the verdict contradicts the architectural ground truth.
 ///
 /// Two sound checks only (early fuzzing surfaced that the broader
 /// cross-mode predictions are heuristic, not invariant):
@@ -435,11 +435,14 @@ fn check_static_subset(
 /// * a mask-claiming verdict (`*Mask`) must not coexist with an
 ///   observed SDC or deadlock — the classifier derives the verdict from
 ///   exactly these observation bits, so a contradiction means the
-///   taxonomy itself is broken;
+///   taxonomy itself is broken, however many times the fault struck;
 /// * an [`Outcome::ItrSdcR`] verdict (faulty *accessor*, clean cached
 ///   signature) must actually recover in active mode: the retry
 ///   re-decodes cleanly and re-checks against the clean cached line, so
-///   divergence or a machine check is a real bug.
+///   divergence or a machine check is a real bug. Applied only when
+///   [`FaultModel::active_recovery_sound`] holds (transient models):
+///   persistent and intermittent models re-strike during the retry
+///   window, so checking them would manufacture false findings.
 ///
 /// The remaining detected outcomes have no sound active-mode
 /// prediction. `ItrMask` cannot see which side of the mismatch was
@@ -453,102 +456,48 @@ fn check_one_fault(
     program: &Program,
     golden: &[CommitRecord],
     clean_sigs: &HashMap<u64, u64>,
-    fault: DecodeFault,
+    model: &FaultModel,
     cfg: &OracleConfig,
 ) -> (Outcome, Option<Finding>) {
     let passive = ItrConfig { mode: ItrMode::Passive, ..ItrConfig::paper_default() };
-    let (obs, _report) = observe_fault(program, fault, golden, passive, cfg.window_cycles);
+    let (obs, _report) = observe_fault(program, model, golden, passive, cfg.window_cycles);
     let outcome = classify(&obs, clean_sigs);
+    // The detail names the fault, then what contradicts its verdict.
+    let finding = |contradiction: String| {
+        let subject = match model {
+            FaultModel::Seu(fault) => format!("fault {fault:?}"),
+            model => format!("model {model:?}"),
+        };
+        let detail = subject + &contradiction;
+        Finding { kind: OracleKind::FaultConsistency, detail, fault: replayable(model) }
+    };
     let claims_mask =
         matches!(outcome, Outcome::ItrMask | Outcome::MayItrMask | Outcome::UndetMask);
     if claims_mask && (obs.sdc || obs.deadlock) {
-        let finding = Finding {
-            kind: OracleKind::FaultConsistency,
-            detail: format!(
-                "fault {fault:?}: classified {outcome:?} but observation shows sdc={} deadlock={}",
-                obs.sdc, obs.deadlock
-            ),
-            fault: Some(fault),
-        };
-        return (outcome, Some(finding));
+        let (sdc, deadlock) = (obs.sdc, obs.deadlock);
+        let contradiction =
+            format!(": classified {outcome:?} but observation shows sdc={sdc} deadlock={deadlock}");
+        return (outcome, Some(finding(contradiction)));
     }
-    if outcome == Outcome::ItrSdcR {
-        let record = FaultRecord { fault, field: DecodeSignals::field_of_bit(fault.bit), outcome };
-        if let Err(e) = validate_active_recovery(
-            program,
-            &record,
-            golden,
-            ItrConfig::paper_default(),
-            cfg.window_cycles,
-        ) {
-            let finding = Finding {
-                kind: OracleKind::FaultConsistency,
-                detail: format!("fault {fault:?} classified {outcome:?}: {e}"),
-                fault: Some(fault),
-            };
-            return (outcome, Some(finding));
+    if outcome == Outcome::ItrSdcR && model.active_recovery_sound() {
+        let itr = ItrConfig::paper_default();
+        if let Err(e) =
+            validate_active_recovery(program, model, outcome, golden, itr, cfg.window_cycles)
+        {
+            return (outcome, Some(finding(format!(" classified {outcome:?}: {e}"))));
         }
     }
     (outcome, None)
 }
 
-/// Checks one extended fault model against the consistency oracle.
-///
-/// The soundness split mirrors [`check_one_fault`], adjusted for
-/// persistence:
-///
-/// * the mask-contradiction check is sound for **every** model — the
-///   verdict is derived from exactly the observation bits it is checked
-///   against, regardless of how many times the model struck;
-/// * the [`Outcome::ItrSdcR`] active-recovery check is applied only
-///   when [`FaultModel::active_recovery_sound`] holds (transient
-///   models). Persistent and intermittent models re-strike during the
-///   retry window, so active-mode recovery is not predicted by the
-///   passive verdict and checking it would manufacture false findings.
-///
-/// Model findings carry `fault: None`: the persisted-regression replay
-/// path covers single-SEU faults only, and the model itself is quoted
-/// in the detail string.
-fn check_one_model(
-    program: &Program,
-    golden: &[CommitRecord],
-    clean_sigs: &HashMap<u64, u64>,
-    model: &FaultModel,
-    cfg: &OracleConfig,
-) -> (Outcome, Option<Finding>) {
-    let passive = ItrConfig { mode: ItrMode::Passive, ..ItrConfig::paper_default() };
-    let (obs, _report) = observe_model(program, model, golden, passive, cfg.window_cycles);
-    let outcome = classify(&obs, clean_sigs);
-    let claims_mask =
-        matches!(outcome, Outcome::ItrMask | Outcome::MayItrMask | Outcome::UndetMask);
-    if claims_mask && (obs.sdc || obs.deadlock) {
-        let finding = Finding {
-            kind: OracleKind::FaultConsistency,
-            detail: format!(
-                "model {model:?}: classified {outcome:?} but observation shows sdc={} deadlock={}",
-                obs.sdc, obs.deadlock
-            ),
-            fault: None,
-        };
-        return (outcome, Some(finding));
+/// The fault a finding carries for regression replay: the
+/// persisted-regression replay path covers single SEUs only, so a
+/// model's finding carries `None` and quotes the model in its detail.
+fn replayable(model: &FaultModel) -> Option<DecodeFault> {
+    match *model {
+        FaultModel::Seu(fault) => Some(fault),
+        _ => None,
     }
-    if outcome == Outcome::ItrSdcR && model.active_recovery_sound() {
-        if let Err(e) = validate_model_recovery(
-            program,
-            model,
-            golden,
-            ItrConfig::paper_default(),
-            cfg.window_cycles,
-        ) {
-            let finding = Finding {
-                kind: OracleKind::FaultConsistency,
-                detail: format!("model {model:?} classified {outcome:?}: {e}"),
-                fault: None,
-            };
-            return (outcome, Some(finding));
-        }
-    }
-    (outcome, None)
 }
 
 /// Oracle 5: the checkpoint/rollback engine's *actual* outcome versus
@@ -568,7 +517,6 @@ fn check_recovery(
     program: &Program,
     passive: Outcome,
     model: &FaultModel,
-    fault: Option<DecodeFault>,
     grun: &GoldenRun,
     rcfg: &RecoverConfig,
     out: &mut Evaluation,
@@ -579,7 +527,7 @@ fn check_recovery(
         out.findings.push(Finding {
             kind: OracleKind::RecoveryGroundTruth,
             detail: format!("model {model:?}: {v}"),
-            fault,
+            fault: replayable(model),
         });
     }
 }
@@ -609,18 +557,19 @@ fn check_faults(
             nth_decode: rng.gen_range(2..golden.len() as u64),
             bit: rng.gen_range(0u32..64),
         };
-        let (outcome, finding) = check_one_fault(program, golden, &clean_sigs, fault, cfg);
+        let seu = FaultModel::Seu(fault);
+        let (outcome, finding) = check_one_fault(program, golden, &clean_sigs, &seu, cfg);
         out.features.push(coverage::outcome_feature(outcome));
         out.findings.extend(finding);
-        check_recovery(program, outcome, &FaultModel::Seu(fault), Some(fault), &grun, &rcfg, out);
+        check_recovery(program, outcome, &seu, &grun, &rcfg, out);
     }
     let kind = ModelKind::ALL[rng.gen_range(0..ModelKind::ALL.len())];
     let model = FaultModel::sample(kind, rng, 2, golden.len() as u64);
-    let (outcome, finding) = check_one_model(program, golden, &clean_sigs, &model, cfg);
+    let (outcome, finding) = check_one_fault(program, golden, &clean_sigs, &model, cfg);
     out.features.push(coverage::outcome_feature(outcome).wrapping_add(kind as u32 + 1));
     out.findings.extend(finding);
     if model.active_recovery_sound() {
-        check_recovery(program, outcome, &model, None, &grun, &rcfg, out);
+        check_recovery(program, outcome, &model, &grun, &rcfg, out);
     }
 }
 
@@ -640,7 +589,8 @@ pub fn replay_fault(case: &FuzzCase, fault: DecodeFault, cfg: &OracleConfig) -> 
     if exec.stop != StopReason::Halted || exec.records.len() < 3 {
         return None;
     }
-    check_one_fault(&program, &exec.records, &clean_signatures_of(exec.decodes()), fault, cfg).1
+    let seu = FaultModel::Seu(fault);
+    check_one_fault(&program, &exec.records, &clean_signatures_of(exec.decodes()), &seu, cfg).1
 }
 
 /// Evaluates one case against the oracles.
@@ -768,7 +718,7 @@ mod tests {
             for _ in 0..3 {
                 let model = FaultModel::sample(kind, &mut rng, 2, golden.len() as u64);
                 let (outcome, finding) =
-                    check_one_model(&program, golden, &clean_sigs, &model, &cfg);
+                    check_one_fault(&program, golden, &clean_sigs, &model, &cfg);
                 assert!(
                     finding.is_none(),
                     "{}: {model:?} -> {outcome:?}: {:?}",

@@ -166,14 +166,7 @@ pub fn run_recovery(
     golden: &GoldenRun,
     cfg: &RecoverConfig,
 ) -> RecoveryRun {
-    let mut pipe = Pipeline::new(program, active_config(model, cfg));
-    let cap = golden.records.len() + RECORD_SLACK;
-    let mut records: Vec<CommitRecord> = Vec::new();
-    let exit = pipe.run_with(cfg.max_cycles, |r| {
-        records.push(*r);
-        records.len() < cap
-    });
-    classify_run(program, golden, &pipe, records, exit)
+    drive(program, model, golden, cfg, None)
 }
 
 /// [`run_recovery`] under `itr-env`-style context switching: every
@@ -189,11 +182,26 @@ pub fn run_recovery_with_switches(
     switch_cycles: u64,
 ) -> RecoveryRun {
     assert!(switch_cycles > 0, "a zero switch quantum never runs");
+    drive(program, model, golden, cfg, Some(switch_cycles))
+}
+
+/// Runs the faulty pipeline to its terminal state, collecting its
+/// commits — in `switch_cycles` quanta with the ITR cache invalidated
+/// between them when given, else in one stretch — and classifies the
+/// true outcome.
+fn drive(
+    program: &Program,
+    model: &FaultModel,
+    golden: &GoldenRun,
+    cfg: &RecoverConfig,
+    switch_cycles: Option<u64>,
+) -> RecoveryRun {
     let mut pipe = Pipeline::new(program, active_config(model, cfg));
     let cap = golden.records.len() + RECORD_SLACK;
     let mut records: Vec<CommitRecord> = Vec::new();
     let exit = loop {
-        let budget = (pipe.cycle() + switch_cycles).min(cfg.max_cycles);
+        let budget =
+            switch_cycles.map_or(cfg.max_cycles, |q| (pipe.cycle() + q).min(cfg.max_cycles));
         let exit = pipe.run_with(budget, |r| {
             records.push(*r);
             records.len() < cap
@@ -205,16 +213,6 @@ pub fn run_recovery_with_switches(
             unit.cache_mut().invalidate_all();
         }
     };
-    classify_run(program, golden, &pipe, records, exit)
-}
-
-fn classify_run(
-    program: &Program,
-    golden: &GoldenRun,
-    pipe: &Pipeline,
-    records: Vec<CommitRecord>,
-    exit: RunExit,
-) -> RecoveryRun {
     let mut run = RecoveryRun {
         actual: ActualOutcome::Hung,
         detected: false,
@@ -241,7 +239,7 @@ fn classify_run(
         RunExit::CycleLimit => run.actual = ActualOutcome::Hung,
         RunExit::MachineCheck { .. } | RunExit::Deadlock => {
             run.detected = true;
-            run.actual = rollback(program, golden, pipe, &records, &mut run);
+            run.actual = rollback(program, golden, &pipe, &records, &mut run);
         }
     }
     run
@@ -347,7 +345,7 @@ pub fn sound_violation(passive: Outcome, run: &RecoveryRun) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use itr_faults::{classify, observe_model, CampaignConfig, ModelKind, ModelPlan};
+    use itr_faults::{CampaignConfig, ModelKind, ModelPlan};
     use itr_isa::asm::assemble;
     use itr_sim::DecodeFault;
     use itr_stats::SplitMix64;
@@ -395,12 +393,10 @@ mod tests {
         let rcfg = small_cfg();
         let plan = ModelPlan::new(&p, ModelKind::Seu, &ccfg);
         let mut rollbacks = 0;
-        for model in plan.models() {
-            let (obs, _) = observe_model(&p, model, plan.golden(), ccfg.itr, ccfg.window_cycles);
-            let passive = classify(&obs, plan.clean_signatures());
-            let run = run_recovery(&p, model, &golden, &rcfg);
-            if let Some(v) = sound_violation(passive, &run) {
-                panic!("{model:?} (passive {passive}): {v}");
+        for r in plan.run_range(&p, &ccfg, 0, ccfg.faults, &|| false).records {
+            let run = run_recovery(&p, &r.fault, &golden, &rcfg);
+            if let Some(v) = sound_violation(r.outcome, &run) {
+                panic!("{:?} (passive {}): {v}", r.fault, r.outcome);
             }
             rollbacks += u32::from(run.rolled_back);
         }

@@ -95,7 +95,8 @@ pub enum Prediction {
 /// The active-mode prediction the passive taxonomy makes for `outcome`,
 /// if any. This is the heuristic the ground-truth engine confirms or
 /// corrects: only `ItrSdcR` (for transient faults) is sound in every
-/// corner case — see `itr_faults::validate_active_recovery`.
+/// corner case — see [`itr_faults::validate_active_recovery`], which
+/// refuses faults that can re-strike the retry.
 pub fn prediction(outcome: Outcome) -> Option<Prediction> {
     match outcome {
         Outcome::ItrSdcR | Outcome::ItrMask | Outcome::ItrWdogR => Some(Prediction::FinishesClean),

@@ -13,7 +13,7 @@ use crate::engine::{
     run_recovery, run_recovery_with_switches, sound_violation, GoldenRun, RecoverConfig,
 };
 use crate::outcome::{confirms, prediction, ActualOutcome};
-use itr_faults::{classify, observe_model, CampaignConfig, ModelKind, ModelPlan};
+use itr_faults::{CampaignConfig, ModelKind, ModelPlan};
 use itr_isa::Program;
 
 /// Aggregated ground truth for one (workload, kind, gap) sweep point.
@@ -107,14 +107,13 @@ pub fn sweep_kind(
     let plan = ModelPlan::new(program, kind, ccfg);
     let mut cells: Vec<SweepCell> =
         gaps.iter().map(|&gap| SweepCell { gap, ..SweepCell::default() }).collect();
-    for model in plan.models() {
+    // Passive classification once per fault: the heuristic the ground
+    // truth below confirms or corrects.
+    let classified = plan.run_range(program, ccfg, 0, ccfg.faults, cancelled);
+    for (model, passive) in classified.records.iter().map(|r| (&r.fault, r.outcome)) {
         if cancelled() {
             break;
         }
-        // Passive classification once per fault: the heuristic the
-        // ground truth below confirms or corrects.
-        let (obs, _) = observe_model(program, model, plan.golden(), ccfg.itr, ccfg.window_cycles);
-        let passive = classify(&obs, plan.clean_signatures());
         for cell in cells.iter_mut() {
             let rcfg = RecoverConfig {
                 itr: ccfg.itr,

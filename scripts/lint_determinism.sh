@@ -28,7 +28,6 @@ ALLOWLIST=(
   "crates/bench/src/lib.rs:StreamStats histogram values sorted before use"
   "crates/faults/src/campaign.rs:clean-run signature map, keyed lookup only"
   "crates/faults/src/classify.rs:public classify() API takes a lookup-only map"
-  "crates/faults/src/models.rs:clean-run signature map, keyed lookup only"
   "crates/fuzz/src/corpus.rs:dedup membership set, probed only (audited: digest/stats fold over the entries Vec, never the set)"
   "crates/fuzz/src/oracle.rs:clean-run signature lookup maps, keyed lookup only"
   "crates/harness/src/job.rs:DAG validation state; order-insensitive checks"

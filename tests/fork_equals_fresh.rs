@@ -6,13 +6,14 @@
 
 use itr::core::{ItrConfig, ItrMode};
 use itr::faults::{
-    classify, observe_fault, observe_model, CampaignConfig, CampaignPlan, CampaignShard,
-    FaultRecord, Lockstep, ModelKind, ModelPlan, ModelShard, Outcome,
+    classify, observe_fault, CampaignConfig, CampaignPlan, CampaignShard, Fault, FaultModel,
+    Lockstep, ModelKind, ModelPlan, Outcome, Plan,
 };
-use itr::isa::{DecodeSignals, Program};
+use itr::isa::Program;
 use itr::sim::{Pipeline, PipelineConfig};
 use itr::stats::{Counters, Report, Unit};
 use itr::workloads::{generate_mimic_sized, profiles};
+use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Dynamic size of the mimic: its fault-free run spans three 10k-cycle
@@ -67,82 +68,87 @@ fn decoded_at(program: &Program, boundary: u64) -> u64 {
     run.pipeline().stats().decoded
 }
 
-/// Every fault of an SEU plan, forked through `run_range` and
-/// `run_range_windows`, against fresh `observe_fault` runs.
-fn check_seu_plan(program: &Program, cfg: &CampaignConfig) {
-    let plan = CampaignPlan::new(program, cfg);
-    let windows = [2_000, WINDOW, 12_000];
-    let mut fresh: Vec<(Vec<FaultRecord>, Vec<Report>)> = vec![Default::default(); 3];
-    for &fault in plan.faults() {
-        for (k, &w) in windows.iter().enumerate() {
-            let (obs, report) = observe_fault(program, fault, plan.golden(), cfg.itr, w);
-            fresh[k].0.push(FaultRecord {
-                fault,
-                field: DecodeSignals::field_of_bit(fault.bit),
-                outcome: classify(&obs, plan.clean_signatures()),
-            });
-            fresh[k].1.push(report);
-        }
+/// Observation windows of the fan-out checks; the middle one is the
+/// plan's own window, which `run_range` observes.
+const WINDOWS: [u64; 3] = [2_000, WINDOW, 12_000];
+
+/// Asserts a shard holds exactly `expected` (fault, outcome, report)
+/// triples, sealed like a shard of fresh runs.
+fn check_shard<F: PartialEq + Debug>(shard: &CampaignShard<F>, expected: &[(&F, Outcome, Report)]) {
+    assert_eq!(shard.records.len(), expected.len());
+    for (r, (fault, outcome, _)) in shard.records.iter().zip(expected) {
+        assert_eq!((&r.fault, r.outcome), (*fault, *outcome));
     }
-    let n = cfg.faults;
-    let check = |shard: &CampaignShard, (records, reports): &(Vec<FaultRecord>, Vec<Report>)| {
-        assert_eq!(&shard.records, records);
-        let outcomes: Vec<Outcome> = records.iter().map(|r| r.outcome).collect();
-        assert_eq!(shard.report.to_json(), sealed(reports, &outcomes).to_json());
-    };
-    check(&plan.run_range(program, cfg, 0, n, &|| false), &fresh[1]);
-    let fanned = plan.run_range_windows(program, cfg, &windows, 0, n, &|| false);
-    for (shard, expected) in fanned.iter().zip(&fresh) {
-        check(shard, expected);
-    }
+    let reports: Vec<Report> = expected.iter().map(|e| e.2.clone()).collect();
+    let outcomes: Vec<Outcome> = expected.iter().map(|e| e.1).collect();
+    assert_eq!(shard.report.to_json(), sealed(&reports, &outcomes).to_json(), "{expected:?}");
 }
 
-/// Every instance of one fault-model plan, forked one at a time through
-/// `run_range`, against fresh `observe_model` runs. An instance that
-/// panics the simulator must panic on both paths.
-fn check_model_plan(program: &Program, kind: ModelKind, cfg: &CampaignConfig) {
-    let plan = ModelPlan::new(program, kind, cfg);
-    for (j, model) in plan.models().iter().enumerate() {
-        let fresh = catch_unwind(AssertUnwindSafe(|| {
-            let (obs, report) = observe_model(program, model, plan.golden(), cfg.itr, WINDOW);
-            (classify(&obs, plan.clean_signatures()), report)
+/// Every fault of a plan, forked through `run_range_windows` one at a
+/// time, against fresh `observe_fault` runs at each of [`WINDOWS`]. A
+/// fault that panics the simulator must panic on both paths. When no
+/// fault panics, the whole range also runs as one shard through
+/// `run_range` and `run_range_windows`, which merges every fault's
+/// report.
+fn check_plan<F: Fault + Clone + PartialEq + Debug>(
+    program: &Program,
+    plan: &Plan<F>,
+    cfg: &CampaignConfig,
+) {
+    assert_eq!(cfg.window_cycles, WINDOWS[1]);
+    // Per window, the fresh (fault, outcome, report) of every fault.
+    let mut fresh: [Vec<(&F, Outcome, Report)>; 3] = Default::default();
+    let mut panicked = false;
+    for (j, fault) in plan.faults().iter().enumerate() {
+        let observed = catch_unwind(AssertUnwindSafe(|| {
+            WINDOWS.map(|w| {
+                let (obs, report) = observe_fault(program, fault, plan.golden(), cfg.itr, w);
+                (fault, classify(&obs, plan.clean_signatures()), report)
+            })
         }));
         let j = j as u32;
-        let forked: Result<ModelShard, _> =
-            catch_unwind(AssertUnwindSafe(|| plan.run_range(program, cfg, j, j + 1, &|| false)));
-        match (fresh, forked) {
-            (Ok((outcome, report)), Ok(shard)) => {
-                assert_eq!(shard.records.len(), 1);
-                assert_eq!(shard.records[0].outcome, outcome, "{} {model:?}", kind.label());
-                assert_eq!(
-                    shard.report.to_json(),
-                    sealed(&[report], &[outcome]).to_json(),
-                    "{} {model:?}",
-                    kind.label()
-                );
+        let forked = catch_unwind(AssertUnwindSafe(|| {
+            plan.run_range_windows(program, cfg, &WINDOWS, j, j + 1, &|| false)
+        }));
+        match (observed, forked) {
+            (Ok(observed), Ok(shards)) => {
+                for ((k, one), shard) in observed.into_iter().enumerate().zip(&shards) {
+                    check_shard(shard, std::slice::from_ref(&one));
+                    fresh[k].push(one);
+                }
             }
-            (Err(_), Err(_)) => {}
-            (fresh, forked) => panic!(
-                "{} {model:?}: fresh panicked {}, forked panicked {}",
-                kind.label(),
-                fresh.is_err(),
+            (Err(_), Err(_)) => panicked = true,
+            (observed, forked) => panic!(
+                "{fault:?}: fresh panicked {}, forked panicked {}",
+                observed.is_err(),
                 forked.is_err()
             ),
         }
+    }
+    if panicked {
+        return;
+    }
+    let n = cfg.faults;
+    check_shard(&plan.run_range(program, cfg, 0, n, &|| false), &fresh[1]);
+    let fanned = plan.run_range_windows(program, cfg, &WINDOWS, 0, n, &|| false);
+    for (shard, expected) in fanned.iter().zip(&fresh) {
+        check_shard(shard, expected);
     }
 }
 
 #[test]
 fn forked_seu_campaigns_equal_fresh_runs() {
     let p = mimic();
-    check_seu_plan(&p, &cfg(10, INSTRS / 4, INSTRS));
+    let cfg = cfg(10, INSTRS / 4, INSTRS);
+    check_plan(&p, &CampaignPlan::new(&p, &cfg), &cfg);
 }
 
 #[test]
 fn forked_model_campaigns_equal_fresh_runs_for_every_kind() {
     let p = mimic();
+    let cfg = cfg(5, INSTRS / 4, INSTRS);
     for kind in ModelKind::ALL {
-        check_model_plan(&p, kind, &cfg(5, INSTRS / 4, INSTRS));
+        check_plan(&p, &ModelPlan::new(&p, kind, &cfg), &cfg);
     }
 }
 
@@ -155,11 +161,38 @@ fn forks_at_boundary_edges_equal_fresh_runs() {
     // A strike at exactly a boundary's decoded count forks from that
     // boundary; one decode later forks from it too.
     for strike in [at, at + 1, last] {
-        check_seu_plan(&p, &cfg(3, strike, strike + 1));
-        check_model_plan(&p, ModelKind::StuckAt1, &cfg(2, strike, strike + 1));
-        check_model_plan(&p, ModelKind::BurstOnRetry, &cfg(2, strike, strike + 1));
+        let seu = cfg(3, strike, strike + 1);
+        check_plan(&p, &CampaignPlan::new(&p, &seu), &seu);
+        let models = cfg(2, strike, strike + 1);
+        for kind in [ModelKind::StuckAt1, ModelKind::BurstOnRetry] {
+            check_plan(&p, &ModelPlan::new(&p, kind, &models), &models);
+        }
     }
     // Strikes clamped to the last decodes of the program.
-    check_seu_plan(&p, &cfg(3, INSTRS - 2, u64::MAX / 4));
-    check_model_plan(&p, ModelKind::MultiBitAdjacent, &cfg(2, INSTRS - 2, u64::MAX / 4));
+    let seu = cfg(3, INSTRS - 2, u64::MAX / 4);
+    check_plan(&p, &CampaignPlan::new(&p, &seu), &seu);
+    let models = cfg(2, INSTRS - 2, u64::MAX / 4);
+    check_plan(&p, &ModelPlan::new(&p, ModelKind::MultiBitAdjacent, &models), &models);
+}
+
+#[test]
+fn seu_model_plans_sample_and_report_like_campaign_plans() {
+    // `ModelPlan::new(.., ModelKind::Seu, ..)` draws exactly the faults
+    // `CampaignPlan::new` draws, and runs them to byte-identical
+    // reports: the SEU campaign is one model among the others.
+    let p = generate_mimic_sized(profiles::by_name("vortex").unwrap(), 1, 40_000);
+    for seed in [1, 7, 0xD51F_2007] {
+        let cfg = CampaignConfig { seed, ..cfg(24, 1_000, 40_000) };
+        let seus = CampaignPlan::new(&p, &cfg);
+        let models = ModelPlan::new(&p, ModelKind::Seu, &cfg);
+        let as_models: Vec<FaultModel> =
+            seus.faults().iter().map(|&f| FaultModel::Seu(f)).collect();
+        assert_eq!(models.models(), as_models.as_slice(), "seed {seed:#x}");
+        let a = seus.run_range(&p, &cfg, 0, cfg.faults, &|| false);
+        let b = models.run_range(&p, &cfg, 0, cfg.faults, &|| false);
+        let a_outcomes: Vec<Outcome> = a.records.iter().map(|r| r.outcome).collect();
+        let b_outcomes: Vec<Outcome> = b.records.iter().map(|r| r.outcome).collect();
+        assert_eq!(a_outcomes, b_outcomes, "seed {seed:#x}");
+        assert_eq!(a.report.to_json(), b.report.to_json(), "seed {seed:#x}");
+    }
 }
