@@ -18,12 +18,12 @@ impl Pipeline {
     /// Squashes the entire window and restarts fetch at `restart_pc`
     /// (ITR retry, TAC recovery, redundant-fetch detect).
     pub(in crate::pipeline) fn full_flush_to(&mut self, restart_pc: u64) {
-        while let Some(u) = self.win.rob.pop_back() {
+        let rn = &mut self.rn;
+        self.win.flush(|u| {
             if let Some(d) = u.dst {
-                self.rn.undo(d);
+                rn.undo(d);
             }
-        }
-        self.win.iq.clear();
+        });
         self.fe.redirect(restart_pc);
         self.spc.reseed(restart_pc);
     }
@@ -121,14 +121,14 @@ impl Pipeline {
         on_commit: &mut F,
     ) {
         for _ in 0..self.cfg.width {
-            if self.win.rob.front().is_none() {
+            if self.win.front().is_none() {
                 return;
             }
 
             // ITR commit interlock (§2.2). Consulted before the completion
             // check: a retry can rescue a deadlocked trace (ITR+wdog+R).
             if self.itr.is_some() {
-                let trace_seq = self.win.rob.front().expect("checked").trace_seq;
+                let trace_seq = self.win.front().expect("checked").trace_seq;
                 let action = self.itr.as_ref().expect("checked").commit_action(trace_seq);
                 match action {
                     CommitAction::Proceed => {}
@@ -156,17 +156,16 @@ impl Pipeline {
             }
 
             if self.itr.is_some() {
-                let trace_seq = self.win.rob.front().expect("checked").trace_seq;
+                let trace_seq = self.win.front().expect("checked").trace_seq;
                 if self.redundant_verify_stall(trace_seq) {
                     return;
                 }
             }
 
-            if !self.win.rob.front().expect("checked").done {
+            if !self.win.front().expect("checked").done {
                 return;
             }
-            let u = self.win.rob.pop_front().expect("checked");
-            self.win.head_seq = u.seq + 1;
+            let u = self.win.retire().expect("checked");
             if let Some(tap) = &mut self.tap {
                 tap.record_commit();
             }

@@ -14,26 +14,17 @@ impl Pipeline {
     pub(in crate::pipeline) fn complete(&mut self) {
         // Completions in age order; a misprediction squashes everything
         // younger, including any later completions this cycle.
-        let completing: Vec<u64> = {
-            let mut v: Vec<u64> = self
-                .win
-                .rob
-                .iter()
-                .filter(|u| u.issued && !u.done && u.done_cycle <= self.cycle)
-                .map(|u| u.seq)
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        for seq in completing {
+        let mut due = std::mem::take(&mut self.due);
+        self.win.take_due(self.cycle, &mut due);
+        for &seq in &due {
             let Some(i) = self.win.idx_checked(seq) else {
                 continue; // squashed by an older completion this cycle
             };
-            self.win.rob[i].done = true;
-            if let Some(d) = self.win.rob[i].dst {
+            self.win[i].done = true;
+            if let Some(d) = self.win[i].dst {
                 self.rn.phys_ready[d.phys as usize] = true;
             }
-            let u = &self.win.rob[i];
+            let u = &self.win[i];
             if u.taken.is_some() && u.next_pc != u.predicted_next {
                 self.metrics.inc(self.metrics.mispredicts);
                 let pc = u.pc;
@@ -41,28 +32,25 @@ impl Pipeline {
                 self.repair_mispredict(seq);
             }
         }
+        self.due = due;
     }
 
     fn repair_mispredict(&mut self, branch_seq: u64) {
         // Squash younger than the branch, walking the ROB tail backwards
         // to undo renaming.
-        while let Some(u) = self.win.rob.back() {
-            if u.seq <= branch_seq {
-                break;
-            }
-            let u = self.win.rob.pop_back().expect("checked non-empty");
+        let rn = &mut self.rn;
+        self.win.squash_from(branch_seq + 1, |u| {
             if let Some(d) = u.dst {
-                self.rn.undo(d);
+                rn.undo(d);
             }
-        }
-        self.win.iq.retain(|&s| s <= branch_seq);
+        });
         if let Some(tap) = &mut self.tap {
-            tap.record_rewind(self.win.rob.len() as u64);
+            tap.record_rewind(self.win.len() as u64);
         }
 
         let i = self.win.idx(branch_seq);
         let (snap, used_gshare, taken, target, itr_snap) = {
-            let u = &self.win.rob[i];
+            let u = &self.win[i];
             (u.ghr_snapshot, u.used_gshare, u.taken == Some(true), u.next_pc, u.itr_snap)
         };
         self.fe.redirect(target);
@@ -73,6 +61,6 @@ impl Pipeline {
             unit.restore(snap);
         }
         // Mark the prediction repaired so the uop does not re-trigger.
-        self.win.rob[i].predicted_next = target;
+        self.win[i].predicted_next = target;
     }
 }

@@ -1,29 +1,35 @@
 //! Load/store queue view: in-flight store ordering and forwarding.
 //!
-//! The machine models its LSQ as a view over the ROB (capacity enforced
-//! at dispatch): loads may not issue past incomplete older stores, and
-//! an issuing load reads memory through [`OverlayLoader`], which overlays
-//! the values of completed-but-uncommitted older stores on the committed
-//! memory image — store-to-load forwarding with byte granularity.
+//! The machine models its LSQ as a view over the ROB. Dispatch enforces
+//! its capacity from the window's running load+store count
+//! ([`Window::lsq_used`]); a load may not issue past an unissued older
+//! store, which issue checks against one barrier per cycle
+//! ([`Window::store_barrier`], taken before select, so a store issuing
+//! this cycle unblocks loads from the next cycle on); and an issuing load
+//! reads memory through [`OverlayLoader`], which overlays the values of
+//! the older in-flight stores on the committed memory image —
+//! store-to-load forwarding with byte granularity.
+//!
+//! [`Window::lsq_used`]: super::window::Window::lsq_used
+//! [`Window::store_barrier`]: super::window::Window::store_barrier
 
-use super::window::Window;
+use super::window::Uop;
 use crate::mem::Memory;
-use crate::semantics::{LoadSource, StoreOp};
+use crate::semantics::LoadSource;
+use std::collections::vec_deque::Iter;
 
-/// Committed memory overlaid with in-flight older stores.
+/// Committed memory overlaid with the stores of the older in-flight
+/// instructions (oldest first, so the youngest store to a byte wins).
 pub(in crate::pipeline) struct OverlayLoader<'a> {
     pub mem: &'a Memory,
-    pub stores: Vec<StoreOp>,
+    pub older: Iter<'a, Uop>,
 }
 
 impl LoadSource for OverlayLoader<'_> {
     fn load(&self, addr: u64, size: u8) -> u32 {
         let size = size.min(4) as u64;
-        let mut bytes = [0u8; 4];
-        for (i, b) in bytes.iter_mut().enumerate().take(size as usize) {
-            *b = self.mem.read_u8(addr + i as u64);
-        }
-        for s in &self.stores {
+        let mut bytes = self.mem.read(addr, size as u8).to_le_bytes();
+        for s in self.older.clone().filter(|u| u.is_store()).filter_map(|u| u.store) {
             for j in 0..s.size.min(4) as u64 {
                 let a = s.addr + j;
                 if a >= addr && a < addr + size {
@@ -32,23 +38,5 @@ impl LoadSource for OverlayLoader<'_> {
             }
         }
         u32::from_le_bytes(bytes)
-    }
-}
-
-impl Window {
-    /// `true` when every store older than `seq` has issued (computed its
-    /// address and value) — the condition for a load at `seq` to issue.
-    pub fn older_stores_done(&self, seq: u64) -> bool {
-        self.rob.iter().take_while(|u| u.seq < seq).all(|u| !u.is_store() || u.issued)
-    }
-
-    /// The store operations older than `seq`, oldest first, for
-    /// forwarding into an issuing load.
-    pub fn collect_older_stores(&self, seq: u64) -> Vec<StoreOp> {
-        self.rob
-            .iter()
-            .take_while(|u| u.seq < seq)
-            .filter_map(|u| if u.is_store() { u.store } else { None })
-            .collect()
     }
 }

@@ -19,16 +19,20 @@
 //! [`Pipeline`] itself is only the driver: per-stage logic lives in one
 //! module per stage, communicating through explicit latch/queue structs:
 //!
-//! | module       | stage                | state / latch                      |
-//! |--------------|----------------------|------------------------------------|
-//! | [`frontend`] | fetch/predecode      | `Frontend` (fetch→dispatch queue)  |
-//! | [`rename`]   | decode/rename/dispatch | `RenameState` (map + free list)  |
-//! | [`issue`]    | select/execute       | picks from `Window::iq`            |
-//! | [`execute`]  | writeback/repair     | completes ROB entries              |
-//! | [`lsq`]      | store ordering/forwarding | LSQ view over the ROB         |
-//! | [`commit`]   | retire + ITR interlock | pops the ROB head                |
+//! | module       | stage                     | state / latch                                  |
+//! |--------------|---------------------------|------------------------------------------------|
+//! | [`frontend`] | fetch/predecode           | `Frontend` (fetch→dispatch queue)              |
+//! | [`rename`]   | decode/rename/dispatch    | `RenameState` (map + free list)                |
+//! | [`issue`]    | select/execute            | picks from `Window::iq`, gated by the store barrier |
+//! | [`execute`]  | writeback/repair          | drains the due in-flight entries               |
+//! | [`lsq`]      | store ordering/forwarding | LSQ view over the ROB                          |
+//! | [`commit`]   | retire + ITR interlock    | pops the ROB head                              |
 //!
-//! The shared out-of-order window (ROB + issue queue) is in [`window`];
+//! The shared out-of-order window (ROB + issue queue) is in [`window`],
+//! together with the state the stages would otherwise rescan the ROB for
+//! every cycle (LSQ occupancy, the issued-not-done list, the unissued
+//! stores); every push and pop goes through its methods, and debug
+//! builds re-check that state against a full scan once per cycle;
 //! every counter, histogram and post-mortem stage event flows through
 //! [`stats`] into the `itr-stats` layer (see [`Pipeline::stats_report`]).
 
@@ -124,6 +128,10 @@ pub struct Pipeline {
     pub(in crate::pipeline) rn: RenameState,
     /// Out-of-order window (ROB + issue queue).
     pub(in crate::pipeline) win: Window,
+    /// Scratch buffers reused every cycle: the issue stage's select
+    /// candidates and the complete stage's due completions.
+    pub(in crate::pipeline) issue_candidates: Vec<u64>,
+    pub(in crate::pipeline) due: Vec<u64>,
     pub(in crate::pipeline) dcache: TimingCache,
 
     // Checks.
@@ -196,6 +204,8 @@ impl Pipeline {
             fe: Frontend::new(&cfg, program.entry()),
             rn: RenameState::new(cfg.phys_regs),
             win: Window::new(),
+            issue_candidates: Vec::new(),
+            due: Vec::new(),
             dcache: TimingCache::new(cfg.dcache),
             itr: cfg.itr.map(ItrUnit::new),
             checkpointer: CoarseCheckpointer::new(cfg.checkpoint_min_gap),
@@ -425,8 +435,10 @@ impl Pipeline {
         }
         self.cycle += 1;
         self.metrics.set(self.metrics.cycles, self.cycle);
-        self.metrics.rob_occupancy.record(self.win.rob.len() as u64);
-        self.metrics.iq_occupancy.record(self.win.iq.len() as u64);
+        self.metrics.rob_occupancy.record(self.win.len() as u64);
+        self.metrics.iq_occupancy.record(self.win.iq().len() as u64);
         self.metrics.fetch_queue_occupancy.record(self.fe.queue.len() as u64);
+        #[cfg(debug_assertions)]
+        self.win.debug_check();
     }
 }

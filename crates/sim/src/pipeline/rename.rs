@@ -69,8 +69,8 @@ impl Pipeline {
     pub(in crate::pipeline) fn dispatch(&mut self) {
         for _ in 0..self.cfg.width {
             if self.fe.queue.is_empty()
-                || self.win.rob.len() as u32 >= self.cfg.rob_entries
-                || self.win.iq.len() as u32 >= self.cfg.iq_entries
+                || self.win.len() as u32 >= self.cfg.rob_entries
+                || self.win.iq().len() as u32 >= self.cfg.iq_entries
                 || self.rn.free_list.is_empty()
             {
                 return;
@@ -183,7 +183,7 @@ impl Pipeline {
             let may_redirect = f.inst.op.ends_trace();
             let itr_snap =
                 if may_redirect { self.itr.as_ref().map(|u| u.snapshot()) } else { None };
-            self.win.rob.push_back(Uop {
+            self.win.dispatch(Uop {
                 seq,
                 pc: f.pc,
                 inst: f.inst,
@@ -206,7 +206,6 @@ impl Pipeline {
                 trace_end,
                 itr_snap,
             });
-            self.win.iq.push(seq);
         }
     }
 }
