@@ -35,7 +35,6 @@ ALLOWLIST=(
   "crates/harness/src/runner.rs:scheduler state; shard payloads re-sorted by index before rendering"
   "crates/isa/src/opcode.rs:OnceLock mnemonic lookup table, keyed lookup only"
   "crates/sim/src/func.rs:cfg(test)-only signature map"
-  "crates/sim/src/mem.rs:sparse page store, keyed lookup only"
   "crates/workloads/src/model.rs:cfg(test)-only maps"
   "crates/workloads/src/synth.rs:cfg(test)-only maps"
 )
