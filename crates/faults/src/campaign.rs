@@ -4,8 +4,8 @@
 use crate::classify::{classify, Observation, Outcome};
 use crate::lockstep::{observe_passive, run_active, PrefixSet};
 use itr_core::{ItrConfig, ItrMode, TraceBuilder, MAX_TRACE_LEN};
-use itr_isa::{DecodeSignals, Program};
-use itr_sim::{CommitRecord, DecodeFault, FuncSim, PipelineConfig, RunExit, TraceStream};
+use itr_isa::Program;
+use itr_sim::{CommitRecord, DecodeFault, Execution, PipelineConfig, RunExit};
 use itr_stats::{Counters, Report, SplitMix64, Unit};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -138,46 +138,13 @@ impl CampaignResult {
     }
 }
 
-/// Builds the golden references: the committed stream and the per-trace
-/// clean-signature map, folded from one functional pass.
-pub(crate) fn golden_reference(
-    program: &Program,
-    max_instrs: u64,
-) -> (Vec<CommitRecord>, HashMap<u64, u64>) {
-    let mut sim = FuncSim::new(program);
-    let mut records = Vec::new();
-    // The fold consumes each step as the commit stream is collected.
-    let steps = std::iter::from_fn(|| sim.step()).take(max_instrs as usize);
-    let clean_sigs = clean_signatures_of(steps.map(|step| {
-        records.push(step.record);
-        (step.record.pc, step.signals)
-    }));
-    // Plans keep the stream for their lifetime; drop the growth slack.
-    records.shrink_to_fit();
-    (records, clean_sigs)
-}
-
 /// The per-trace clean-signature map: the fault-free signature of the
-/// first instance of each trace start PC within `max_instrs` committed
-/// instructions. This is the ground truth [`crate::classify`] reads.
-pub fn clean_signatures(program: &Program, max_instrs: u64) -> HashMap<u64, u64> {
-    let mut sigs = HashMap::new();
-    for t in TraceStream::new(program, max_instrs) {
-        sigs.entry(t.start_pc).or_insert(t.signature);
-    }
-    sigs
-}
-
-/// [`clean_signatures`] folded from an already recorded decode stream —
-/// each committed instruction's PC and decode signals, in commit order —
-/// so a golden pass that collects the stream builds the map without a
-/// second functional run.
-pub fn clean_signatures_of(
-    decodes: impl IntoIterator<Item = (u64, DecodeSignals)>,
-) -> HashMap<u64, u64> {
+/// first instance of each trace start PC in `exec`'s decode stream. This
+/// is the ground truth [`crate::classify`] reads.
+pub fn clean_signatures(exec: &Execution) -> HashMap<u64, u64> {
     let mut builder = TraceBuilder::new(MAX_TRACE_LEN);
     let mut sigs = HashMap::new();
-    for (pc, signals) in decodes {
+    for (pc, signals) in exec.decodes() {
         if let Some(t) = builder.push(pc, &signals) {
             sigs.entry(t.start_pc).or_insert(t.signature);
         }
@@ -364,7 +331,12 @@ impl<F> Plan<F> {
         // observation: commits ≤ decodes before injection + width ×
         // window cycles.
         let golden_len = cfg.max_decode + cfg.window_cycles * 4 + 10_000;
-        let (golden, clean_sigs) = golden_reference(program, golden_len);
+        let exec = Execution::record(program, golden_len);
+        let clean_sigs = clean_signatures(&exec);
+        // Plans keep the stream for their lifetime; the decode signals
+        // go, and so does the growth slack.
+        let mut golden = exec.records;
+        golden.shrink_to_fit();
 
         // Clamp the injection range to instructions the program actually
         // decodes (committed length is a lower bound on decoded length),
@@ -612,7 +584,7 @@ mod tests {
         let p = assemble(kernels::FIB.source).unwrap();
         let cfg = small_campaign(50);
         let golden_len = cfg.max_decode + cfg.window_cycles * 4 + 10_000;
-        let (golden, _) = super::golden_reference(&p, golden_len);
+        let golden = Execution::record(&p, golden_len).records;
         let result = run_campaign(&p, &cfg);
         let mut validated = 0;
         for r in &result.records {

@@ -30,6 +30,8 @@
 //! golden-vs-faulty driver, [`Lockstep`]. A plan forks its faulty runs
 //! from snapshots of one fault-free run instead of re-simulating each
 //! fault's prefix; a forked run observes exactly what a fresh one does.
+//! A plan's golden stream and clean-signature map ([`clean_signatures`])
+//! derive from one recorded [`itr_sim::Execution`].
 
 // Tests opt back out of the workspace `unwrap_used` deny: panicking on
 // a broken expectation is exactly what a test should do.
@@ -41,9 +43,8 @@ mod lockstep;
 mod models;
 
 pub use campaign::{
-    clean_signatures, clean_signatures_of, observe_fault, run_campaign, shard_bounds,
-    validate_active_recovery, CampaignConfig, CampaignPlan, CampaignResult, CampaignShard, Fault,
-    FaultRecord, Plan,
+    clean_signatures, observe_fault, run_campaign, shard_bounds, validate_active_recovery,
+    CampaignConfig, CampaignPlan, CampaignResult, CampaignShard, Fault, FaultRecord, Plan,
 };
 pub use classify::{classify, Observation, Outcome};
 pub use lockstep::Lockstep;

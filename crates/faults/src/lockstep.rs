@@ -294,8 +294,7 @@ impl PrefixSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::golden_reference;
-    use itr_sim::DecodeFault;
+    use itr_sim::{DecodeFault, Execution};
     use itr_workloads::{generate_mimic_sized, profiles};
 
     fn mimic() -> Program {
@@ -309,7 +308,7 @@ mod tests {
         // directly; it must serialize exactly like the parsed export the
         // campaigns used to merge.
         let p = mimic();
-        let (golden, _) = golden_reference(&p, 200_000);
+        let golden = Execution::record(&p, 200_000).records;
         let itr = ItrConfig::paper_default();
         let mut merged_direct = Report::new();
         let mut merged_parsed = Report::new();
@@ -331,7 +330,7 @@ mod tests {
     #[test]
     fn prefix_set_keeps_only_the_boundaries_strikes_fork_from() {
         let p = mimic();
-        let (golden, _) = golden_reference(&p, 200_000);
+        let golden = Execution::record(&p, 200_000).records;
         let itr = ItrConfig::paper_default();
         let all = PrefixSet::build(&p, itr, &golden, 0..100_000);
         assert!(all.len() >= 3, "a 100k-instruction mimic spans three boundaries");

@@ -338,10 +338,10 @@ impl ModelPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::golden_reference;
-    use crate::{classify, observe_fault, validate_active_recovery, Outcome};
+    use crate::{classify, clean_signatures, observe_fault, validate_active_recovery, Outcome};
     use itr_core::ItrConfig;
     use itr_isa::asm::assemble;
+    use itr_sim::Execution;
     use itr_workloads::kernels;
 
     fn cfg() -> CampaignConfig {
@@ -422,9 +422,9 @@ mod tests {
         };
         let c = cfg();
         let golden_len = c.max_decode + c.window_cycles * 4 + 10_000;
-        let (golden, clean) = golden_reference(&p, golden_len);
-        let (obs, _) = observe_fault(&p, &model, &golden, c.itr, c.window_cycles);
-        assert_eq!(classify(&obs, &clean), Outcome::UndetMask);
+        let exec = Execution::record(&p, golden_len);
+        let (obs, _) = observe_fault(&p, &model, &exec.records, c.itr, c.window_cycles);
+        assert_eq!(classify(&obs, &clean_signatures(&exec)), Outcome::UndetMask);
     }
 
     #[test]

@@ -47,7 +47,6 @@ pub mod coverage;
 pub mod diag;
 pub mod directed;
 pub mod engine;
-pub mod execution;
 pub mod gen;
 pub mod mutate;
 pub mod oracle;
@@ -63,7 +62,6 @@ pub use coverage::{CoverageMap, MAP_SIZE};
 pub use diag::{first_divergence, Divergence};
 pub use directed::{directed_mutate, BranchGoal, DirectedPlan, GAP_LENS};
 pub use engine::{run, FuzzConfig, FuzzOutcome, FuzzStats, Fuzzer, STATS_SCHEMA};
-pub use execution::Execution;
 pub use oracle::{evaluate, replay_fault, Evaluation, Finding, OracleConfig, OracleKind};
 pub use schedule::{PowerSchedule, Schedule};
 pub use server::{serve, ServeConfig, SERVE_SCHEMA};

@@ -38,15 +38,16 @@
 use crate::case::FuzzCase;
 use crate::coverage;
 use crate::diag;
-use crate::execution::Execution;
 use itr_core::{ItrConfig, ItrMode, TraceBuilder, TraceRecord};
 use itr_faults::{
-    classify, clean_signatures_of, observe_fault, validate_active_recovery, FaultModel, ModelKind,
+    classify, clean_signatures, observe_fault, validate_active_recovery, FaultModel, ModelKind,
     Outcome,
 };
 use itr_isa::{Program, SignalFlags};
 use itr_recover::{run_recovery, sound_violation, GoldenRun, RecoverConfig};
-use itr_sim::{CommitRecord, DecodeFault, FuncSim, Pipeline, PipelineConfig, RunExit, StopReason};
+use itr_sim::{
+    CommitRecord, DecodeFault, Execution, FuncSim, Pipeline, PipelineConfig, RunExit, StopReason,
+};
 use itr_stats::SplitMix64;
 use std::collections::{BTreeMap, HashMap};
 
@@ -539,14 +540,14 @@ fn check_recovery(
 /// fault additionally takes the full trip through the recovery engine.
 fn check_faults(
     program: &Program,
-    exec: &Execution,
+    exec: Execution,
     cfg: &OracleConfig,
     rng: &mut SplitMix64,
     out: &mut Evaluation,
 ) {
-    let golden = exec.records.as_slice();
-    let clean_sigs = clean_signatures_of(exec.decodes());
-    let grun = exec.golden_run();
+    let clean_sigs = clean_signatures(&exec);
+    let grun = GoldenRun::from(exec);
+    let golden = grun.records.as_slice();
     let rcfg = RecoverConfig {
         checkpoint_min_gap: 0,
         max_cycles: cfg.max_cycles(),
@@ -590,7 +591,7 @@ pub fn replay_fault(case: &FuzzCase, fault: DecodeFault, cfg: &OracleConfig) -> 
         return None;
     }
     let seu = FaultModel::Seu(fault);
-    check_one_fault(&program, &exec.records, &clean_signatures_of(exec.decodes()), &seu, cfg).1
+    check_one_fault(&program, &exec.records, &clean_signatures(&exec), &seu, cfg).1
 }
 
 /// Evaluates one case against the oracles.
@@ -618,7 +619,7 @@ pub fn evaluate(
     check_signatures(&program, &derived, budget, &mut out);
     check_static_subset(&program, &derived, &mut out);
     if with_faults && stop == StopReason::Halted && golden.len() >= 20 {
-        check_faults(&program, &exec, cfg, rng, &mut out);
+        check_faults(&program, exec, cfg, rng, &mut out);
     }
     out
 }
@@ -712,7 +713,7 @@ mod tests {
                 break (program, exec);
             }
         };
-        let (golden, clean_sigs) = (&exec.records, clean_signatures_of(exec.decodes()));
+        let (golden, clean_sigs) = (&exec.records, clean_signatures(&exec));
         let mut rng = SplitMix64::new(0xE21);
         for kind in ModelKind::ALL {
             for _ in 0..3 {

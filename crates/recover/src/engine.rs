@@ -52,7 +52,7 @@ use crate::shadow;
 use itr_core::{ItrConfig, ItrMode};
 use itr_faults::{FaultModel, Outcome};
 use itr_isa::Program;
-use itr_sim::{CommitRecord, FuncSim, Pipeline, PipelineConfig, RunExit, StopReason};
+use itr_sim::{CommitRecord, Execution, FuncSim, Pipeline, PipelineConfig, RunExit, StopReason};
 
 /// Commits a faulty run may make beyond the golden length before the
 /// engine declares divergence and stops collecting.
@@ -84,11 +84,18 @@ pub struct GoldenRun {
 impl GoldenRun {
     /// Captures the golden run of `program` within `max_instrs`.
     pub fn capture(program: &Program, max_instrs: u64) -> GoldenRun {
-        let mut sim = FuncSim::new(program);
-        let (mut records, stop) = sim.run_collect(max_instrs);
-        // A golden run outlives its capture; drop the growth slack.
+        GoldenRun::from(Execution::record(program, max_instrs))
+    }
+}
+
+impl From<Execution> for GoldenRun {
+    /// The recovery reference of a recorded execution; its decode
+    /// signals are dropped.
+    fn from(exec: Execution) -> GoldenRun {
+        let mut records = exec.records;
+        // A golden run outlives its recording; drop the growth slack.
         records.shrink_to_fit();
-        GoldenRun { records, output: sim.output().to_string(), halted: stop == StopReason::Halted }
+        GoldenRun { records, output: exec.output, halted: exec.stop == StopReason::Halted }
     }
 }
 

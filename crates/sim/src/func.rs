@@ -170,6 +170,9 @@ impl FuncSim {
     }
 
     /// Executes one instruction; `None` once the simulator has stopped.
+    // Inlined so the recording loop in `Execution::record`, which may sit
+    // in another codegen unit, runs without a call per instruction.
+    #[inline]
     pub fn step(&mut self) -> Option<Step> {
         if self.stopped.is_some() {
             return None;
@@ -531,8 +534,8 @@ mod tests {
             "#,
         )
         .unwrap();
-        use std::collections::HashMap;
-        let mut sigs: HashMap<u64, u64> = HashMap::new();
+        use std::collections::BTreeMap;
+        let mut sigs: BTreeMap<u64, u64> = BTreeMap::new();
         for t in TraceStream::new(&p, 100_000) {
             let prev = sigs.insert(t.start_pc, t.signature);
             if let Some(prev) = prev {

@@ -12,6 +12,10 @@
 //!   faults corrupt execution exactly as a decode-unit upset would,
 //! * [`FuncSim`] — a fast in-order functional simulator used for golden
 //!   runs and trace-stream extraction,
+//! * [`Execution`] — the one recorded golden run (commit stream, decode
+//!   signals, stop reason, output) every fault-free reference derives
+//!   from: the fault campaigns' golden stream and clean-signature map,
+//!   the recovery engine's golden run, the fuzz oracles' traces,
 //! * [`Pipeline`] — a cycle-level out-of-order superscalar (MIPS-R10K
 //!   style: rename map + physical register file, issue queue, ROB, store
 //!   queue, BTB + gshare + RAS frontend) with the ITR unit of
@@ -41,6 +45,7 @@ mod arch;
 mod branch;
 mod cache;
 mod config;
+mod execution;
 mod func;
 mod mem;
 mod pipeline;
@@ -53,6 +58,7 @@ pub use cache::{CacheGeometry, TimingCache};
 pub use config::{
     BurstFault, DecodeFault, PipelineConfig, RenameFault, SchedulerFault, SignalFault, SignalOp,
 };
+pub use execution::Execution;
 pub use func::{record_tap, FuncSim, StopReason, TraceStream};
 pub use mem::Memory;
 pub use pipeline::{

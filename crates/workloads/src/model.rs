@@ -229,7 +229,7 @@ impl Iterator for SyntheticTraceStream {
 mod tests {
     use super::*;
     use crate::profiles;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     #[test]
     fn model_is_deterministic_per_seed() {
@@ -273,7 +273,7 @@ mod tests {
     #[test]
     fn signatures_are_stable_per_start_pc() {
         let p = profiles::by_name("gap").unwrap();
-        let mut seen: HashMap<u64, u64> = HashMap::new();
+        let mut seen: BTreeMap<u64, u64> = BTreeMap::new();
         for t in SyntheticTraceStream::new(p, 9, 200_000) {
             let prev = seen.insert(t.start_pc, t.signature);
             if let Some(prev) = prev {
@@ -288,7 +288,7 @@ mod tests {
         // vortex-like ones the distribution is flat.
         fn top_100_share(name: &str) -> f64 {
             let p = profiles::by_name(name).unwrap();
-            let mut by_trace: HashMap<u64, u64> = HashMap::new();
+            let mut by_trace: BTreeMap<u64, u64> = BTreeMap::new();
             let mut total = 0u64;
             for t in SyntheticTraceStream::new(p, 5, 500_000) {
                 *by_trace.entry(t.start_pc).or_default() += t.len as u64;
@@ -310,7 +310,7 @@ mod tests {
         // instructions; a large share of vortex's land beyond.
         fn far_fraction(name: &str) -> f64 {
             let p = profiles::by_name(name).unwrap();
-            let mut last_seen: HashMap<u64, u64> = HashMap::new();
+            let mut last_seen: BTreeMap<u64, u64> = BTreeMap::new();
             let (mut far, mut total) = (0u64, 0u64);
             let mut pos = 0u64;
             for t in SyntheticTraceStream::new(p, 11, 500_000) {

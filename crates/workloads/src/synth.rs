@@ -141,7 +141,7 @@ mod tests {
     use super::*;
     use crate::profiles;
     use itr_sim::{FuncSim, StopReason, TraceStream};
-    use std::collections::HashSet;
+    use std::collections::{BTreeMap, BTreeSet};
 
     #[test]
     fn generation_is_deterministic() {
@@ -173,7 +173,7 @@ mod tests {
         for name in ["bzip", "parser", "twolf", "vpr", "swim", "wupwise"] {
             let p = profiles::by_name(name).unwrap();
             let program = generate_mimic_sized(p, 11, 400_000);
-            let starts: HashSet<u64> =
+            let starts: BTreeSet<u64> =
                 TraceStream::new(&program, 400_000).map(|t| t.start_pc).collect();
             let measured = starts.len() as f64;
             let target = p.static_traces as f64;
@@ -201,7 +201,7 @@ mod tests {
     fn mimic_signatures_are_consistent_across_instances() {
         let p = profiles::by_name("gap").unwrap();
         let program = generate_mimic_sized(p, 5, 60_000);
-        let mut sigs = std::collections::HashMap::new();
+        let mut sigs = BTreeMap::new();
         for t in TraceStream::new(&program, 60_000) {
             if let Some(prev) = sigs.insert(t.start_pc, t.signature) {
                 assert_eq!(prev, t.signature, "trace {:#x} signature changed", t.start_pc);

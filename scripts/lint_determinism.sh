@@ -26,7 +26,7 @@ cd "$(dirname "$0")/.."
 ALLOWLIST=(
   "crates/bench/src/experiments/injection.rs:per-process plan memo, keyed lookup only"
   "crates/bench/src/lib.rs:StreamStats histogram values sorted before use"
-  "crates/faults/src/campaign.rs:clean-run signature map, keyed lookup only"
+  "crates/faults/src/campaign.rs:clean_signatures() map, keyed lookup only"
   "crates/faults/src/classify.rs:public classify() API takes a lookup-only map"
   "crates/fuzz/src/corpus.rs:dedup membership set, probed only (audited: digest/stats fold over the entries Vec, never the set)"
   "crates/fuzz/src/oracle.rs:clean-run signature lookup maps, keyed lookup only"
@@ -34,9 +34,6 @@ ALLOWLIST=(
   "crates/harness/src/pool.rs:test-only worker-id set behind a Mutex"
   "crates/harness/src/runner.rs:scheduler state; shard payloads re-sorted by index before rendering"
   "crates/isa/src/opcode.rs:OnceLock mnemonic lookup table, keyed lookup only"
-  "crates/sim/src/func.rs:cfg(test)-only signature map"
-  "crates/workloads/src/model.rs:cfg(test)-only maps"
-  "crates/workloads/src/synth.rs:cfg(test)-only maps"
 )
 
 allowed() {

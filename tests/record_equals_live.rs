@@ -1,22 +1,31 @@
-//! Recording-equals-live: every value a fuzz oracle derives from the one
-//! recorded golden execution ([`Execution`]) must equal what the live
-//! functional sources compute by re-running the program — the trace
+//! Recording-equals-live: every fault-free reference derived from the
+//! one recorded golden execution ([`Execution`]) must equal what the
+//! live functional sources compute by re-running the program — the trace
 //! streams, the clean-signature map and the recovery golden run. The
-//! same holds for the fault campaigns' one-pass golden reference against
-//! the two-pass construction it replaced.
+//! fault campaigns' plans, which derive their golden stream and clean
+//! map from a recording, are held to the same live sources.
 
 #![allow(clippy::unwrap_used)] // test code: panicking on broken expectations is the point
 
-use itr::faults::{
-    clean_signatures, clean_signatures_of, CampaignConfig, CampaignPlan, ModelKind, ModelPlan,
-};
-use itr::fuzz::{gen, seed_corpus, Execution, OracleConfig};
+use itr::faults::{clean_signatures, CampaignConfig, CampaignPlan, ModelKind, ModelPlan};
+use itr::fuzz::{gen, seed_corpus, OracleConfig};
 use itr::isa::asm::assemble;
 use itr::isa::{decode, Program, DATA_BASE};
-use itr::sim::{FuncSim, StopReason, TraceStream};
+use itr::sim::{Execution, FuncSim, StopReason, TraceStream};
 use itr::stats::SplitMix64;
 use itr::workloads::{generate_mimic_sized, profiles};
 use itr_recover::GoldenRun;
+use std::collections::HashMap;
+
+/// The live clean-signature map: the first signature of each trace start
+/// PC, folded from a [`TraceStream`] run of `program`.
+fn live_clean_signatures(program: &Program, max_instrs: u64) -> HashMap<u64, u64> {
+    let mut sigs = HashMap::new();
+    for t in TraceStream::new(program, max_instrs) {
+        sigs.entry(t.start_pc).or_insert(t.signature);
+    }
+    sigs
+}
 
 /// Asserts every derivation of `program`'s recording within `max_instrs`
 /// against its live counterpart; returns the recording's stop reason.
@@ -35,21 +44,21 @@ fn assert_record_equals_live(name: &str, program: &Program, max_instrs: u64) -> 
         }
     }
     assert_eq!(
-        clean_signatures_of(exec.decodes()),
-        clean_signatures(program, max_instrs),
+        clean_signatures(&exec),
+        live_clean_signatures(program, max_instrs),
         "{name}: clean-signature map"
     );
-    let derived = exec.golden_run();
-    let live = GoldenRun::capture(program, max_instrs);
-    assert_eq!(derived.records, live.records, "{name}: golden records");
-    assert_eq!(derived.output, live.output, "{name}: golden output");
-    assert_eq!(derived.halted, live.halted, "{name}: golden halted");
 
     let mut sim = FuncSim::new(program);
     let (records, stop) = sim.run_collect(max_instrs);
     assert_eq!(exec.records, records, "{name}: commit stream");
     assert_eq!(exec.stop, stop, "{name}: stop reason");
     assert_eq!(exec.signals.len(), exec.records.len(), "{name}: decode stream length");
+
+    let derived = GoldenRun::from(exec.clone());
+    assert_eq!(derived.records, records, "{name}: golden records");
+    assert_eq!(derived.output, sim.output(), "{name}: golden output");
+    assert_eq!(derived.halted, stop == StopReason::Halted, "{name}: golden halted");
     exec.stop
 }
 
@@ -119,7 +128,7 @@ fn one_pass_golden_reference_equals_two_passes() {
     // The plans' golden budget: the longest faulty observation.
     let golden_len = cfg.max_decode + cfg.window_cycles * 4 + 10_000;
     let (records, _) = FuncSim::new(&program).run_collect(golden_len);
-    let clean = clean_signatures(&program, golden_len);
+    let clean = live_clean_signatures(&program, golden_len);
     assert!(!clean.is_empty());
 
     let plan = CampaignPlan::new(&program, &cfg);
