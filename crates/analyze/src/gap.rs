@@ -29,8 +29,9 @@
 use crate::cfg::{BlockExit, Cfg};
 use crate::image::ProgramImage;
 use crate::trace::{enumerate, EnumOptions, Universe};
+use itr_core::TraceBuilder;
 use itr_isa::{Program, SignalFlags, INSTRUCTION_BYTES};
-use itr_sim::FuncSim;
+use itr_sim::Execution;
 use itr_stats::json::Value;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -76,35 +77,29 @@ impl GapObservations {
         GapObservations { edges, entry_pcs, trace_starts: BTreeMap::new() }
     }
 
-    /// Runs `program` functionally for up to `max_instrs` instructions
-    /// and collects edges plus trace starts for every length in `lens`
-    /// in one pass, applying the decode-stage formation rule (a trace
-    /// ends on `is_branch` or at the length limit).
+    /// Records `program`'s functional run of up to `max_instrs`
+    /// instructions and collects its edges plus the trace starts for
+    /// every length in `lens`, formed by [`TraceBuilder`]. The start of a
+    /// trace the budget cuts off counts too: that trace was entered.
     pub fn from_program(program: &Program, max_instrs: u64, lens: &[u32]) -> GapObservations {
+        let exec = Execution::record(program, max_instrs);
         let mut obs = GapObservations::default();
         obs.entry_pcs.insert(program.entry());
-        let mut states: Vec<(u32, u32)> = lens.iter().map(|&l| (l, 0)).collect();
-        for &l in lens {
-            obs.trace_starts.entry(l).or_default();
+        for (r, signals) in exec.records.iter().zip(&exec.signals) {
+            if signals.flags.contains(SignalFlags::IS_BRANCH) {
+                obs.edges.insert((r.pc, r.next_pc));
+            }
         }
-        let mut sim = FuncSim::new(program);
-        for _ in 0..max_instrs {
-            let Some(step) = sim.step() else { break };
-            let pc = step.record.pc;
-            let branch = step.signals.flags.contains(SignalFlags::IS_BRANCH);
-            for (len, count) in &mut states {
-                if *count == 0 {
-                    if let Some(starts) = obs.trace_starts.get_mut(len) {
-                        starts.insert(pc);
-                    }
-                }
-                *count += 1;
-                if branch || *count == *len {
-                    *count = 0;
+        for &len in lens {
+            let mut builder = TraceBuilder::new(len);
+            let starts = obs.trace_starts.entry(len).or_default();
+            for (pc, signals) in exec.decodes() {
+                if let Some(trace) = builder.push(pc, &signals) {
+                    starts.insert(trace.start_pc);
                 }
             }
-            if branch {
-                obs.edges.insert((pc, step.record.next_pc));
+            if builder.pending_len() > 0 {
+                starts.insert(builder.pending_start_pc());
             }
         }
         obs

@@ -27,13 +27,11 @@
 //! sweep (one tap shard per workload)          ──► sweep-pareto
 //! env-interleave, env-faultmodels,
 //! env-workloads (hostile environments)        ──► env-report
-//! bench-measure + every compute family        ──► bench (BENCH_repro.json)
 //! table2, area, width-sweep, signature-fold (leaf emit jobs)
 //! ```
 
 pub mod ablations;
 pub mod analyze;
-pub mod bench;
 pub mod characterize;
 pub mod coverage;
 pub mod energy;
@@ -228,5 +226,4 @@ pub fn register_all(reg: &mut Registry, scale: &Scale, out: &Path) {
     recover::register(reg, scale, out);
     width::register(reg, scale, out);
     fold::register(reg, scale, out);
-    bench::register(reg, scale, out);
 }

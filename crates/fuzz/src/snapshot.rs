@@ -44,7 +44,7 @@ use crate::case::FuzzCase;
 use crate::mutate::MAX_TEXT;
 use itr_core::MAX_TRACE_LEN;
 use itr_isa::{Instruction, Opcode, TEXT_BASE};
-use itr_sim::{capture_at_traces, count_traces, Memory, SimSnapshot};
+use itr_sim::{snapshot_at, Execution, Memory, SimSnapshot};
 
 /// Memory-delta budget: a snapshot dirtier than this many words would
 /// blow the prologue (5 instructions per word) past what tight oracle
@@ -150,12 +150,17 @@ pub fn materialize(case: &FuzzCase, snap: &SimSnapshot) -> Option<FuzzCase> {
 /// trace-formation points and materializes each. Short or snapshot-
 /// hostile runs yield an empty vector. Fully deterministic: no RNG, and
 /// capture points derive only from the case's own trace count.
+///
+/// The case runs once: its recorded [`Execution`] gives the trace count,
+/// and each snapshot replays the commit prefix ending at its trace.
 pub fn snapshot_cases(case: &FuzzCase, max_instrs: u64, max_snaps: usize) -> Vec<FuzzCase> {
     if max_snaps == 0 || case.text.is_empty() {
         return Vec::new();
     }
     let program = case.program();
-    let total = count_traces(&program, max_instrs, MAX_TRACE_LEN);
+    let exec = Execution::record(&program, max_instrs);
+    let traces = exec.traces(max_instrs, MAX_TRACE_LEN);
+    let total = traces.len() as u64;
     if total < 4 {
         return Vec::new();
     }
@@ -164,10 +169,15 @@ pub fn snapshot_cases(case: &FuzzCase, max_instrs: u64, max_snaps: usize) -> Vec
         .filter(|&o| o >= 1 && o < total)
         .collect();
     ordinals.dedup();
-    capture_at_traces(&program, max_instrs, MAX_TRACE_LEN, &ordinals)
+    let snaps: Vec<SimSnapshot> = ordinals
         .iter()
-        .filter_map(|s| materialize(case, s))
-        .collect()
+        .map(|&n| {
+            let prefix: usize = traces[..n as usize].iter().map(|t| t.len as usize).sum();
+            snapshot_at(&program, &exec.records[..prefix])
+        })
+        .collect();
+    drop(exec); // freed before the materialized cases are built
+    snaps.iter().filter_map(|s| materialize(case, s)).collect()
 }
 
 #[cfg(test)]
@@ -175,6 +185,7 @@ mod tests {
     use super::*;
     use crate::gen;
     use crate::oracle::{self, OracleConfig};
+    use itr_isa::Program;
     use itr_sim::FuncSim;
     use itr_stats::SplitMix64;
 
@@ -207,13 +218,23 @@ mod tests {
         FuzzCase::from_program(&p).expect("converts")
     }
 
+    /// Snapshot of `program` at the trace boundary `pick(total traces)`.
+    fn capture(program: &Program, pick: impl FnOnce(u64) -> u64) -> SimSnapshot {
+        let exec = Execution::record(program, 100_000);
+        let traces = exec.traces(100_000, MAX_TRACE_LEN);
+        let n = pick(traces.len() as u64) as usize;
+        let prefix: usize = traces[..n].iter().map(|t| t.len as usize).sum();
+        snapshot_at(program, &exec.records[..prefix])
+    }
+
     #[test]
     fn materialized_case_replays_the_suffix_exactly() {
         let case = loopy_case();
         let program = case.program();
-        let total = count_traces(&program, 100_000, MAX_TRACE_LEN);
-        assert!(total > 6);
-        let snap = &capture_at_traces(&program, 100_000, MAX_TRACE_LEN, &[total / 2])[0];
+        let snap = &capture(&program, |total| {
+            assert!(total > 6);
+            total / 2
+        });
         let mat = materialize(&case, snap).expect("materializes");
         assert_eq!(mat.entry as usize, case.text.len());
 
@@ -278,7 +299,7 @@ mod tests {
     fn hostile_snapshots_are_rejected() {
         let case = loopy_case();
         let program = case.program();
-        let snap = &capture_at_traces(&program, 100_000, MAX_TRACE_LEN, &[2])[0];
+        let snap = &capture(&program, |_| 2);
         // Text-dirty.
         let mut dirty = snap.clone();
         dirty.touches_text = true;

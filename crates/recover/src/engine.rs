@@ -10,8 +10,8 @@
 //!    [`CheckpointRecord`] (commit count + escaped-output length).
 //! 2. On a machine check (or a watchdog deadlock), the engine picks the
 //!    last logged checkpoint, reconstructs its architectural snapshot by
-//!    replaying the committed prefix through [`crate::shadow`], and
-//!    resumes a functional execution from it.
+//!    replaying the committed prefix it covers ([`itr_sim::snapshot_at`]),
+//!    and resumes a functional execution from it.
 //! 3. The resumed run must reproduce the golden commit stream from the
 //!    checkpoint onward, and the combined output (escaped prefix +
 //!    re-executed suffix) must equal the golden output. Output that
@@ -48,11 +48,12 @@
 //! [`CheckpointRecord`]: itr_sim::CheckpointRecord
 
 use crate::outcome::ActualOutcome;
-use crate::shadow;
 use itr_core::{ItrConfig, ItrMode};
 use itr_faults::{FaultModel, Outcome};
 use itr_isa::Program;
-use itr_sim::{CommitRecord, Execution, FuncSim, Pipeline, PipelineConfig, RunExit, StopReason};
+use itr_sim::{
+    snapshot_at, CommitRecord, Execution, FuncSim, Pipeline, PipelineConfig, RunExit, StopReason,
+};
 
 /// Commits a faulty run may make beyond the golden length before the
 /// engine declares divergence and stops collecting.
@@ -276,7 +277,7 @@ fn rollback(
     }
 
     // Re-execute from the checkpoint and demand the exact golden suffix.
-    let snap = shadow::snapshot_at(program, &records[..at]);
+    let snap = snapshot_at(program, &records[..at]);
     let mut resumed = FuncSim::from_snapshot(program, &snap);
     let need = (golden.records.len() - at) as u64;
     let (suffix, stop) = resumed.run_collect(need + RECORD_SLACK as u64);

@@ -7,15 +7,13 @@
 //! predictions explicitly heuristic outside the `ITR+SDC+R` case. This
 //! crate closes the gap with a real engine:
 //!
-//! * [`shadow`] reconstructs the full architectural snapshot behind any
-//!   pipeline checkpoint by replaying the committed-record prefix —
-//!   registers, sparse dirty-memory delta, resume PC — reusing the
-//!   [`itr_sim::SimSnapshot`] machinery for the resume side.
 //! * [`engine`] runs a fault under full active-mode ITR with the
 //!   [`itr_core::CoarseCheckpointer`] logging every checkpoint taken;
 //!   on a machine check (or watchdog deadlock) it rolls back to the
 //!   last checkpoint, re-executes, and classifies the *actual* outcome
-//!   ([`ActualOutcome`]) against the fault-free golden run.
+//!   ([`ActualOutcome`]) against the fault-free golden run. The
+//!   checkpoint's architectural state is [`itr_sim::snapshot_at`] of the
+//!   committed prefix it covers: the replay every snapshot is built by.
 //! * [`outcome`] maps the passive Figure-8 taxonomy onto its
 //!   active-mode predictions so ground truth can confirm or correct
 //!   them fault by fault, and [`sound_violation`] states the invariant
@@ -36,7 +34,6 @@
 
 pub mod engine;
 pub mod outcome;
-pub mod shadow;
 pub mod sweep;
 
 pub use engine::{
@@ -44,5 +41,4 @@ pub use engine::{
     RecoveryRun, BOUNDED_WAIT_AGE,
 };
 pub use outcome::{confirms, prediction, ActualOutcome, Prediction};
-pub use shadow::{snapshot_at, ShadowArch};
 pub use sweep::{sweep_kind, SweepCell};

@@ -16,6 +16,10 @@
 //!   signals, stop reason, output) every fault-free reference derives
 //!   from: the fault campaigns' golden stream and clean-signature map,
 //!   the recovery engine's golden run, the fuzz oracles' traces,
+//! * [`SimSnapshot`] — the architectural state after a commit prefix,
+//!   built only by replaying a recorded commit prefix ([`snapshot_at`]) and
+//!   resumed with [`FuncSim::from_snapshot`]: the fuzzer's start states
+//!   and the recovery engine's checkpoints,
 //! * [`Pipeline`] — a cycle-level out-of-order superscalar (MIPS-R10K
 //!   style: rename map + physical register file, issue queue, ROB, store
 //!   queue, BTB + gshare + RAS frontend) with the ITR unit of
@@ -64,4 +68,4 @@ pub use mem::Memory;
 pub use pipeline::{
     CheckpointRecord, Pipeline, PipelineStats, RunExit, SpcViolation, Stage, StageEvent,
 };
-pub use snapshot::{capture_at_traces, count_traces, SimSnapshot, SnapshotRecorder};
+pub use snapshot::{snapshot_at, SimSnapshot};

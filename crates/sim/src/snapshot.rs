@@ -1,47 +1,40 @@
-//! Mid-execution architectural snapshots of a [`FuncSim`] run.
+//! Mid-execution architectural snapshots, built by replaying a recorded
+//! commit prefix.
 //!
-//! A [`SimSnapshot`] freezes the architectural state of a functional
-//! execution at a **trace-formation point**: the instant the
-//! [`TraceBuilder`] has just completed a trace, so no partial trace is
-//! in flight. That boundary makes snapshots exact resume points:
+//! A [`SimSnapshot`] is the architectural effect of the first `n`
+//! committed instructions of a run: registers, resume PC, and the memory
+//! words the prefix stored to. A [`CommitRecord`] stream encodes that
+//! effect completely (destination writes, stores, the next-PC chain), so
+//! [`snapshot_at`] builds every snapshot by replaying a recorded prefix —
+//! the fuzzer's start states cut from an [`Execution`](crate::Execution)
+//! at trace boundaries, and the recovery engine's §2.3 checkpoints cut
+//! from a pipeline's commit log — instead of stepping a live simulator.
 //!
-//! * restoring the register file, PC and the memory delta reproduces the
-//!   original run's commit stream instruction-for-instruction
-//!   (see [`FuncSim::from_snapshot`]), and
-//! * a fresh [`TraceBuilder`] started at the resume PC re-forms exactly
-//!   the traces the original run formed after the capture point, because
-//!   trace identity is a pure function of the committed PC/signal stream.
-//!
-//! The snapshot also carries the traces formed *before* the capture
-//! point — the warm ITR-cache image — so consumers can pre-populate an
-//! [`itr_core`] unit to the state it would have reached.
-//!
-//! The fuzzer uses this to materialize "start inside the hot loop body"
-//! seed cases (`itr-fuzz`'s `snapshot` module); the capture side lives
-//! here because it needs the simulator's internals (store tracking for
-//! the memory delta).
+//! Restoring a snapshot with [`FuncSim::from_snapshot`] reproduces the
+//! original run's commit stream from the capture point onward. When the
+//! prefix ends at a trace boundary, a fresh
+//! [`TraceBuilder`](itr_core::TraceBuilder) started at the resume PC also
+//! re-forms exactly the traces the original run formed after it, because
+//! trace identity is a pure function of the committed PC/signal stream.
 
-use crate::arch::NUM_ARCH_REGS;
+use crate::arch::{CommitRecord, NUM_ARCH_REGS};
 use crate::func::FuncSim;
-use itr_core::{TraceBuilder, TraceRecord};
+use crate::mem::Memory;
 use itr_isa::Program;
 use std::collections::BTreeSet;
 
-/// Frozen architectural state at a trace-formation point.
+/// Frozen architectural state after a committed prefix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimSnapshot {
     /// Resume PC (the first instruction *not* yet executed).
     pub pc: u64,
     /// All 65 architectural registers (32 int + 32 FP + FCC).
     pub regs: [u32; NUM_ARCH_REGS],
-    /// Memory words that differ from the freshly loaded program image:
-    /// `(word-aligned address, current value)`, sorted by address.
+    /// Words the prefix stored to, with their current values:
+    /// `(word-aligned address, value)`, sorted by address.
     pub mem_delta: Vec<(u64, u32)>,
     /// Instructions executed before the capture point.
     pub instrs: u64,
-    /// Traces formed before the capture point, in formation order — the
-    /// warm ITR-cache image.
-    pub traces: Vec<TraceRecord>,
     /// `true` when the run stored into the text segment before the
     /// capture point (self-modifying code). Such snapshots restore
     /// correctly here, but cannot be materialized as fuzz start states
@@ -49,104 +42,38 @@ pub struct SimSnapshot {
     pub touches_text: bool,
 }
 
-/// Steps a [`FuncSim`] while tracking stores and trace formation, and
-/// captures [`SimSnapshot`]s at requested trace ordinals.
-pub struct SnapshotRecorder {
-    sim: FuncSim,
-    builder: TraceBuilder,
-    /// Word-aligned addresses touched by stores, in address order.
-    dirty: BTreeSet<u64>,
-    traces: Vec<TraceRecord>,
-    text_base: u64,
-    text_end: u64,
-    touches_text: bool,
-}
-
-impl SnapshotRecorder {
-    /// Prepares to execute `program` with traces bounded at `max_len`.
-    pub fn new(program: &Program, max_len: u32) -> SnapshotRecorder {
-        SnapshotRecorder {
-            sim: FuncSim::new(program),
-            builder: TraceBuilder::new(max_len),
-            dirty: BTreeSet::new(),
-            traces: Vec::new(),
-            text_base: program.text_base(),
-            text_end: program.text_base() + program.text().len() as u64 * 4,
-            touches_text: false,
+/// Replays `records` — a commit prefix of a run of `program` — from the
+/// program's initial state and freezes the result: the architectural
+/// snapshot covering exactly that prefix.
+pub fn snapshot_at(program: &Program, records: &[CommitRecord]) -> SimSnapshot {
+    // Seed from a fresh FuncSim so the ABI setup (stack pointer) is the
+    // one every simulator starts from.
+    let mut arch = FuncSim::new(program).arch().clone();
+    let mut mem = Memory::with_program(program);
+    let mut dirty = BTreeSet::new();
+    let text_base = program.text_base();
+    let text_end = text_base + program.text().len() as u64 * 4;
+    let mut touches_text = false;
+    for r in records {
+        if let Some((reg, value)) = r.dst {
+            // r0 stays zero even when a faulty record names it.
+            arch.set_reg(reg, value);
+        }
+        if let Some((addr, size, value)) = r.store {
+            let span = size.max(1) as u64;
+            mem.write(addr, size, value);
+            dirty.insert(addr & !3);
+            dirty.insert((addr + span - 1) & !3);
+            touches_text |= addr < text_end && addr + span > text_base;
         }
     }
-
-    /// Runs for at most `max_instrs` instructions, capturing a snapshot
-    /// each time the total number of formed traces reaches a value in
-    /// `at_traces` (which must be sorted ascending). Returns the
-    /// captured snapshots; ordinals never reached produce nothing.
-    pub fn run(&mut self, max_instrs: u64, at_traces: &[u64]) -> Vec<SimSnapshot> {
-        let mut out = Vec::new();
-        let mut next = at_traces.iter().copied().peekable();
-        for _ in 0..max_instrs {
-            let Some(step) = self.sim.step() else { break };
-            if let Some(store) = step.record.store {
-                let (addr, size) = (store.0, store.1.max(1) as u64);
-                self.dirty.insert(addr & !3);
-                self.dirty.insert((addr + size - 1) & !3);
-                if store.0 < self.text_end && addr + size > self.text_base {
-                    self.touches_text = true;
-                }
-            }
-            if let Some(trace) = self.builder.push(step.record.pc, &step.signals) {
-                self.traces.push(trace);
-                while next.peek().is_some_and(|&n| n <= self.traces.len() as u64) {
-                    next.next();
-                    out.push(self.snapshot());
-                }
-                if next.peek().is_none() && !at_traces.is_empty() {
-                    break;
-                }
-            }
-        }
-        out
+    SimSnapshot {
+        pc: records.last().map_or(program.entry(), |r| r.next_pc),
+        regs: *arch.regs(),
+        mem_delta: dirty.iter().map(|&a| (a, mem.read_u32(a))).collect(),
+        instrs: records.len() as u64,
+        touches_text,
     }
-
-    /// Total traces formed so far.
-    pub fn traces_formed(&self) -> u64 {
-        self.traces.len() as u64
-    }
-
-    /// The underlying simulator.
-    pub fn sim(&self) -> &FuncSim {
-        &self.sim
-    }
-
-    fn snapshot(&self) -> SimSnapshot {
-        let arch = self.sim.arch();
-        SimSnapshot {
-            pc: arch.pc,
-            regs: *arch.regs(),
-            mem_delta: self.dirty.iter().map(|&a| (a, self.sim.mem().read_u32(a))).collect(),
-            instrs: self.sim.instr_count(),
-            traces: self.traces.clone(),
-            touches_text: self.touches_text,
-        }
-    }
-}
-
-/// Counts the traces `program` forms within `max_instrs` instructions —
-/// used to aim capture ordinals at the middle of an execution.
-pub fn count_traces(program: &Program, max_instrs: u64, max_len: u32) -> u64 {
-    let mut rec = SnapshotRecorder::new(program, max_len);
-    rec.run(max_instrs, &[]);
-    rec.traces_formed()
-}
-
-/// Convenience wrapper: captures snapshots of `program` at the given
-/// (sorted ascending) trace ordinals.
-pub fn capture_at_traces(
-    program: &Program,
-    max_instrs: u64,
-    max_len: u32,
-    at_traces: &[u64],
-) -> Vec<SimSnapshot> {
-    SnapshotRecorder::new(program, max_len).run(max_instrs, at_traces)
 }
 
 impl FuncSim {
@@ -169,28 +96,16 @@ impl FuncSim {
         sim.set_instr_count(snap.instrs);
         sim
     }
-
-    /// Resumes execution from `snap` and returns `true` when the resumed
-    /// commit stream matches `reference` (the original run's records from
-    /// `snap.instrs` onward) for `reference.len()` instructions. Test and
-    /// validation helper.
-    pub fn snapshot_resumes_exactly(
-        program: &Program,
-        snap: &SimSnapshot,
-        reference: &[crate::arch::CommitRecord],
-    ) -> bool {
-        let mut sim = FuncSim::from_snapshot(program, snap);
-        let (records, _) = sim.run_collect(reference.len() as u64);
-        records == reference
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::func::{StopReason, TraceStream};
-    use itr_core::MAX_TRACE_LEN;
+    use crate::func::StopReason;
+    use crate::Execution;
+    use itr_core::{TraceBuilder, TraceRecord, MAX_TRACE_LEN};
     use itr_isa::asm::assemble;
+    use itr_workloads::kernels;
 
     fn looped_program() -> Program {
         assemble(
@@ -217,26 +132,34 @@ mod tests {
         .expect("assembles")
     }
 
+    /// Resumes from `snap` and checks the resumed commit stream against
+    /// `reference`, the original run's records from `snap.instrs` on.
+    fn resumes_exactly(program: &Program, snap: &SimSnapshot, reference: &[CommitRecord]) -> bool {
+        let mut sim = FuncSim::from_snapshot(program, snap);
+        let (records, _) = sim.run_collect(reference.len() as u64);
+        records == reference
+    }
+
+    /// The commit-prefix length that ends at the `n`-th formed trace.
+    fn prefix_of_traces(traces: &[TraceRecord], n: u64) -> usize {
+        traces[..n as usize].iter().map(|t| t.len as usize).sum()
+    }
+
     #[test]
     fn roundtrip_matches_from_scratch_run() {
         let p = looped_program();
-        let total = count_traces(&p, 100_000, MAX_TRACE_LEN);
+        let exec = Execution::record(&p, 100_000);
+        assert_eq!(exec.stop, StopReason::Halted);
+        let traces = exec.traces(100_000, MAX_TRACE_LEN);
+        let total = traces.len() as u64;
         assert!(total > 6, "loop forms many traces, got {total}");
 
-        // Golden: the full from-scratch commit stream.
-        let mut golden = FuncSim::new(&p);
-        let (all_records, reason) = golden.run_collect(100_000);
-        assert_eq!(reason, StopReason::Halted);
-
         for at in [2, total / 2, total - 1] {
-            let snaps = capture_at_traces(&p, 100_000, MAX_TRACE_LEN, &[at]);
-            assert_eq!(snaps.len(), 1, "ordinal {at} reached");
-            let snap = &snaps[0];
+            let cut = prefix_of_traces(&traces, at);
+            let snap = snapshot_at(&p, &exec.records[..cut]);
             assert!(!snap.touches_text);
-            assert_eq!(snap.traces.len() as u64, at);
-            let suffix = &all_records[snap.instrs as usize..];
             assert!(
-                FuncSim::snapshot_resumes_exactly(&p, snap, suffix),
+                resumes_exactly(&p, &snap, &exec.records[cut..]),
                 "resume at trace {at} must replay the golden suffix"
             );
         }
@@ -245,16 +168,14 @@ mod tests {
     #[test]
     fn resumed_trace_stream_matches_suffix() {
         let p = looped_program();
-        let total = count_traces(&p, 100_000, MAX_TRACE_LEN);
-        let at = total / 2;
-        let snap = &capture_at_traces(&p, 100_000, MAX_TRACE_LEN, &[at])[0];
-
-        let full: Vec<TraceRecord> = TraceStream::new(&p, 100_000).collect();
-        assert_eq!(&full[..at as usize], &snap.traces[..], "warm image is the trace prefix");
+        let exec = Execution::record(&p, 100_000);
+        let full = exec.traces(100_000, MAX_TRACE_LEN);
+        let at = full.len() as u64 / 2;
+        let snap = snapshot_at(&p, &exec.records[..prefix_of_traces(&full, at)]);
 
         // A fresh builder at the resume point re-forms the remaining
         // traces exactly (capture is at a formation boundary).
-        let mut sim = FuncSim::from_snapshot(&p, snap);
+        let mut sim = FuncSim::from_snapshot(&p, &snap);
         let mut builder = TraceBuilder::new(MAX_TRACE_LEN);
         let mut resumed = Vec::new();
         while let Some(step) = sim.step() {
@@ -268,7 +189,9 @@ mod tests {
     #[test]
     fn mem_delta_is_sorted_and_minimal() {
         let p = looped_program();
-        let snap = &capture_at_traces(&p, 100_000, MAX_TRACE_LEN, &[3])[0];
+        let exec = Execution::record(&p, 100_000);
+        let traces = exec.traces(100_000, MAX_TRACE_LEN);
+        let snap = snapshot_at(&p, &exec.records[..prefix_of_traces(&traces, 3)]);
         assert!(snap.mem_delta.windows(2).all(|w| w[0].0 < w[1].0), "sorted by address");
         for &(addr, _) in &snap.mem_delta {
             assert_eq!(addr & 3, 0, "word aligned");
@@ -291,9 +214,62 @@ mod tests {
             "#,
         )
         .expect("assembles");
-        let mut rec = SnapshotRecorder::new(&p, MAX_TRACE_LEN);
-        let snaps = rec.run(1_000, &[1]);
-        assert!(!snaps.is_empty());
-        assert!(snaps[0].touches_text, "text store must be flagged");
+        let exec = Execution::record(&p, 1_000);
+        let traces = exec.traces(1_000, MAX_TRACE_LEN);
+        assert!(!traces.is_empty());
+        let snap = snapshot_at(&p, &exec.records[..prefix_of_traces(&traces, 1)]);
+        assert!(snap.touches_text, "text store must be flagged");
+    }
+
+    #[test]
+    fn shadow_snapshot_resumes_exactly_at_arbitrary_prefixes() {
+        let p = assemble(kernels::SUM_LOOP.source).unwrap();
+        let mut sim = FuncSim::new(&p);
+        let (records, stop) = sim.run_collect(200_000);
+        assert_eq!(stop, StopReason::Halted);
+        for cut in [1usize, 7, records.len() / 2, records.len() - 1] {
+            let snap = snapshot_at(&p, &records[..cut]);
+            assert_eq!(snap.instrs, cut as u64);
+            assert!(
+                resumes_exactly(&p, &snap, &records[cut..]),
+                "resume at commit {cut} must replay the suffix"
+            );
+        }
+    }
+
+    #[test]
+    fn shadow_mem_delta_is_sorted_word_aligned() {
+        let p = assemble(kernels::BUBBLE_SORT.source).unwrap();
+        let mut sim = FuncSim::new(&p);
+        let (records, _) = sim.run_collect(50_000);
+        let snap = snapshot_at(&p, &records[..records.len() / 2]);
+        assert!(snap.mem_delta.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(snap.mem_delta.iter().all(|&(a, _)| a & 3 == 0));
+        assert!(!snap.mem_delta.is_empty(), "sorting stores are visible");
+    }
+
+    #[test]
+    fn zero_register_writes_are_discarded() {
+        let p = assemble(kernels::SUM_LOOP.source).unwrap();
+        let write_r0 = CommitRecord {
+            pc: p.entry(),
+            dst: Some((0, 0xDEAD_BEEF)),
+            store: None,
+            next_pc: p.entry() + 4,
+        };
+        assert_eq!(snapshot_at(&p, &[write_r0]).regs[0], 0);
+    }
+
+    #[test]
+    fn text_stores_are_flagged() {
+        let p = assemble(kernels::SUM_LOOP.source).unwrap();
+        assert!(!snapshot_at(&p, &[]).touches_text);
+        let text_store = CommitRecord {
+            pc: p.entry(),
+            dst: None,
+            store: Some((p.text_base(), 4, 0)),
+            next_pc: p.entry() + 4,
+        };
+        assert!(snapshot_at(&p, &[text_store]).touches_text);
     }
 }

@@ -62,8 +62,13 @@ BANNED_DIRS=(crates/analyze/src crates/stats/src crates/core/src crates/env/src 
 # persisted corpora, and the gap-closure counters the `gap-ab` family
 # pins) whose byte-identity per seed is an acceptance bar — they must
 # stay hash-free (BTreeMap keyed state only) rather than grow allowlist
-# entries.
+# entries. The recorded golden execution and the snapshots replayed from
+# it (crates/sim/src/{execution,snapshot}.rs) feed the recovery engine's
+# rollbacks and the fuzzer's start states, so they are held to the same
+# rule as crates/recover.
 BANNED_FILES=(
+  crates/sim/src/execution.rs
+  crates/sim/src/snapshot.rs
   crates/fuzz/src/directed.rs
   crates/fuzz/src/engine.rs
   crates/fuzz/src/schedule.rs

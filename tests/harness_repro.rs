@@ -56,7 +56,6 @@ fn quick_run_journals_and_resumes_without_recomputation() {
         "sweep_pareto.csv",
         "env.txt",
         "env.csv",
-        "BENCH_repro.json",
     ] {
         assert!(out.join(artifact).exists(), "missing {artifact}");
     }
