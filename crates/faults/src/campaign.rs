@@ -2,10 +2,10 @@
 //! parallel fan-out.
 
 use crate::classify::{classify, Observation, Outcome};
-use crate::lockstep::{observe_passive, run_active, PrefixSet};
+use crate::lockstep::{observe_passive, PrefixSet};
 use itr_core::{ItrConfig, ItrMode, TraceBuilder, MAX_TRACE_LEN};
 use itr_isa::Program;
-use itr_sim::{CommitRecord, DecodeFault, Execution, PipelineConfig, RunExit};
+use itr_sim::{CommitRecord, DecodeFault, Execution, PipelineConfig};
 use itr_stats::{Counters, Report, SplitMix64, Unit};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -56,10 +56,6 @@ pub trait Fault: fmt::Debug {
 
     /// Expands the fault into the pipeline's fault-injection hooks.
     fn inject_into(&self, cfg: &mut PipelineConfig);
-
-    /// `true` when the fault is transient, so a retried trace re-executes
-    /// fault-free and active-mode recovery predictions are sound.
-    fn active_recovery_sound(&self) -> bool;
 }
 
 impl Fault for DecodeFault {
@@ -70,10 +66,6 @@ impl Fault for DecodeFault {
     fn inject_into(&self, cfg: &mut PipelineConfig) {
         cfg.faults.push(*self);
     }
-
-    fn active_recovery_sound(&self) -> bool {
-        true
-    }
 }
 
 impl<F: Fault + ?Sized> Fault for &F {
@@ -83,10 +75,6 @@ impl<F: Fault + ?Sized> Fault for &F {
 
     fn inject_into(&self, cfg: &mut PipelineConfig) {
         (**self).inject_into(cfg);
-    }
-
-    fn active_recovery_sound(&self) -> bool {
-        (**self).active_recovery_sound()
     }
 }
 
@@ -172,65 +160,6 @@ pub fn observe_fault(
     observe_passive(program, itr, golden, None, inject, fault.first_strike(), &[window_cycles])
         .pop()
         .expect("one window observed")
-}
-
-/// Cross-validates a passive classification in *active* recovery mode:
-/// re-runs the fault with the full retry machinery enabled and checks the
-/// architectural outcome the passive taxonomy predicts.
-///
-/// * [`Outcome::ItrSdcR`] / [`Outcome::ItrMask`] / [`Outcome::ItrWdogR`]
-///   — the active run must finish with the golden committed stream (the
-///   retry recovers, or the fault was masked anyway);
-/// * [`Outcome::ItrSdcD`] — the active run must raise a machine check
-///   (the faulty instance already committed; abort is the only option).
-///
-/// The predictions are *typical-case*, not invariant: `ItrMask` cannot
-/// tell whether the faulty instance accessed or *recorded* the cached
-/// signature (in the latter case active mode machine-checks a masked
-/// fault — a spurious DUE inherent to the scheme), and an eviction
-/// between retry flush and refetch can turn a predicted `ItrSdcD`
-/// machine check into a clean re-record. Only the `ItrSdcR` prediction
-/// is sound in every corner case — differential checks (`itr-fuzz`)
-/// validate that one alone.
-///
-/// A fault that can re-strike the refetched trace (one whose
-/// [`Fault::active_recovery_sound`] is false) is refused with `Err`:
-/// the caller gates, because validating it this way is exactly the
-/// unsoundness the gate exists to prevent.
-///
-/// Returns `Ok(())` when the prediction holds, or a description of the
-/// divergence.
-pub fn validate_active_recovery(
-    program: &Program,
-    fault: impl Fault,
-    outcome: Outcome,
-    golden: &[CommitRecord],
-    itr: ItrConfig,
-    window_cycles: u64,
-) -> Result<(), String> {
-    if !fault.active_recovery_sound() {
-        return Err(format!("{fault:?}: active-recovery validation is unsound for this fault"));
-    }
-    let (exit, run) = run_active(program, itr, golden, window_cycles, |c| fault.inject_into(c));
-    match outcome {
-        Outcome::ItrSdcR | Outcome::ItrMask | Outcome::ItrWdogR => {
-            if run.first_divergence().is_some() {
-                return Err(format!(
-                    "{outcome}: active run diverged at commit {} despite predicted recovery",
-                    run.commits()
-                ));
-            }
-            if matches!(exit, RunExit::MachineCheck { .. }) {
-                return Err(format!("{outcome}: unexpected machine check"));
-            }
-            Ok(())
-        }
-        Outcome::ItrSdcD => match exit {
-            RunExit::MachineCheck { .. } => Ok(()),
-            other => Err(format!("ItrSdcD: expected machine check, got {other:?}")),
-        },
-        _ => Ok(()), // no active-mode prediction for the other classes
-    }
 }
 
 /// Splits `faults` into at most `shards` contiguous `[lo, hi)` ranges.
@@ -352,8 +281,7 @@ impl<F> Plan<F> {
         &self.faults
     }
 
-    /// The golden committed stream (also what
-    /// [`validate_active_recovery`] compares against).
+    /// The golden committed stream.
     pub fn golden(&self) -> &[CommitRecord] {
         &self.golden
     }
@@ -459,7 +387,7 @@ pub fn run_campaign(program: &Program, cfg: &CampaignConfig) -> CampaignResult {
 mod tests {
     use super::*;
     use itr_isa::asm::assemble;
-    use itr_sim::Pipeline;
+    use itr_sim::{Pipeline, RunExit};
     use itr_workloads::kernels;
 
     fn small_campaign(faults: u32) -> CampaignConfig {
@@ -575,33 +503,6 @@ mod tests {
         let plan = CampaignPlan::new(&p, &cfg);
         let shard = plan.run_range(&p, &cfg, 0, 10, &|| true);
         assert!(shard.records.is_empty());
-    }
-
-    #[test]
-    fn active_mode_predictions_hold_for_every_itr_outcome() {
-        // Cross-validate the passive taxonomy against full active-mode
-        // recovery for every ITR-detected fault in a small campaign.
-        let p = assemble(kernels::FIB.source).unwrap();
-        let cfg = small_campaign(50);
-        let golden_len = cfg.max_decode + cfg.window_cycles * 4 + 10_000;
-        let golden = Execution::record(&p, golden_len).records;
-        let result = run_campaign(&p, &cfg);
-        let mut validated = 0;
-        for r in &result.records {
-            if r.outcome.itr_detected() {
-                validate_active_recovery(
-                    &p,
-                    r.fault,
-                    r.outcome,
-                    &golden,
-                    cfg.itr,
-                    cfg.window_cycles,
-                )
-                .unwrap_or_else(|e| panic!("fault {:?}: {e}", r.fault));
-                validated += 1;
-            }
-        }
-        assert!(validated > 20, "only {validated} ITR-detected faults to validate");
     }
 
     #[test]

@@ -17,17 +17,18 @@
 //!
 //! The faulty pipeline runs the ITR unit in *passive* mode (detect,
 //! record, but commit anyway) so a single run observes both the would-be
-//! detection and the would-be architectural outcome; active-mode recovery
-//! is validated separately by `itr-sim`'s pipeline tests and the
-//! `fault_injection` example.
+//! detection and the would-be architectural outcome. What active mode
+//! actually does with a fault — retry, roll back, or abort — is the
+//! `itr-recover` engine's ground truth, which checks the passive
+//! verdicts' predictions fault by fault.
 //!
 //! The SEU campaign is one fault model among several ([`FaultModel`]):
 //! anything that implements [`Fault`] runs through the one campaign
 //! [`Plan`] — [`CampaignPlan`] samples SEUs, [`ModelPlan`] instances of
 //! one [`ModelKind`] — and the one passive entry point
-//! ([`observe_fault`]) and active cross-check
-//! ([`validate_active_recovery`]). Every faulty run goes through one
-//! golden-vs-faulty driver, [`Lockstep`]. A plan forks its faulty runs
+//! ([`observe_fault`]). Every faulty run, passive here or active in
+//! `itr-recover`, goes through one golden-vs-faulty driver,
+//! [`Lockstep`]. A plan forks its faulty runs
 //! from snapshots of one fault-free run instead of re-simulating each
 //! fault's prefix; a forked run observes exactly what a fresh one does.
 //! A plan's golden stream and clean-signature map ([`clean_signatures`])
@@ -43,8 +44,8 @@ mod lockstep;
 mod models;
 
 pub use campaign::{
-    clean_signatures, observe_fault, run_campaign, shard_bounds, validate_active_recovery,
-    CampaignConfig, CampaignPlan, CampaignResult, CampaignShard, Fault, FaultRecord, Plan,
+    clean_signatures, observe_fault, run_campaign, shard_bounds, CampaignConfig, CampaignPlan,
+    CampaignResult, CampaignShard, Fault, FaultRecord, Plan,
 };
 pub use classify::{classify, Observation, Outcome};
 pub use lockstep::Lockstep;

@@ -1,5 +1,6 @@
-//! The golden-vs-faulty lockstep driver behind every faulty run, and the
-//! fault-free prefix snapshots faulty runs fork from.
+//! The golden-vs-faulty lockstep driver behind every faulty run — the
+//! passive observations here and `itr-recover`'s active recovery runs —
+//! and the fault-free prefix snapshots passive runs fork from.
 //!
 //! A passive observation runs the faulty pipeline in 10,000-cycle chunks
 //! until the fault's first strike has decoded, then observes it for one
@@ -74,6 +75,13 @@ impl<'g> Lockstep<'g> {
         &self.state.pipe
     }
 
+    /// Mutable access to the pipeline under test, for perturbations
+    /// between runs (e.g. invalidating the ITR cache at a context
+    /// switch).
+    pub fn pipeline_mut(&mut self) -> &mut Pipeline {
+        &mut self.state.pipe
+    }
+
     /// Instructions committed so far.
     pub fn commits(&self) -> usize {
         self.state.commits
@@ -86,6 +94,12 @@ impl<'g> Lockstep<'g> {
 
     /// Runs until program exit or `max_cycles`, comparing every commit.
     pub fn run(&mut self, max_cycles: u64) -> RunExit {
+        self.run_until(max_cycles, usize::MAX)
+    }
+
+    /// [`Lockstep::run`] that also stops, with [`RunExit::Stopped`], once
+    /// the run has made `max_commits` commits in total.
+    pub fn run_until(&mut self, max_cycles: u64, max_commits: usize) -> RunExit {
         let golden = self.golden;
         let PrefixSnapshot { pipe, commits, diverged_at } = &mut self.state;
         pipe.run_with(max_cycles, |r| {
@@ -93,7 +107,7 @@ impl<'g> Lockstep<'g> {
                 diverged_at.get_or_insert(*commits);
             }
             *commits += 1;
-            true
+            *commits < max_commits
         })
     }
 
@@ -196,26 +210,6 @@ pub(crate) fn observe_passive(
         }
     };
     run.observe(first_strike, windows)
-}
-
-/// Runs one fault in active-ITR mode for the recovery cross-checks'
-/// budget (four windows plus a million cycles), returning the exit and
-/// the finished run.
-pub(crate) fn run_active<'g>(
-    program: &Program,
-    itr: ItrConfig,
-    golden: &'g [CommitRecord],
-    window_cycles: u64,
-    inject: impl FnOnce(&mut PipelineConfig),
-) -> (RunExit, Lockstep<'g>) {
-    let mut cfg = PipelineConfig {
-        itr: Some(ItrConfig { mode: ItrMode::Active, ..itr }),
-        ..Default::default()
-    };
-    inject(&mut cfg);
-    let mut run = Lockstep::new(Pipeline::new(program, cfg), golden);
-    let exit = run.run(window_cycles * 4 + 1_000_000);
-    (exit, run)
 }
 
 /// The fault-free prefix snapshots one plan's faults fork from.

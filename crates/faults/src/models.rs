@@ -23,8 +23,8 @@
 //! only sound for [`FaultPersistence::Transient`] models: a persistent
 //! or intermittent fault can re-strike the refetched trace, so
 //! [`FaultModel::active_recovery_sound`] gates which instances the
-//! differential oracles (`itr-fuzz`) may validate that way, and
-//! [`crate::validate_active_recovery`] refuses the rest.
+//! differential oracles (`itr-fuzz`) hold to that prediction when they
+//! run them through the `itr-recover` engine.
 
 use crate::campaign::{CampaignConfig, Fault, Plan};
 use itr_isa::Program;
@@ -306,10 +306,6 @@ impl Fault for FaultModel {
     fn inject_into(&self, cfg: &mut PipelineConfig) {
         FaultModel::inject_into(self, cfg);
     }
-
-    fn active_recovery_sound(&self) -> bool {
-        FaultModel::active_recovery_sound(self)
-    }
 }
 
 /// The plan of one fault-model campaign: instances of one [`ModelKind`]
@@ -338,8 +334,7 @@ impl ModelPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{classify, clean_signatures, observe_fault, validate_active_recovery, Outcome};
-    use itr_core::ItrConfig;
+    use crate::{classify, clean_signatures, observe_fault, Outcome};
     use itr_isa::asm::assemble;
     use itr_sim::Execution;
     use itr_workloads::kernels;
@@ -453,35 +448,6 @@ mod tests {
             len: 4,
         };
         assert!(!burst.active_recovery_sound());
-        assert!(validate_active_recovery(
-            &assemble(kernels::FIB.source).unwrap(),
-            &burst,
-            Outcome::ItrSdcR,
-            &[],
-            ItrConfig::paper_default(),
-            1_000
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn transient_recoverable_instances_validate_in_active_mode() {
-        let p = assemble(kernels::SUM_LOOP.source).unwrap();
-        let c = CampaignConfig { faults: 30, ..cfg() };
-        let mut validated = 0;
-        for kind in [ModelKind::Seu, ModelKind::MultiBitAdjacent, ModelKind::MultiBitRandom] {
-            let plan = ModelPlan::new(&p, kind, &c);
-            let shard = plan.run_range(&p, &c, 0, c.faults, &|| false);
-            for r in &shard.records {
-                if r.outcome == Outcome::ItrSdcR && r.fault.active_recovery_sound() {
-                    let (golden, itr) = (plan.golden(), c.itr);
-                    validate_active_recovery(&p, &r.fault, r.outcome, golden, itr, c.window_cycles)
-                        .unwrap_or_else(|e| panic!("{}: {e}", kind.label()));
-                    validated += 1;
-                }
-            }
-        }
-        assert!(validated > 0, "no recoverable transient instances sampled");
     }
 
     #[test]

@@ -360,20 +360,7 @@ impl RegressionCase {
     /// Replays the case under its recorded budgets. Returns the finding
     /// when the failure still reproduces, `None` once fixed.
     pub fn reproduces(&self) -> Option<Finding> {
-        match (self.kind, self.fault) {
-            (OracleKind::FaultConsistency, Some(fault)) => {
-                oracle::replay_fault(&self.case, fault, &self.config)
-            }
-            _ => {
-                // Fault placement is irrelevant here; the RNG only
-                // drives oracle 3, which is disabled for this replay.
-                let mut rng = SplitMix64::new(0);
-                oracle::evaluate(&self.case, &self.config, false, &mut rng)
-                    .findings
-                    .into_iter()
-                    .find(|f| f.kind == self.kind)
-            }
-        }
+        oracle::replay(&self.case, self.kind, self.fault, &self.config)
     }
 }
 

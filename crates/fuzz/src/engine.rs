@@ -215,16 +215,8 @@ impl FuzzOutcome {
 
 /// Shrinks one finding down to a minimal reproducer.
 fn shrink_finding(case: &FuzzCase, finding: &oracle::Finding, cfg: &FuzzConfig) -> RegressionCase {
-    let ocfg = cfg.oracle.clone();
-    let mut reproduces: Box<dyn FnMut(&FuzzCase) -> bool> = match (finding.kind, finding.fault) {
-        (OracleKind::FaultConsistency, Some(fault)) => {
-            Box::new(move |c| oracle::replay_fault(c, fault, &ocfg).is_some())
-        }
-        (kind, _) => Box::new(move |c| {
-            let mut rng = SplitMix64::new(0);
-            oracle::evaluate(c, &ocfg, false, &mut rng).findings.iter().any(|f| f.kind == kind)
-        }),
-    };
+    let mut reproduces =
+        |c: &FuzzCase| oracle::replay(c, finding.kind, finding.fault, &cfg.oracle).is_some();
     let small = shrink(case, cfg.shrink_budget, &mut reproduces);
     RegressionCase::new(small, finding, cfg.oracle.clone())
 }

@@ -62,7 +62,7 @@ pub use coverage::{CoverageMap, MAP_SIZE};
 pub use diag::{first_divergence, Divergence};
 pub use directed::{directed_mutate, BranchGoal, DirectedPlan, GAP_LENS};
 pub use engine::{run, FuzzConfig, FuzzOutcome, FuzzStats, Fuzzer, STATS_SCHEMA};
-pub use oracle::{evaluate, replay_fault, Evaluation, Finding, OracleConfig, OracleKind};
+pub use oracle::{evaluate, replay, Evaluation, Finding, OracleConfig, OracleKind};
 pub use schedule::{PowerSchedule, Schedule};
 pub use server::{serve, ServeConfig, SERVE_SCHEMA};
 pub use shrink::{shrink, DEFAULT_BUDGET};

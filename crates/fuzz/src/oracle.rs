@@ -12,8 +12,7 @@
 //! 3. **Fault consistency** — injecting a decode-signal fault through
 //!    `itr-faults` and classifying it in passive mode must agree with
 //!    architectural ground truth: a mask verdict cannot coexist with an
-//!    observed SDC or deadlock, and active-mode recovery must uphold
-//!    the verdict's recovery claim.
+//!    observed SDC or deadlock.
 //! 4. **Static subset** — every dynamically formed trace must belong to
 //!    the static trace universe `itr-analyze` enumerates, with a
 //!    matching signature and length. A violation means either the
@@ -22,10 +21,10 @@
 //!    active-mode prediction versus what the `itr-recover` engine
 //!    actually did: the sound invariant subset
 //!    ([`itr_recover::sound_violation`]) must hold for every injected
-//!    transient fault. This re-widens the cross-mode checks oracle 3
-//!    had to narrow — instead of *predicting* recovery from passive
-//!    bits, the engine rolls back and re-executes, so
-//!    predicted-vs-actual is checkable without heuristics.
+//!    transient fault. Instead of *predicting* recovery from passive
+//!    bits, the engine runs active mode, rolls back and re-executes, so
+//!    predicted-vs-actual is checkable without heuristics. It is the
+//!    one active-mode run of a fault.
 //!
 //! Alongside verdicts the oracles emit the coverage features the engine
 //! feeds its novelty map.
@@ -39,10 +38,7 @@ use crate::case::FuzzCase;
 use crate::coverage;
 use crate::diag;
 use itr_core::{ItrConfig, ItrMode, TraceBuilder, TraceRecord};
-use itr_faults::{
-    classify, clean_signatures, observe_fault, validate_active_recovery, FaultModel, ModelKind,
-    Outcome,
-};
+use itr_faults::{classify, clean_signatures, observe_fault, FaultModel, ModelKind, Outcome};
 use itr_isa::{Program, SignalFlags};
 use itr_recover::{run_recovery, sound_violation, GoldenRun, RecoverConfig};
 use itr_sim::{
@@ -430,27 +426,20 @@ fn check_static_subset(
 /// consistency oracle, returning the classified outcome and a finding
 /// when the verdict contradicts the architectural ground truth.
 ///
-/// Two sound checks only (early fuzzing surfaced that the broader
-/// cross-mode predictions are heuristic, not invariant):
+/// One sound check: a mask-claiming verdict (`*Mask`) must not coexist
+/// with an observed SDC or deadlock — the classifier derives the verdict
+/// from exactly these observation bits, so a contradiction means the
+/// taxonomy itself is broken, however many times the fault struck.
 ///
-/// * a mask-claiming verdict (`*Mask`) must not coexist with an
-///   observed SDC or deadlock — the classifier derives the verdict from
-///   exactly these observation bits, so a contradiction means the
-///   taxonomy itself is broken, however many times the fault struck;
-/// * an [`Outcome::ItrSdcR`] verdict (faulty *accessor*, clean cached
-///   signature) must actually recover in active mode: the retry
-///   re-decodes cleanly and re-checks against the clean cached line, so
-///   divergence or a machine check is a real bug. Applied only when
-///   [`FaultModel::active_recovery_sound`] holds (transient models):
-///   persistent and intermittent models re-strike during the retry
-///   window, so checking them would manufacture false findings.
-///
-/// The remaining detected outcomes have no sound active-mode
-/// prediction. `ItrMask` cannot see which side of the mismatch was
-/// faulty: a masked fault whose faulty instance *recorded* the
-/// signature machine-checks in active mode (a spurious DUE inherent to
-/// the scheme, not a bug). `ItrSdcD`'s machine-check prediction can be
-/// rescued by an eviction between the retry flush and the refetch
+/// What the verdict predicts about active mode is oracle 5's to check,
+/// on the recovery engine's run of the same fault
+/// ([`itr_recover::sound_violation`]): an [`Outcome::ItrSdcR`] verdict
+/// must finish clean (INV2). The remaining detected outcomes have no
+/// sound active-mode prediction. `ItrMask` cannot see which side of the
+/// mismatch was faulty: a masked fault whose faulty instance *recorded*
+/// the signature machine-checks in active mode (a spurious DUE inherent
+/// to the scheme, not a bug). `ItrSdcD`'s machine-check prediction can
+/// be rescued by an eviction between the retry flush and the refetch
 /// (miss → clean re-record → clean finish). `ItrWdogR` inherits both
 /// ambiguities.
 fn check_one_fault(
@@ -463,30 +452,20 @@ fn check_one_fault(
     let passive = ItrConfig { mode: ItrMode::Passive, ..ItrConfig::paper_default() };
     let (obs, _report) = observe_fault(program, model, golden, passive, cfg.window_cycles);
     let outcome = classify(&obs, clean_sigs);
-    // The detail names the fault, then what contradicts its verdict.
-    let finding = |contradiction: String| {
-        let subject = match model {
-            FaultModel::Seu(fault) => format!("fault {fault:?}"),
-            model => format!("model {model:?}"),
-        };
-        let detail = subject + &contradiction;
-        Finding { kind: OracleKind::FaultConsistency, detail, fault: replayable(model) }
-    };
     let claims_mask =
         matches!(outcome, Outcome::ItrMask | Outcome::MayItrMask | Outcome::UndetMask);
     if claims_mask && (obs.sdc || obs.deadlock) {
         let (sdc, deadlock) = (obs.sdc, obs.deadlock);
-        let contradiction =
-            format!(": classified {outcome:?} but observation shows sdc={sdc} deadlock={deadlock}");
-        return (outcome, Some(finding(contradiction)));
-    }
-    if outcome == Outcome::ItrSdcR && model.active_recovery_sound() {
-        let itr = ItrConfig::paper_default();
-        if let Err(e) =
-            validate_active_recovery(program, model, outcome, golden, itr, cfg.window_cycles)
-        {
-            return (outcome, Some(finding(format!(" classified {outcome:?}: {e}"))));
-        }
+        let subject = match model {
+            FaultModel::Seu(fault) => format!("fault {fault:?}"),
+            model => format!("model {model:?}"),
+        };
+        let detail = format!(
+            "{subject}: classified {outcome:?} but observation shows sdc={sdc} deadlock={deadlock}"
+        );
+        let finding =
+            Finding { kind: OracleKind::FaultConsistency, detail, fault: replayable(model) };
+        return (outcome, Some(finding));
     }
     (outcome, None)
 }
@@ -501,30 +480,39 @@ fn replayable(model: &FaultModel) -> Option<DecodeFault> {
     }
 }
 
-/// Oracle 5: the checkpoint/rollback engine's *actual* outcome versus
-/// the sound invariant subset of the passive verdict's active-mode
-/// prediction ([`itr_recover::sound_violation`]).
+/// Oracles 3 and 5 on one fault: the passive verdict's consistency,
+/// then — for a model with [`FaultModel::active_recovery_sound`] — the
+/// checkpoint/rollback engine's *actual* outcome versus the sound
+/// invariant subset of the verdict's active-mode prediction
+/// ([`itr_recover::sound_violation`]). `salt` offsets the outcome
+/// feature, so sampled models light features apart from plain SEUs.
 ///
-/// This is the re-widened form of the cross-mode checks oracle 3 had to
-/// narrow: instead of predicting what active mode *would* do from
-/// passive observation bits, the recovery engine runs active mode, rolls
-/// back on detection and classifies against the architectural golden
-/// run — so predicted-vs-actual becomes checkable without heuristics.
 /// Soundness preconditions (transient model, complete golden run, no
-/// context switches) are the caller's responsibility: `check_faults`
-/// only runs on halting cases and gates models on
-/// [`FaultModel::active_recovery_sound`].
-fn check_recovery(
+/// context switches) are the callers' responsibility: both only run on
+/// halting cases.
+fn check_fault(
     program: &Program,
-    passive: Outcome,
-    model: &FaultModel,
     grun: &GoldenRun,
-    rcfg: &RecoverConfig,
+    clean_sigs: &HashMap<u64, u64>,
+    model: &FaultModel,
+    salt: u32,
+    cfg: &OracleConfig,
     out: &mut Evaluation,
 ) {
-    let run = run_recovery(program, model, grun, rcfg);
+    let (outcome, finding) = check_one_fault(program, &grun.records, clean_sigs, model, cfg);
+    out.features.push(coverage::outcome_feature(outcome).wrapping_add(salt));
+    out.findings.extend(finding);
+    if !model.active_recovery_sound() {
+        return;
+    }
+    let rcfg = RecoverConfig {
+        checkpoint_min_gap: 0,
+        max_cycles: cfg.max_cycles(),
+        ..RecoverConfig::default()
+    };
+    let run = run_recovery(program, model, grun, &rcfg);
     out.features.push(coverage::recovery_feature(run.actual));
-    if let Some(v) = sound_violation(passive, &run) {
+    if let Some(v) = sound_violation(outcome, &run) {
         out.findings.push(Finding {
             kind: OracleKind::RecoveryGroundTruth,
             detail: format!("model {model:?}: {v}"),
@@ -547,51 +535,67 @@ fn check_faults(
 ) {
     let clean_sigs = clean_signatures(&exec);
     let grun = GoldenRun::from(exec);
-    let golden = grun.records.as_slice();
-    let rcfg = RecoverConfig {
-        checkpoint_min_gap: 0,
-        max_cycles: cfg.max_cycles(),
-        ..RecoverConfig::default()
-    };
+    let len = grun.records.len() as u64;
     for _ in 0..cfg.fault_count {
-        let fault = DecodeFault {
-            nth_decode: rng.gen_range(2..golden.len() as u64),
-            bit: rng.gen_range(0u32..64),
-        };
-        let seu = FaultModel::Seu(fault);
-        let (outcome, finding) = check_one_fault(program, golden, &clean_sigs, &seu, cfg);
-        out.features.push(coverage::outcome_feature(outcome));
-        out.findings.extend(finding);
-        check_recovery(program, outcome, &seu, &grun, &rcfg, out);
+        let fault = DecodeFault { nth_decode: rng.gen_range(2..len), bit: rng.gen_range(0u32..64) };
+        check_fault(program, &grun, &clean_sigs, &FaultModel::Seu(fault), 0, cfg, out);
     }
     let kind = ModelKind::ALL[rng.gen_range(0..ModelKind::ALL.len())];
-    let model = FaultModel::sample(kind, rng, 2, golden.len() as u64);
-    let (outcome, finding) = check_one_fault(program, golden, &clean_sigs, &model, cfg);
-    out.features.push(coverage::outcome_feature(outcome).wrapping_add(kind as u32 + 1));
-    out.findings.extend(finding);
-    if model.active_recovery_sound() {
-        check_recovery(program, outcome, &model, &grun, &rcfg, out);
-    }
+    let model = FaultModel::sample(kind, rng, 2, len);
+    check_fault(program, &grun, &clean_sigs, &model, kind as u32 + 1, cfg, out);
 }
 
-/// Replays exactly one fault against the consistency oracle — the
-/// regression-replay path for persisted fault-consistency findings.
-/// Returns the finding when it still reproduces.
-///
-/// Sound only when the fault-free program halts within budget: a
-/// complete golden stream is the architectural ground truth (commits
-/// past its end count as SDC) and its trace stream enumerates every
-/// clean-path signature. Non-halting cases return `None`, which also
-/// keeps the shrinker from minimizing a finding out of the sound
-/// regime.
-pub fn replay_fault(case: &FuzzCase, fault: DecodeFault, cfg: &OracleConfig) -> Option<Finding> {
+/// Oracles 3 and 5 on exactly one SEU of `case`: its passive check and
+/// its one recovery run, recorded once. `None` when the fault-free
+/// program does not halt within budget: a complete golden stream is the
+/// architectural ground truth (commits past its end count as SDC) and
+/// its trace stream enumerates every clean-path signature, so outside
+/// that regime a verdict is unsound — which also keeps the shrinker from
+/// minimizing a finding out of it.
+fn evaluate_fault(case: &FuzzCase, fault: DecodeFault, cfg: &OracleConfig) -> Option<Evaluation> {
     let program = case.program();
     let exec = Execution::record(&program, cfg.max_instrs);
     if exec.stop != StopReason::Halted || exec.records.len() < 3 {
         return None;
     }
-    let seu = FaultModel::Seu(fault);
-    check_one_fault(&program, &exec.records, &clean_signatures(&exec), &seu, cfg).1
+    let clean_sigs = clean_signatures(&exec);
+    let grun = GoldenRun::from(exec);
+    let mut out = Evaluation::default();
+    check_fault(&program, &grun, &clean_sigs, &FaultModel::Seu(fault), 0, cfg, &mut out);
+    Some(out)
+}
+
+/// Replays one persisted finding of oracle `kind` on `case` under `cfg`
+/// — the path of regression replay and of the shrinker. Returns the
+/// finding when it still reproduces, `None` once fixed.
+///
+/// A finding of either fault oracle that carries its SEU replays that
+/// one fault: its passive check and its one recovery run, on a fresh
+/// recording of the case. Every other finding replays through
+/// [`evaluate`] without the fault oracles, so a fault-model finding
+/// (`fault: None`, the model quoted only in its detail) never
+/// reproduces: model findings are not replayable.
+pub fn replay(
+    case: &FuzzCase,
+    kind: OracleKind,
+    fault: Option<DecodeFault>,
+    cfg: &OracleConfig,
+) -> Option<Finding> {
+    let findings = match replayed_fault(kind, fault) {
+        Some(fault) => evaluate_fault(case, fault, cfg)?.findings,
+        // Fault placement is irrelevant here; the RNG only drives the
+        // fault oracles, which are disabled for this replay.
+        None => evaluate(case, cfg, false, &mut SplitMix64::new(0)).findings,
+    };
+    findings.into_iter().find(|f| f.kind == kind)
+}
+
+/// The SEU a finding of oracle `kind` carrying `fault` replays on its
+/// own: that of a fault-consistency or recovery-ground-truth finding.
+fn replayed_fault(kind: OracleKind, fault: Option<DecodeFault>) -> Option<DecodeFault> {
+    let fault_oracle =
+        matches!(kind, OracleKind::FaultConsistency | OracleKind::RecoveryGroundTruth);
+    fault.filter(|_| fault_oracle)
 }
 
 /// Evaluates one case against the oracles.
@@ -702,8 +706,8 @@ mod tests {
     fn every_fault_model_kind_is_oracle_sound() {
         // Each extended model kind, sampled over a halting generated
         // program, must classify without contradicting the architectural
-        // observation — the always-sound half of the consistency oracle,
-        // plus the active-recovery half where the model is transient.
+        // observation — the consistency oracle — and, where the model is
+        // transient, hold the recovery engine's sound invariants.
         let cfg = OracleConfig::default();
         let mut gen_rng = SplitMix64::new(11);
         let (program, exec) = loop {
@@ -713,21 +717,45 @@ mod tests {
                 break (program, exec);
             }
         };
-        let (golden, clean_sigs) = (&exec.records, clean_signatures(&exec));
+        let clean_sigs = clean_signatures(&exec);
+        let grun = GoldenRun::from(exec);
         let mut rng = SplitMix64::new(0xE21);
         for kind in ModelKind::ALL {
             for _ in 0..3 {
-                let model = FaultModel::sample(kind, &mut rng, 2, golden.len() as u64);
-                let (outcome, finding) =
-                    check_one_fault(&program, golden, &clean_sigs, &model, &cfg);
-                assert!(
-                    finding.is_none(),
-                    "{}: {model:?} -> {outcome:?}: {:?}",
-                    kind.label(),
-                    finding.map(|f| f.detail)
-                );
+                let model = FaultModel::sample(kind, &mut rng, 2, grun.records.len() as u64);
+                let mut out = Evaluation::default();
+                check_fault(&program, &grun, &clean_sigs, &model, 0, &cfg, &mut out);
+                let details: Vec<_> = out.findings.iter().map(|f| &f.detail).collect();
+                assert!(details.is_empty(), "{}: {model:?}: {details:?}", kind.label());
             }
         }
+    }
+
+    #[test]
+    fn seu_findings_of_both_fault_oracles_replay_through_the_recovery_run() {
+        let fault = DecodeFault { nth_decode: 10, bit: 12 };
+        for kind in [OracleKind::FaultConsistency, OracleKind::RecoveryGroundTruth] {
+            assert_eq!(replayed_fault(kind, Some(fault)), Some(fault), "{}", kind.label());
+            assert_eq!(replayed_fault(kind, None), None, "model findings are not replayable");
+        }
+        assert_eq!(replayed_fault(OracleKind::CommitEquivalence, Some(fault)), None);
+
+        // The one-fault replay runs the passive check and the recovery
+        // engine, exactly as `check_faults` does for that SEU.
+        let cfg = OracleConfig::default();
+        let mut gen_rng = SplitMix64::new(11);
+        let case = loop {
+            let case = gen::generate(&mut gen_rng, 48);
+            let exec = Execution::record(&case.program(), cfg.max_instrs);
+            if exec.stop == StopReason::Halted && exec.records.len() >= 20 {
+                break case;
+            }
+        };
+        let eval = evaluate_fault(&case, fault, &cfg).expect("the case halts");
+        let recovery = itr_recover::ActualOutcome::ALL.map(coverage::recovery_feature);
+        assert_eq!(eval.features.len(), 2, "one outcome and one recovery feature");
+        assert!(recovery.contains(&eval.features[1]), "{:?}", eval.features);
+        assert!(replay(&case, OracleKind::RecoveryGroundTruth, Some(fault), &cfg).is_none());
     }
 
     #[test]

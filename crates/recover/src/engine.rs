@@ -9,9 +9,12 @@
 //!    enabled; every checkpoint it takes is logged as a
 //!    [`CheckpointRecord`] (commit count + escaped-output length).
 //! 2. On a machine check (or a watchdog deadlock), the engine picks the
-//!    last logged checkpoint, reconstructs its architectural snapshot by
-//!    replaying the committed prefix it covers ([`itr_sim::snapshot_at`]),
-//!    and resumes a functional execution from it.
+//!    last logged checkpoint. When the faulty run's commits up to it
+//!    equal the golden run's (the [`itr_faults::Lockstep`] the run is
+//!    driven by records its first divergence), it reconstructs the
+//!    checkpoint's architectural snapshot by replaying that golden
+//!    prefix ([`itr_sim::snapshot_at`]) and resumes a functional
+//!    execution from it.
 //! 3. The resumed run must reproduce the golden commit stream from the
 //!    checkpoint onward, and the combined output (escaped prefix +
 //!    re-executed suffix) must equal the golden output. Output that
@@ -49,14 +52,14 @@
 
 use crate::outcome::ActualOutcome;
 use itr_core::{ItrConfig, ItrMode};
-use itr_faults::{FaultModel, Outcome};
+use itr_faults::{FaultModel, Lockstep, Outcome};
 use itr_isa::Program;
 use itr_sim::{
     snapshot_at, CommitRecord, Execution, FuncSim, Pipeline, PipelineConfig, RunExit, StopReason,
 };
 
 /// Commits a faulty run may make beyond the golden length before the
-/// engine declares divergence and stops collecting.
+/// engine declares divergence and stops it.
 const RECORD_SLACK: usize = 64;
 
 /// Default bounded-wait age window, in ITR cache events (probes +
@@ -193,10 +196,10 @@ pub fn run_recovery_with_switches(
     drive(program, model, golden, cfg, Some(switch_cycles))
 }
 
-/// Runs the faulty pipeline to its terminal state, collecting its
-/// commits — in `switch_cycles` quanta with the ITR cache invalidated
-/// between them when given, else in one stretch — and classifies the
-/// true outcome.
+/// Runs the faulty pipeline in lockstep with the golden stream to its
+/// terminal state — in `switch_cycles` quanta with the ITR cache
+/// invalidated between them when given, else in one stretch — and
+/// classifies the true outcome.
 fn drive(
     program: &Program,
     model: &FaultModel,
@@ -204,23 +207,21 @@ fn drive(
     cfg: &RecoverConfig,
     switch_cycles: Option<u64>,
 ) -> RecoveryRun {
-    let mut pipe = Pipeline::new(program, active_config(model, cfg));
+    let mut faulty =
+        Lockstep::new(Pipeline::new(program, active_config(model, cfg)), &golden.records);
     let cap = golden.records.len() + RECORD_SLACK;
-    let mut records: Vec<CommitRecord> = Vec::new();
     let exit = loop {
-        let budget =
-            switch_cycles.map_or(cfg.max_cycles, |q| (pipe.cycle() + q).min(cfg.max_cycles));
-        let exit = pipe.run_with(budget, |r| {
-            records.push(*r);
-            records.len() < cap
-        });
-        if exit != RunExit::CycleLimit || pipe.cycle() >= cfg.max_cycles {
+        let cycle = faulty.pipeline().cycle();
+        let budget = switch_cycles.map_or(cfg.max_cycles, |q| (cycle + q).min(cfg.max_cycles));
+        let exit = faulty.run_until(budget, cap);
+        if exit != RunExit::CycleLimit || faulty.pipeline().cycle() >= cfg.max_cycles {
             break exit;
         }
-        if let Some(unit) = pipe.itr_mut() {
+        if let Some(unit) = faulty.pipeline_mut().itr_mut() {
             unit.cache_mut().invalidate_all();
         }
     };
+    let pipe = faulty.pipeline();
     let mut run = RecoveryRun {
         actual: ActualOutcome::Hung,
         detected: false,
@@ -229,17 +230,18 @@ fn drive(
         rollback_distance: 0,
         checkpoints_taken: pipe.checkpointer().checkpoints_taken(),
         opportunities: pipe.checkpointer().opportunities(),
-        committed: records.len() as u64,
+        committed: faulty.commits() as u64,
         prefix_clean: None,
     };
     match exit {
         RunExit::Halted | RunExit::Aborted(_) | RunExit::Stopped => {
-            // `Stopped` means the record cap fired: the run already
+            // `Stopped` means the commit cap fired: the run already
             // committed more than the golden run plus slack, which the
-            // equality below classifies as divergence.
+            // length check below classifies as divergence.
             let clean = exit == RunExit::Halted
                 && golden.halted
-                && records == golden.records
+                && faulty.first_divergence().is_none()
+                && faulty.commits() == golden.records.len()
                 && pipe.output() == golden.output;
             run.actual =
                 if clean { ActualOutcome::FinishedClean } else { ActualOutcome::FinishedSdc };
@@ -247,7 +249,7 @@ fn drive(
         RunExit::CycleLimit => run.actual = ActualOutcome::Hung,
         RunExit::MachineCheck { .. } | RunExit::Deadlock => {
             run.detected = true;
-            run.actual = rollback(program, golden, &pipe, &records, &mut run);
+            run.actual = rollback(program, golden, &faulty, &mut run);
         }
     }
     run
@@ -258,39 +260,33 @@ fn drive(
 fn rollback(
     program: &Program,
     golden: &GoldenRun,
-    pipe: &Pipeline,
-    records: &[CommitRecord],
+    faulty: &Lockstep<'_>,
     run: &mut RecoveryRun,
 ) -> ActualOutcome {
+    let pipe = faulty.pipeline();
     let Some(ck) = pipe.checkpoint_log().last().copied() else {
         return ActualOutcome::Fatal;
     };
     let at = ck.committed as usize;
-    assert!(at <= records.len(), "checkpoints only cover committed records");
+    assert!(at <= faulty.commits(), "checkpoints only cover committed records");
     run.rolled_back = true;
     run.checkpoint_at = Some(ck.committed);
-    run.rollback_distance = records.len() as u64 - ck.committed;
-    let prefix_clean = at <= golden.records.len() && records[..at] == golden.records[..at];
+    run.rollback_distance = (faulty.commits() - at) as u64;
+    let prefix_clean =
+        at <= golden.records.len() && faulty.first_divergence().is_none_or(|d| d >= at);
     run.prefix_clean = Some(prefix_clean);
     if !prefix_clean {
         return ActualOutcome::RollbackSdc;
     }
 
-    // Re-execute from the checkpoint and demand the exact golden suffix.
-    let snap = snapshot_at(program, &records[..at]);
+    // Re-execute from the checkpoint — whose committed prefix is the
+    // golden one — and demand the exact golden suffix.
+    let snap = snapshot_at(program, &golden.records[..at]);
     let mut resumed = FuncSim::from_snapshot(program, &snap);
     let need = (golden.records.len() - at) as u64;
     let (suffix, stop) = resumed.run_collect(need + RECORD_SLACK as u64);
-    let output_ok = pipe
-        .output()
-        .as_bytes()
-        .get(..ck.output_len)
-        .is_some_and(|escaped| golden.output.as_bytes().starts_with(escaped))
-        && format!(
-            "{}{}",
-            &pipe.output()[..ck.output_len.min(pipe.output().len())],
-            resumed.output()
-        ) == golden.output;
+    let output_ok = pipe.output().get(..ck.output_len).and_then(|e| golden.output.strip_prefix(e))
+        == Some(resumed.output());
     let recovered = suffix == golden.records[at..]
         && (stop == StopReason::Halted) == golden.halted
         && output_ok;
@@ -353,6 +349,7 @@ pub fn sound_violation(passive: Outcome, run: &RecoveryRun) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::outcome::{confirms, prediction};
     use itr_faults::{CampaignConfig, ModelKind, ModelPlan};
     use itr_isa::asm::assemble;
     use itr_sim::DecodeFault;
@@ -410,6 +407,64 @@ mod tests {
         }
         // The invariants must have had real rollbacks to bite on.
         assert!(rollbacks > 0, "120 early SEUs on crc32 include committed detections");
+    }
+
+    #[test]
+    fn active_mode_predictions_hold_for_every_itr_outcome() {
+        // Every ITR-detected verdict of a small fib campaign predicts an
+        // active-mode outcome; the engine's ground truth must confirm it.
+        let p = assemble(kernels::FIB.source).unwrap();
+        let ccfg = CampaignConfig {
+            faults: 50,
+            window_cycles: 20_000,
+            min_decode: 20,
+            max_decode: 2_000,
+            seed: 1,
+            ..CampaignConfig::default()
+        };
+        let golden = golden_for(&p);
+        let rcfg = small_cfg();
+        let plan = ModelPlan::new(&p, ModelKind::Seu, &ccfg);
+        let mut confirmed = 0;
+        for r in plan.run_range(&p, &ccfg, 0, ccfg.faults, &|| false).records {
+            let Some(pred) = prediction(r.outcome) else { continue };
+            let run = run_recovery(&p, &r.fault, &golden, &rcfg);
+            assert!(confirms(pred, run.actual), "{:?} (passive {}): {run:?}", r.fault, r.outcome);
+            confirmed += 1;
+        }
+        assert!(confirmed > 20, "only {confirmed} ITR-detected faults to confirm");
+    }
+
+    #[test]
+    fn transient_recoverable_instances_validate_in_active_mode() {
+        // A transient model's ITR+SDC+R verdict predicts that the retry
+        // recovers: the engine's run must hold every sound invariant.
+        let p = assemble(kernels::SUM_LOOP.source).unwrap();
+        let ccfg = CampaignConfig {
+            faults: 30,
+            window_cycles: 20_000,
+            min_decode: 20,
+            max_decode: 2_000,
+            seed: 7,
+            ..CampaignConfig::default()
+        };
+        let golden = golden_for(&p);
+        let rcfg = small_cfg();
+        let mut validated = 0;
+        for kind in [ModelKind::Seu, ModelKind::MultiBitAdjacent, ModelKind::MultiBitRandom] {
+            let plan = ModelPlan::new(&p, kind, &ccfg);
+            for r in plan.run_range(&p, &ccfg, 0, ccfg.faults, &|| false).records {
+                if r.outcome != Outcome::ItrSdcR {
+                    continue;
+                }
+                let run = run_recovery(&p, &r.fault, &golden, &rcfg);
+                if let Some(v) = sound_violation(r.outcome, &run) {
+                    panic!("{}: {:?}: {v}", kind.label(), r.fault);
+                }
+                validated += 1;
+            }
+        }
+        assert!(validated > 0, "no recoverable transient instances sampled");
     }
 
     #[test]

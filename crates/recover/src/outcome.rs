@@ -95,8 +95,9 @@ pub enum Prediction {
 /// The active-mode prediction the passive taxonomy makes for `outcome`,
 /// if any. This is the heuristic the ground-truth engine confirms or
 /// corrects: only `ItrSdcR` (for transient faults) is sound in every
-/// corner case — see [`itr_faults::validate_active_recovery`], which
-/// refuses faults that can re-strike the retry.
+/// corner case — [`crate::sound_violation`]'s INV2, gated on
+/// [`itr_faults::FaultModel::active_recovery_sound`] because a fault
+/// that re-strikes the retry can defeat it.
 pub fn prediction(outcome: Outcome) -> Option<Prediction> {
     match outcome {
         Outcome::ItrSdcR | Outcome::ItrMask | Outcome::ItrWdogR => Some(Prediction::FinishesClean),
