@@ -5,7 +5,9 @@
 //! architectural snapshots replayed from a recorded prefix and the gap
 //! observations. The fault campaigns' plans, which derive their golden
 //! stream and clean map from a recording, are held to the same live
-//! sources.
+//! sources. The decode stream itself is pinned by a digest, so a change
+//! to recorded PCs or decode signals fails here even when every consumer
+//! moves with it.
 
 #![allow(clippy::unwrap_used)] // test code: panicking on broken expectations is the point
 
@@ -16,6 +18,7 @@ use itr::fuzz::{gen, seed_corpus, OracleConfig, GAP_LENS};
 use itr::isa::asm::assemble;
 use itr::isa::{decode, Program, SignalFlags, DATA_BASE};
 use itr::sim::{snapshot_at, Execution, FuncSim, StopReason, TraceStream};
+use itr::stats::json::Value;
 use itr::stats::SplitMix64;
 use itr::workloads::{generate_mimic_sized, profiles, suite};
 use itr_recover::GoldenRun;
@@ -225,4 +228,34 @@ fn gap_observations_equal_live_counter_fold() {
             );
         }
     }
+}
+
+/// FNV-1a over the little-endian bytes of `(pc, packed signals)` pairs.
+fn decode_digest(pairs: impl IntoIterator<Item = (u64, u64)>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for (pc, signals) in pairs {
+        for b in pc.to_le_bytes().into_iter().chain(signals.to_le_bytes()) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The recorded decode stream of sum_loop (mimic seed 7, 8k
+/// instructions, a 100k-instruction budget), pinned by digest.
+#[test]
+fn decode_stream_matches_pinned_digest() {
+    let w = suite::by_name("sum_loop", 7, 8_000).unwrap();
+    let exec = Execution::record(&w.program, 100_000);
+    let digest = decode_digest(exec.decodes().map(|(pc, s)| (pc, s.pack())));
+    assert_eq!(digest, 0x7629_92b6_bf9b_0c2e, "sum_loop decode stream moved");
+
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden_tap.json");
+    let golden = Value::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let events = golden.get("events").and_then(Value::as_array).unwrap();
+    let dispatches =
+        events.iter().filter(|e| e.get("e").and_then(Value::as_str) == Some("dispatch"));
+    let field = |e: &Value, name: &str| e.get(name).and_then(Value::as_u64).unwrap();
+    let tap = decode_digest(dispatches.map(|e| (field(e, "pc"), field(e, "sig"))));
+    assert_eq!(digest, tap, "decode stream differs from golden_tap.json's dispatch events");
 }
