@@ -5,12 +5,10 @@
 use super::{
     data_payload, emit_payload, get_arr, get_f64, get_str, get_u64, obj, Csv, Emitted, Scale,
 };
-use itr_core::{
-    fan_out_records, Associativity, CoverageModel, ItrCacheConfig, TraceRecord, TraceReplay,
-};
+use itr_core::{fan_out_records, Associativity, CoverageModel, ItrCacheConfig, TraceRecord};
 use itr_harness::{JobSpec, Registry, ShardSpec};
 use itr_power::{energy_per_access_nj, ITR_CACHE_1024X2, POWER4_ICACHE};
-use itr_sim::record_tap;
+use itr_sim::Execution;
 use itr_stats::json::Value;
 use itr_workloads::{generate_mimic_sized, profiles, SpecProfile};
 use std::collections::BTreeSet;
@@ -162,24 +160,21 @@ pub fn checked_bit_unit(
 
 /// Ablation 2 for one benchmark.
 ///
-/// The program is simulated **once**: the recorded `itr-tap/v1`
-/// dispatch stream re-segments under each trace-length limit through
-/// [`TraceReplay`], replacing the per-limit functional re-simulation
-/// (the trace stream under any limit is a pure function of the dispatch
-/// sequence, which the limit does not affect).
+/// The program is simulated **once** ([`Execution::record`]); each
+/// trace-length limit re-forms traces from the recorded decode stream
+/// ([`Execution::traces`]) instead of re-simulating (the trace stream
+/// under any limit is a pure function of the decode stream, which the
+/// limit does not affect).
 pub fn trace_len_unit(profile: SpecProfile, seed: u64, program_instrs: u64) -> AblationUnit {
     let program = generate_mimic_sized(profile, seed, program_instrs);
-    let tap = record_tap(&program, profile.name, program_instrs);
+    let exec = Execution::record(&program, program_instrs);
     let mut points = Vec::new();
     for limit in [8u32, 16, 32] {
         let mut statics: BTreeSet<u64> = BTreeSet::new();
         let mut model = CoverageModel::new(ItrCacheConfig::new(1024, Associativity::Ways(2)));
-        let mut replay = TraceReplay::new(limit);
-        for (pc, sig, extra) in tap.dispatches() {
-            if let Some(t) = replay.push(pc, sig, extra) {
-                statics.insert(t.start_pc);
-                model.observe(&t);
-            }
+        for t in exec.traces(program_instrs, limit) {
+            statics.insert(t.start_pc);
+            model.observe(&t);
         }
         let r = model.report();
         points.push((

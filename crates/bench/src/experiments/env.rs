@@ -5,7 +5,7 @@
 //! * **env-interleave** — one shard per schedule point (switch policy ×
 //!   preemption × quantum). The program set is recorded **once** when
 //!   the job plans its shards; every shard replays the same recordings
-//!   through its own shared ITR unit — the `itr-tap/v1` fan-out
+//!   through its own shared ITR unit — the coverage sweeps' fan-out
 //!   economics applied to OS scheduling instead of cache geometry.
 //! * **env-faultmodels** — one shard per [`ModelKind`]: a sampled
 //!   campaign of that model over a mimic workload, classified through
@@ -146,7 +146,7 @@ pub fn render_env(
     );
     let _ = writeln!(
         text,
-        "({} dispatches per schedule; each program recorded once via itr-tap/v1,\n\
+        "({} dispatches per schedule; each program recorded once as an Execution,\n\
          every schedule point replays the same recordings)\n",
         budget
     );

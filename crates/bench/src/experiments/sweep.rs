@@ -1,23 +1,20 @@
 //! The design-space sweep: one functional simulation per workload fans
-//! out — via the `itr-tap/v1` record/replay path — to every point of a
-//! 1056-geometry ITR-cache grid, and the emit job distils the grid into
-//! a coverage/energy/area Pareto front.
+//! out to every point of a 1056-geometry ITR-cache grid, and the emit
+//! job distils the grid into a coverage/energy/area Pareto front.
 //!
 //! The grid crosses trace-length limit × cache entries × associativity
 //! × replacement policy. Each workload is simulated **once** per run
-//! ([`record_tap`]); each trace-length limit re-segments the recorded
-//! dispatch stream through [`TraceReplay`], and [`fan_out_records`]
-//! drives all 96 cache geometries of that limit in a single pass over
-//! the records. A direct implementation would re-simulate each workload
-//! 1056 times; the tap path re-simulates it zero times.
+//! ([`Execution::record`]); each trace-length limit re-forms traces
+//! from the recorded decode stream ([`Execution::traces`]), and
+//! [`fan_out_records`] drives all 96 cache geometries of that limit in
+//! a single pass over the records. A direct implementation would
+//! re-simulate each workload 1056 times; this one simulates it once.
 
 use super::{data_payload, emit_payload, get_arr, get_str, obj, Csv, Emitted, Scale};
-use itr_core::{
-    fan_out_records, Associativity, CoverageModel, ItrCacheConfig, TraceRecord, TraceReplay,
-};
+use itr_core::{fan_out_records, Associativity, CoverageModel, ItrCacheConfig};
 use itr_harness::{JobSpec, Registry, ShardSpec};
 use itr_power::{energy_per_access_nj, itr_cache_area_cm2, itr_cache_spec};
-use itr_sim::record_tap;
+use itr_sim::Execution;
 use itr_stats::json::Value;
 use itr_workloads::{generate_mimic_sized, profiles, SpecProfile};
 use std::fmt::Write as _;
@@ -137,19 +134,14 @@ impl SweepUnit {
 }
 
 /// Sweeps one workload — the compute shard body. Simulates the program
-/// once, then replays the tap stream into all 1056 grid points.
+/// once, then fans its traces at each length limit out to all 1056
+/// grid points.
 pub fn sweep_unit(profile: SpecProfile, seed: u64, program_instrs: u64) -> SweepUnit {
     let program = generate_mimic_sized(profile, seed, program_instrs);
-    let tap = record_tap(&program, profile.name, program_instrs);
+    let exec = Execution::record(&program, program_instrs);
     let mut counts = Vec::with_capacity(geometries().len());
     for &trace_len in &SWEEP_TRACE_LENS {
-        let mut replay = TraceReplay::new(trace_len);
-        let mut records: Vec<TraceRecord> = Vec::new();
-        for (pc, sig, extra) in tap.dispatches() {
-            if let Some(t) = replay.push(pc, sig, extra) {
-                records.push(t);
-            }
-        }
+        let records = exec.traces(program_instrs, trace_len);
         let mut models: Vec<CoverageModel> = Vec::new();
         for &entries in &SWEEP_ENTRIES {
             for assoc in SWEEP_ASSOCS {

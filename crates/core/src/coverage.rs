@@ -161,6 +161,20 @@ impl CoverageModel {
     }
 }
 
+/// Observes one committed-trace stream with many coverage models in a
+/// single pass. Each model sees exactly the sequence it would have seen
+/// driven alone, so its report is byte-identical.
+pub fn fan_out_records<'a, I>(stream: I, models: &mut [CoverageModel])
+where
+    I: IntoIterator<Item = &'a TraceRecord>,
+{
+    for trace in stream {
+        for model in models.iter_mut() {
+            model.observe(trace);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,5 +265,30 @@ mod tests {
             large.report().recovery_loss_pct() < small.report().recovery_loss_pct(),
             "1024 entries must beat 256 on a 600-trace working set"
         );
+    }
+
+    #[test]
+    fn fan_out_records_matches_sequential_observation() {
+        let records: Vec<TraceRecord> = (0..200u64)
+            .map(|i| TraceRecord { start_pc: 0x400 + (i % 7) * 64, signature: i * 13, len: 4 })
+            .collect();
+        let configs = [
+            ItrCacheConfig::new(4, Associativity::Direct),
+            ItrCacheConfig::new(16, Associativity::Ways(2)),
+        ];
+        let mut fanned: Vec<CoverageModel> =
+            configs.iter().map(|&c| CoverageModel::new(c)).collect();
+        fan_out_records(&records, &mut fanned);
+        for (i, &config) in configs.iter().enumerate() {
+            let mut direct = CoverageModel::new(config);
+            for t in &records {
+                direct.observe(t);
+            }
+            let mut a = Report::new();
+            let mut b = Report::new();
+            direct.export(&mut a);
+            fanned[i].export(&mut b);
+            assert_eq!(a.to_json(), b.to_json(), "config {i}");
+        }
     }
 }

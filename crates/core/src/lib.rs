@@ -32,10 +32,9 @@
 //! * [`Watchdog`] — the deadlock watchdog (`wdog`) used in §4,
 //! * [`CoverageModel`] — trace-stream evaluation of fault detection /
 //!   recovery coverage loss (§3, Figs. 6 and 7),
-//! * [`CoarseCheckpointer`] — the coarse-grain checkpointing hook of §2.3,
-//! * [`tap`] / [`replay`] — the `itr-tap/v1` decode-signal stream and
-//!   its replay engine: record one simulation, fan it out to N design
-//!   points with byte-identical results.
+//! * [`fan_out_records`] — one committed-trace stream observed by many
+//!   coverage models in a single pass (the design-space sweeps),
+//! * [`CoarseCheckpointer`] — the coarse-grain checkpointing hook of §2.3.
 //!
 //! ## Example
 //!
@@ -63,21 +62,17 @@ mod config;
 mod coverage;
 mod itr_cache;
 mod itr_rob;
-pub mod replay;
 mod signature;
 mod spc;
-pub mod tap;
 mod unit;
 mod watchdog;
 
 pub use checkpoint::CoarseCheckpointer;
 pub use config::{Associativity, ItrCacheConfig, ItrConfig, ItrMode};
-pub use coverage::{CoverageModel, CoverageReport};
+pub use coverage::{fan_out_records, CoverageModel, CoverageReport};
 pub use itr_cache::{CacheStats, Eviction, FlushSummary, ItrCache, ProbeResult};
 pub use itr_rob::{ControlState, ItrRob, ItrRobEntry, ItrRobFull, ItrRobIndex};
-pub use replay::{fan_out_records, replay_units, TapReplayer, TraceReplay};
 pub use signature::{FoldKind, SignatureGen, TraceBuilder, TraceRecord, MAX_TRACE_LEN};
 pub use spc::SequentialPcChecker;
-pub use tap::{TapEvent, TapStream, TAP_VERSION};
 pub use unit::{CommitAction, DispatchResult, ItrEvent, ItrSnapshot, ItrUnit, UnitStats};
 pub use watchdog::Watchdog;

@@ -6,10 +6,11 @@
 //! every context switch either flushes the cache (losing the detection
 //! coverage of unreferenced lines, §3's measure) or leaves it to be
 //! polluted by the next program's working set. This crate models that
-//! environment on top of the `itr-tap/v1` record/replay boundary:
+//! environment by replaying recorded functional runs:
 //!
-//! * [`ScenarioProgram`] — one functional recording per program,
-//!   relocated to its own PC region;
+//! * [`ScenarioProgram`] — one functional recording per program (the
+//!   decode stream of an `itr_sim::Execution`), relocated to its own PC
+//!   region;
 //! * [`run_scenario`] — a deterministic scheduler that interleaves the
 //!   recordings through one shared passive [`itr_core::ItrUnit`] under a
 //!   configurable [`Preemption`] schedule and [`SwitchPolicy`], with
@@ -20,8 +21,8 @@
 //!
 //! Because each program is recorded exactly once, a sweep over K
 //! schedules (quantum × preemption × policy) costs K cheap replays, not
-//! K pipeline simulations — the same fan-out economics `itr-tap/v1` was
-//! built for.
+//! K pipeline simulations — the same fan-out economics as the coverage
+//! sweeps.
 //!
 //! The richer fault models that complete the hostile-environment picture
 //! (multi-bit upsets, stuck-ats, intermittents, retry-window bursts)

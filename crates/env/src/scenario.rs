@@ -1,12 +1,12 @@
 //! The scenario scheduler: N recorded programs time-sliced through one
 //! shared ITR unit.
 //!
-//! Each program is recorded **once** as an `itr-tap/v1` dispatch stream
-//! ([`ScenarioProgram::record`]); the scheduler then replays arbitrary
-//! interleavings of those recordings against a shared [`ItrUnit`] and
-//! [`SequentialPcChecker`] — so a whole schedule sweep (quantum ×
-//! preemption × switch policy) costs one functional simulation per
-//! program, never one per schedule.
+//! Each program is recorded **once** as the decode stream of an
+//! [`Execution`] ([`ScenarioProgram::record`]); the scheduler then
+//! replays arbitrary interleavings of those recordings against a shared
+//! [`ItrUnit`] and [`SequentialPcChecker`] — so a whole schedule sweep
+//! (quantum × preemption × switch policy) costs one functional
+//! simulation per program, never one per schedule.
 //!
 //! A context switch does what an OS would do to the ITR hardware:
 //!
@@ -23,7 +23,7 @@
 
 use itr_core::{FlushSummary, ItrConfig, ItrMode, ItrUnit, SequentialPcChecker, UnitStats};
 use itr_isa::{DecodeSignals, Program, SignalFlags};
-use itr_sim::record_tap;
+use itr_sim::Execution;
 use itr_stats::SplitMix64;
 
 /// What happens to the ITR cache at a context switch.
@@ -93,7 +93,7 @@ impl Preemption {
     }
 }
 
-/// One program's recorded dispatch stream, relocated to its own PC
+/// One program's recorded decode stream, relocated to its own PC
 /// region so distinct programs never alias the same trace start PCs
 /// (they still contend for the same sets, like processes sharing a
 /// virtually-indexed structure).
@@ -101,10 +101,8 @@ impl Preemption {
 pub struct ScenarioProgram {
     /// Workload label.
     pub name: String,
-    /// `(pc, packed_signals, extra)` per dispatch, PC offset applied.
-    dispatches: Vec<(u64, u64, u64)>,
-    /// Per-dispatch branch flag (for the shared SPC).
-    branches: Vec<bool>,
+    /// `(pc, signals)` per dispatch, PC offset applied.
+    decodes: Vec<(u64, DecodeSignals)>,
 }
 
 impl ScenarioProgram {
@@ -117,25 +115,21 @@ impl ScenarioProgram {
         max_instrs: u64,
         pc_offset: u64,
     ) -> ScenarioProgram {
-        let tap = record_tap(program, name, max_instrs);
-        let dispatches: Vec<(u64, u64, u64)> =
-            tap.dispatches().map(|(pc, sig, extra)| (pc + pc_offset, sig, extra)).collect();
-        assert!(!dispatches.is_empty(), "{name}: empty recording");
-        let branches = dispatches
-            .iter()
-            .map(|&(_, sig, _)| DecodeSignals::unpack(sig).flags.contains(SignalFlags::IS_BRANCH))
-            .collect();
-        ScenarioProgram { name: name.to_string(), dispatches, branches }
+        let exec = Execution::record(program, max_instrs);
+        let decodes: Vec<(u64, DecodeSignals)> =
+            exec.decodes().map(|(pc, signals)| (pc + pc_offset, signals)).collect();
+        assert!(!decodes.is_empty(), "{name}: empty recording");
+        ScenarioProgram { name: name.to_string(), decodes }
     }
 
     /// Recorded dispatch count (the stream cycles past this).
     pub fn len(&self) -> usize {
-        self.dispatches.len()
+        self.decodes.len()
     }
 
     /// `true` if the recording is empty (never: `record` rejects it).
     pub fn is_empty(&self) -> bool {
-        self.dispatches.is_empty()
+        self.decodes.is_empty()
     }
 }
 
@@ -144,8 +138,7 @@ impl ScenarioProgram {
 pub struct ScenarioConfig {
     /// ITR geometry for the shared unit. The mode is forced to
     /// [`ItrMode::Passive`] and `cache_read_latency` to 0 (the recorded
-    /// streams carry no cycle timestamps, the same constraint tap
-    /// replay has).
+    /// streams carry no cycle timestamps).
     pub itr: ItrConfig,
     /// Cache treatment at context switches.
     pub policy: SwitchPolicy,
@@ -333,7 +326,7 @@ pub fn run_scenario(programs: &[ScenarioProgram], cfg: &ScenarioConfig) -> Scena
             switches += 1;
             current = (current + 1) % programs.len();
             if cfg.spc {
-                let resume_pc = programs[current].dispatches[cursor[current]].0;
+                let resume_pc = programs[current].decodes[cursor[current]].0;
                 spc.reseed(resume_pc);
             }
             since_switch = 0;
@@ -342,10 +335,10 @@ pub fn run_scenario(programs: &[ScenarioProgram], cfg: &ScenarioConfig) -> Scena
         }
         let prog = &programs[current];
         let i = cursor[current];
-        let (pc, sig, extra) = prog.dispatches[i];
+        let (pc, signals) = prog.decodes[i];
 
         let probes_before = unit.cache().stats();
-        let r = unit.on_dispatch_extended(pc, &DecodeSignals::unpack(sig), extra);
+        let r = unit.on_dispatch(pc, &signals);
         if r.trace_end {
             unit.on_trace_end_commit(r.trace_seq);
         }
@@ -361,8 +354,8 @@ pub fn run_scenario(programs: &[ScenarioProgram], cfg: &ScenarioConfig) -> Scena
             // At the wrap the OS "restarts" the program: model the jump
             // back as a taken branch so the shared checker follows the
             // recording instead of flagging a spurious violation.
-            let is_branch = prog.branches[i] || next_i == 0;
-            spc.check_and_advance(pc, is_branch, prog.dispatches[next_i].0);
+            let is_branch = signals.flags.contains(SignalFlags::IS_BRANCH) || next_i == 0;
+            spc.check_and_advance(pc, is_branch, prog.decodes[next_i].0);
         }
 
         cursor[current] = (i + 1) % prog.len();

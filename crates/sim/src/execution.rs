@@ -7,9 +7,10 @@
 //! the recording instead of running [`FuncSim`] itself: the fault
 //! campaigns' golden stream and clean-signature map
 //! (`itr_faults::clean_signatures`), the recovery engine's `GoldenRun`
-//! (a `From` conversion in `itr-recover`), and the fuzz oracles' trace
-//! streams at any length. This is the record-once/fan-out pattern of the
-//! `itr-tap/v1` sweeps.
+//! (a `From` conversion in `itr-recover`), the fuzz oracles' trace
+//! streams at any length, the coverage sweeps' traces per length limit
+//! and the env scenarios' decode streams. It is the only recording of a
+//! functional run.
 //!
 //! Every derivation consumes the decode stream exactly as the live
 //! sources do ([`TraceStream`](crate::TraceStream),

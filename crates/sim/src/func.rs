@@ -12,7 +12,7 @@
 use crate::arch::{ArchState, CommitRecord};
 use crate::mem::Memory;
 use crate::semantics::{execute, operand_plan, ExecInput, TrapAction};
-use itr_core::{TapStream, TraceBuilder, TraceRecord, MAX_TRACE_LEN};
+use itr_core::{TraceBuilder, TraceRecord, MAX_TRACE_LEN};
 use itr_isa::{decode, DecodeSignals, Instruction, Program};
 
 /// Why a functional run stopped.
@@ -246,24 +246,6 @@ impl FuncSim {
     }
 }
 
-/// Records the `itr-tap/v1` stream of a functional execution of
-/// `program`: every architecturally executed instruction dispatches and
-/// immediately retires, so the stream is `dispatch`/`commit` pairs with
-/// no squash markers. One such recording replays against *every* ITR
-/// geometry, trace-length limit and fold function (see
-/// [`itr_core::replay`]), which is what the design-space sweeps fan out
-/// over.
-pub fn record_tap(program: &Program, workload: &str, max_instrs: u64) -> TapStream {
-    let mut sim = FuncSim::new(program);
-    let mut tap = TapStream::new(workload);
-    for _ in 0..max_instrs {
-        let Some(step) = sim.step() else { break };
-        tap.record_dispatch(step.record.pc, &step.signals, 0);
-        tap.record_commit();
-    }
-    tap
-}
-
 /// Streams committed [`TraceRecord`]s from a program execution — the raw
 /// material of the paper's Figures 1–4 and the coverage studies.
 #[derive(Debug, Clone)]
@@ -479,36 +461,6 @@ mod tests {
             "#,
         );
         assert_eq!(sim.arch().int_reg(9), 7, "patched instruction must execute");
-    }
-
-    #[test]
-    fn tap_recording_matches_trace_stream() {
-        // The recorded dispatch stream re-forms exactly the traces the
-        // live TraceStream produces, at any trace-length limit.
-        let p = assemble(
-            r#"
-            main:
-                li r8, 40
-            top:
-                andi r9, r8, 3
-                add r10, r10, r9
-                addi r8, r8, -1
-                bgtz r8, top
-                halt
-            "#,
-        )
-        .unwrap();
-        let tap = record_tap(&p, "kernel", 10_000);
-        for max_len in [2u32, 16] {
-            let direct: Vec<TraceRecord> =
-                TraceStream::with_trace_len(&p, 10_000, max_len).collect();
-            let mut replay = itr_core::TraceReplay::new(max_len);
-            let replayed: Vec<TraceRecord> = tap
-                .dispatches()
-                .filter_map(|(pc, sig, extra)| replay.push(pc, sig, extra))
-                .collect();
-            assert_eq!(replayed, direct, "max_len {max_len}");
-        }
     }
 
     #[test]

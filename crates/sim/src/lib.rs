@@ -63,7 +63,7 @@ pub use config::{
     BurstFault, DecodeFault, PipelineConfig, RenameFault, SchedulerFault, SignalFault, SignalOp,
 };
 pub use execution::Execution;
-pub use func::{record_tap, FuncSim, StopReason, TraceStream};
+pub use func::{FuncSim, StopReason, TraceStream};
 pub use mem::Memory;
 pub use pipeline::{
     CheckpointRecord, Pipeline, PipelineStats, RunExit, SpcViolation, Stage, StageEvent,

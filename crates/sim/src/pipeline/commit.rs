@@ -100,9 +100,6 @@ impl Pipeline {
                         start_pc,
                         "redundant-fetch detect",
                     );
-                    if let Some(tap) = &mut self.tap {
-                        tap.record_retry_flush(start_pc);
-                    }
                     self.itr.as_mut().expect("checked").on_retry_flush(start_pc);
                     self.full_flush_to(start_pc);
                     true
@@ -136,18 +133,12 @@ impl Pipeline {
                     CommitAction::Retry { start_pc } => {
                         self.metrics.inc(self.metrics.retry_flushes);
                         self.metrics.event(self.cycle, Stage::Commit, start_pc, "ITR retry flush");
-                        if let Some(tap) = &mut self.tap {
-                            tap.record_retry_flush(start_pc);
-                        }
                         self.itr.as_mut().expect("checked").on_retry_flush(start_pc);
                         self.full_flush_to(start_pc);
                         return;
                     }
                     CommitAction::MachineCheck { start_pc } => {
                         self.metrics.event(self.cycle, Stage::Commit, start_pc, "machine check");
-                        if let Some(tap) = &mut self.tap {
-                            tap.record_machine_check(start_pc);
-                        }
                         self.itr.as_mut().expect("checked").on_machine_check(start_pc);
                         self.exit = Some(RunExit::MachineCheck { start_pc });
                         return;
@@ -166,9 +157,6 @@ impl Pipeline {
                 return;
             }
             let u = self.win.retire().expect("checked");
-            if let Some(tap) = &mut self.tap {
-                tap.record_commit();
-            }
 
             // Sequential-PC check (§2.5).
             if self.cfg.spc_check {

@@ -44,9 +44,6 @@ impl Pipeline {
                 rn.undo(d);
             }
         });
-        if let Some(tap) = &mut self.tap {
-            tap.record_rewind(self.win.len() as u64);
-        }
 
         let i = self.win.idx(branch_seq);
         let (snap, used_gshare, taken, target, itr_snap) = {

@@ -79,9 +79,6 @@ impl Pipeline {
                     restart_pc,
                     "TAC violation; flush-restart",
                 );
-                if let Some(tap) = &mut self.tap {
-                    tap.record_full_flush();
-                }
                 if let Some(unit) = &mut self.itr {
                     unit.on_full_flush();
                 }

@@ -55,7 +55,7 @@ use crate::cache::TimingCache;
 use crate::config::{DecodeFault, PipelineConfig, SignalFault};
 use crate::mem::Memory;
 use frontend::Frontend;
-use itr_core::{CoarseCheckpointer, ItrEvent, ItrUnit, SequentialPcChecker, TapStream, Watchdog};
+use itr_core::{CoarseCheckpointer, ItrEvent, ItrUnit, SequentialPcChecker, Watchdog};
 use itr_isa::Program;
 use itr_stats::Report;
 use rename::RenameState;
@@ -159,10 +159,6 @@ pub struct Pipeline {
     pub(in crate::pipeline) first_mismatch_decode: Option<u64>,
     pub(in crate::pipeline) swap_done: bool,
 
-    /// `itr-tap/v1` recorder: when enabled, every ITR-relevant dispatch,
-    /// retirement and squash is appended here (see [`Pipeline::enable_tap`]).
-    pub(in crate::pipeline) tap: Option<TapStream>,
-
     // Program interface.
     pub(in crate::pipeline) output: String,
     pub(in crate::pipeline) exit: Option<RunExit>,
@@ -220,7 +216,6 @@ impl Pipeline {
             signal_faults: cfg.signal_faults.clone(),
             first_mismatch_decode: None,
             swap_done: false,
-            tap: None,
             output: String::new(),
             exit: None,
             metrics: SimMetrics::new(cfg.stage_trace_depth),
@@ -280,7 +275,7 @@ impl Pipeline {
     }
 
     /// Takes the ITR event log recorded so far, leaving it empty; later
-    /// events append to the empty log (mirrors [`Pipeline::take_tap`]).
+    /// events append to the empty log.
     pub fn take_itr_events(&mut self) -> Vec<(u64, ItrEvent)> {
         std::mem::take(&mut self.itr_events)
     }
@@ -350,25 +345,6 @@ impl Pipeline {
     /// Memory contents (e.g. to inspect results after a run).
     pub fn mem(&self) -> &Memory {
         &self.mem
-    }
-
-    /// Starts recording the `itr-tap/v1` stream of this run: every
-    /// dispatched instruction's (possibly faulty) decode signals, every
-    /// retirement, and every squash, in the exact order the embedded ITR
-    /// unit observes them. Replaying the stream through
-    /// [`itr_core::replay`] reproduces the unit's report byte for byte.
-    pub fn enable_tap(&mut self, workload: &str) {
-        self.tap = Some(TapStream::new(workload));
-    }
-
-    /// The recorded tap stream so far, when recording is enabled.
-    pub fn tap(&self) -> Option<&TapStream> {
-        self.tap.as_ref()
-    }
-
-    /// Stops recording and takes the stream.
-    pub fn take_tap(&mut self) -> Option<TapStream> {
-        self.tap.take()
     }
 
     /// Current cycle count.

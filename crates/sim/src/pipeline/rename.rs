@@ -157,9 +157,6 @@ impl Pipeline {
             // indexes actually used (§1 rename-unit extension).
             let extra =
                 if self.cfg.rename_protection { rename_extra(src_arch, dst_arch) } else { 0 };
-            if let Some(tap) = &mut self.tap {
-                tap.record_dispatch(f.pc, &sig, extra);
-            }
             let (trace_seq, trace_end) = match &mut self.itr {
                 Some(unit) => {
                     let r = unit.on_dispatch_extended(f.pc, &sig, extra);

@@ -46,8 +46,8 @@ allowed() {
 
 # Report-critical crates where hash collections are banned outright:
 # these produce (analyze, stats JSON) or define (core) serialized
-# artifacts — including the `itr-tap/v1` stream codec and its replay
-# fan-out (core/src/{tap,replay}.rs), whose byte-identity guarantee the
+# artifacts — including the coverage models and their one-pass
+# fan-out (core/src/coverage.rs), whose byte-identity guarantee the
 # sweep experiments depend on — and must stay hash-free rather than
 # grow allowlist entries. crates/env feeds the env.txt/env.csv artifacts
 # directly (every scenario counter it aggregates is rendered), so it is

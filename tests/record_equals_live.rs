@@ -18,7 +18,6 @@ use itr::fuzz::{gen, seed_corpus, OracleConfig, GAP_LENS};
 use itr::isa::asm::assemble;
 use itr::isa::{decode, Program, SignalFlags, DATA_BASE};
 use itr::sim::{snapshot_at, Execution, FuncSim, StopReason, TraceStream};
-use itr::stats::json::Value;
 use itr::stats::SplitMix64;
 use itr::workloads::{generate_mimic_sized, profiles, suite};
 use itr_recover::GoldenRun;
@@ -249,13 +248,4 @@ fn decode_stream_matches_pinned_digest() {
     let exec = Execution::record(&w.program, 100_000);
     let digest = decode_digest(exec.decodes().map(|(pc, s)| (pc, s.pack())));
     assert_eq!(digest, 0x7629_92b6_bf9b_0c2e, "sum_loop decode stream moved");
-
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden_tap.json");
-    let golden = Value::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
-    let events = golden.get("events").and_then(Value::as_array).unwrap();
-    let dispatches =
-        events.iter().filter(|e| e.get("e").and_then(Value::as_str) == Some("dispatch"));
-    let field = |e: &Value, name: &str| e.get(name).and_then(Value::as_u64).unwrap();
-    let tap = decode_digest(dispatches.map(|e| (field(e, "pc"), field(e, "sig"))));
-    assert_eq!(digest, tap, "decode stream differs from golden_tap.json's dispatch events");
 }
