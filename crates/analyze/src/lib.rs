@@ -10,7 +10,7 @@
 //! * [`image`] — a fetch-accurate static view of an assembled program,
 //!   including the sparse-memory convention that unmapped words read as
 //!   zero and decode as `nop`;
-//! * [`cfg`] — basic-block recovery, dominators, natural loops, and
+//! * [`mod@cfg`] — basic-block recovery, dominators, natural loops, and
 //!   unreachable-code detection over the text segment;
 //! * [`trace`] — enumeration of the complete static trace universe
 //!   under the same formation rules the decode stage applies, driving

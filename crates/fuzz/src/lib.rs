@@ -1,24 +1,31 @@
 //! # itr-fuzz — coverage-guided differential fuzzing of the simulator
 //! and ITR detection stack
 //!
-//! The reproduction's correctness rests on three pillars this crate
-//! attacks continuously:
+//! The reproduction's correctness rests on five pillars this crate
+//! attacks continuously, one oracle each:
 //!
 //! 1. the cycle-level pipeline commits the same architectural stream as
 //!    the functional reference ([`oracle::OracleKind::CommitEquivalence`]),
 //! 2. trace signatures are a pure function of trace identity
 //!    ([`oracle::OracleKind::SignatureDeterminism`] — the invariant the
-//!    whole ITR scheme stands on), and
+//!    whole ITR scheme stands on),
 //! 3. the §4 fault classifier agrees with architectural ground truth
-//!    ([`oracle::OracleKind::FaultConsistency`]).
+//!    ([`oracle::OracleKind::FaultConsistency`]),
+//! 4. every dynamic trace belongs to the static trace universe
+//!    ([`oracle::OracleKind::StaticSubset`]), and
+//! 5. the recovery engine's actual outcome keeps the sound invariants of
+//!    the passive verdict's prediction
+//!    ([`oracle::OracleKind::RecoveryGroundTruth`]).
 //!
 //! The engine ([`engine::run`]) generates structure-aware `rISA`
 //! programs ([`gen`]), mutates them ([`mutate`]), and retains any case
 //! that lights a new feature in the novelty map ([`coverage`]) built
 //! from opcode pairs, branch outcomes, `itr-stats` pipeline telemetry,
 //! and ITR-unit events. Violations are delta-debugged to minimal
-//! reproducers ([`shrink`]) and persisted as replayable JSON documents
-//! ([`corpus::RegressionCase`]) under `tests/fuzz_regressions/`.
+//! reproducers ([`mod@shrink`]) and persisted as replayable JSON documents
+//! ([`corpus::RegressionCase`]) under `tests/fuzz_regressions/`. A
+//! finding of a sampled extended fault model is the exception: it
+//! carries no fault to replay ([`oracle::replay`]).
 //!
 //! Beyond batch runs, the crate is a *persistent fuzzing service*: an
 //! energy-weighted power scheduler ([`schedule`]) replaces uniform

@@ -18,11 +18,12 @@
 //! * [`faults`] — single-event-upset campaigns, the Figure-8 outcome
 //!   taxonomy, and the extended fault-model library (multi-bit upsets,
 //!   stuck-ats, intermittents, retry-window bursts),
-//! * [`env`] — hostile-environment scenarios: multi-program
+//! * [`mod@env`] — hostile-environment scenarios: multi-program
 //!   interleaving through one shared ITR cache under configurable
 //!   context-switch policies,
 //! * [`fuzz`] — coverage-guided differential fuzzing of the simulator
-//!   and the ITR detection stack, with four replayable oracles,
+//!   and the ITR detection stack, with five oracles whose findings
+//!   replay (all but those of sampled extended fault models),
 //! * [`analyze`] — static CFG recovery, trace-universe enumeration,
 //!   signature-alias and cache-conflict analysis, with a dynamic
 //!   cross-validation oracle,
