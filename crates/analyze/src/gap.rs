@@ -69,14 +69,6 @@ pub struct GapObservations {
 }
 
 impl GapObservations {
-    /// Wraps an externally collected edge set (e.g. the fuzzer's
-    /// aggregate) plus the entry PCs it ran from. Trace starts stay
-    /// empty — edge gaps are still computable, never-formed traces are
-    /// not.
-    pub fn from_parts(edges: BTreeSet<(u64, u64)>, entry_pcs: BTreeSet<u64>) -> GapObservations {
-        GapObservations { edges, entry_pcs, trace_starts: BTreeMap::new() }
-    }
-
     /// Records `program`'s functional run of up to `max_instrs`
     /// instructions and collects its edges plus the trace starts for
     /// every length in `lens`, formed by [`TraceBuilder`]. The start of a

@@ -2,9 +2,7 @@
 //! limit, redundant-fetch fallback), one shard per (study, benchmark)
 //! unit.
 
-use super::{
-    data_payload, emit_payload, get_arr, get_f64, get_str, get_u64, obj, Csv, Emitted, Scale,
-};
+use super::{emit_payload, get_arr, get_f64, get_str, get_u64, obj, Csv, Emitted, Scale};
 use itr_core::{fan_out_records, Associativity, CoverageModel, ItrCacheConfig, TraceRecord};
 use itr_harness::{JobSpec, Registry, ShardSpec};
 use itr_power::{energy_per_access_nj, ITR_CACHE_1024X2, POWER4_ICACHE};
@@ -304,9 +302,7 @@ pub fn register(reg: &mut Registry, scale: &Scale, out: &Path) {
         for profile in profiles::coverage_figure_set() {
             let s = s.clone();
             shards.push(ShardSpec::new(index, (index as u64, index as u64 + 1), move |_| {
-                data_payload(
-                    checked_bit_unit(profile, s.seed, s.instrs, s.from_programs).to_value(),
-                )
+                checked_bit_unit(profile, s.seed, s.instrs, s.from_programs).to_value()
             }));
             index += 1;
         }
@@ -314,16 +310,14 @@ pub fn register(reg: &mut Registry, scale: &Scale, out: &Path) {
             let s = s.clone();
             shards.push(ShardSpec::new(index, (index as u64, index as u64 + 1), move |_| {
                 let profile = profiles::by_name(name).expect("known benchmark");
-                data_payload(trace_len_unit(profile, s.seed, s.program_instrs).to_value())
+                trace_len_unit(profile, s.seed, s.program_instrs).to_value()
             }));
             index += 1;
         }
         for profile in profiles::coverage_figure_set() {
             let s = s.clone();
             shards.push(ShardSpec::new(index, (index as u64, index as u64 + 1), move |_| {
-                data_payload(
-                    redundant_fetch_unit(profile, s.seed, s.instrs, s.from_programs).to_value(),
-                )
+                redundant_fetch_unit(profile, s.seed, s.instrs, s.from_programs).to_value()
             }));
             index += 1;
         }

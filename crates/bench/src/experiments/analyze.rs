@@ -9,7 +9,7 @@
 //! is directly comparable to `tests/golden_analyze.json` and to ad-hoc
 //! binary runs.
 
-use super::{data_payload, emit_payload, get_str, get_u64, obj, Csv, Emitted, Scale};
+use super::{emit_payload, get_str, get_u64, obj, Csv, Emitted, Scale};
 use itr_analyze::{analyze_program, AnalyzeConfig, WorkloadAnalysis};
 use itr_harness::{JobSpec, Registry, ShardSpec};
 use itr_stats::json::Value;
@@ -187,10 +187,10 @@ pub fn register(reg: &mut Registry, scale: &Scale, out: &Path) {
                         let analysis = analyze_program(&w.name, kind, &w.program, &cfg);
                         values.push(workload_value(index, &w.kind, &analysis));
                     }
-                    data_payload(obj(vec![
+                    obj(vec![
                         ("shard", Value::UInt(shard as u64)),
                         ("workloads", Value::Array(values)),
-                    ]))
+                    ])
                 })
             })
             .collect()

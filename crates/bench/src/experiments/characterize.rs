@@ -2,10 +2,7 @@
 //! and Figures 1–4. A single `characterize` job collects each stream
 //! once and three emit jobs render from its payloads.
 
-use super::{
-    data_payload, emit_payload, get_arr, get_bool, get_f64, get_str, get_u64, obj, Csv, Emitted,
-    Scale,
-};
+use super::{emit_payload, get_arr, get_bool, get_f64, get_str, get_u64, obj, Csv, Emitted, Scale};
 use crate::{pct, StreamStats};
 use itr_harness::{JobSpec, Registry, ShardSpec};
 use itr_stats::json::Value;
@@ -257,9 +254,7 @@ pub fn register(reg: &mut Registry, scale: &Scale, out: &Path) {
             .map(|(i, p)| {
                 let s = s.clone();
                 ShardSpec::new(i as u32, (i as u64, i as u64 + 1), move |_| {
-                    data_payload(
-                        characterize_bench(p, s.seed, s.instrs, s.from_programs).to_value(),
-                    )
+                    characterize_bench(p, s.seed, s.instrs, s.from_programs).to_value()
                 })
             })
             .collect()

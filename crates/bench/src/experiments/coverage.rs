@@ -3,9 +3,7 @@
 //! collected once and replayed into all 18 configurations plus the
 //! 1024×2-way summary point).
 
-use super::{
-    data_payload, emit_payload, get_arr, get_bool, get_f64, get_str, obj, Csv, Emitted, Scale,
-};
+use super::{emit_payload, get_arr, get_bool, get_f64, get_str, obj, Csv, Emitted, Scale};
 use itr_core::{fan_out_records, Associativity, CoverageModel, ItrCacheConfig, TraceRecord};
 use itr_harness::{JobSpec, Registry, ShardSpec};
 use itr_stats::json::Value;
@@ -203,7 +201,7 @@ pub fn register(reg: &mut Registry, scale: &Scale, out: &Path) {
             .map(|(i, p)| {
                 let s = s.clone();
                 ShardSpec::new(i as u32, (i as u64, i as u64 + 1), move |_| {
-                    data_payload(coverage_unit(p, s.seed, s.instrs, s.from_programs).to_value())
+                    coverage_unit(p, s.seed, s.instrs, s.from_programs).to_value()
                 })
             })
             .collect()

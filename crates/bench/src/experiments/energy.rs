@@ -1,12 +1,11 @@
 //! Figure 9: ITR-cache energy versus the redundant second I-cache fetch,
 //! one compute shard per benchmark (a full ITR-enabled pipeline run).
 
-use super::{data_payload, emit_payload, get_f64, get_str, get_u64, obj, Csv, Emitted, Scale};
+use super::{emit_payload, get_f64, get_str, get_u64, obj, Csv, Emitted, Scale};
 use itr_harness::{JobSpec, Registry, ShardSpec};
 use itr_power::EnergyRow;
 use itr_sim::{Pipeline, PipelineConfig};
 use itr_stats::json::Value;
-use itr_stats::Report;
 use itr_workloads::{generate_mimic_sized, profiles, SpecProfile};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -70,9 +69,7 @@ pub fn energy_unit(profile: SpecProfile, seed: u64, program_instrs: u64) -> Ener
     let program = generate_mimic_sized(profile, seed, program_instrs);
     let mut pipe = Pipeline::new(&program, PipelineConfig::with_itr());
     pipe.run(program_instrs * 10);
-    let report =
-        Report::from_json(&pipe.stats_json()).expect("pipeline emits a valid itr-stats/v1 report");
-    let row = EnergyRow::from_report(profile.name, &report)
+    let row = EnergyRow::from_report(profile.name, &pipe.stats_report())
         .expect("ITR-enabled run exports itr_cache and pipeline sections");
     EnergyUnit {
         name: row.name,
@@ -142,7 +139,7 @@ pub fn register(reg: &mut Registry, scale: &Scale, out: &Path) {
             .enumerate()
             .map(|(i, p)| {
                 ShardSpec::new(i as u32, (i as u64, i as u64 + 1), move |_| {
-                    data_payload(energy_unit(p, seed, FIG9_PROGRAM_INSTRS).to_value())
+                    energy_unit(p, seed, FIG9_PROGRAM_INSTRS).to_value()
                 })
             })
             .collect()

@@ -16,7 +16,7 @@
 //!   a Table-1-style repetition characterization.
 //! * **env-report** — renders `env.txt` / `env.csv` from the three.
 
-use super::{data_payload, emit_payload, get_str, get_u64, obj, Csv, Emitted, Scale};
+use super::{emit_payload, get_str, get_u64, obj, Csv, Emitted, Scale};
 use crate::StreamStats;
 use itr_core::ItrConfig;
 use itr_env::{record_program_set, run_scenario, Preemption, ScenarioConfig, SwitchPolicy};
@@ -305,7 +305,7 @@ pub fn register(reg: &mut Registry, scale: &Scale, out: &Path) {
                         }
                         misses as f64 * 100.0 / probes.max(1) as f64
                     };
-                    data_payload(obj(vec![
+                    obj(vec![
                         ("policy", Value::Str(policy.label().into())),
                         ("sched", Value::Str(preemption.label().into())),
                         ("quantum", Value::UInt(quantum_of(&preemption))),
@@ -334,7 +334,7 @@ pub fn register(reg: &mut Registry, scale: &Scale, out: &Path) {
                                     .collect(),
                             ),
                         ),
-                    ]))
+                    ])
                 })
             })
             .collect()
@@ -363,12 +363,12 @@ pub fn register(reg: &mut Registry, scale: &Scale, out: &Path) {
                             .expect("known outcome");
                         counts[oi] += 1;
                     }
-                    data_payload(obj(vec![
+                    obj(vec![
                         ("kind", Value::Str(kind.label().into())),
                         ("injected", Value::UInt(shard.records.len() as u64)),
                         ("sound", Value::Bool(sound)),
                         ("counts", Value::Array(counts.iter().map(|&c| Value::UInt(c)).collect())),
-                    ]))
+                    ])
                 })
             })
             .collect()
@@ -386,7 +386,7 @@ pub fn register(reg: &mut Registry, scale: &Scale, out: &Path) {
                     let mut sim = FuncSim::new(&program);
                     sim.run(1_000_000);
                     let stats = StreamStats::collect(TraceStream::new(&program, s.instrs));
-                    data_payload(obj(vec![
+                    obj(vec![
                         ("name", Value::Str((*name).into())),
                         ("output", Value::Str(sim.output().into())),
                         ("expected", Value::Str(expected.into())),
@@ -394,7 +394,7 @@ pub fn register(reg: &mut Registry, scale: &Scale, out: &Path) {
                         ("static_traces", Value::UInt(stats.static_traces() as u64)),
                         ("top10_pct", Value::Float(stats.top_n_share_pct(10))),
                         ("within_4096_pct", Value::Float(stats.within_distance_pct(4096))),
-                    ]))
+                    ])
                 })
             })
             .collect()

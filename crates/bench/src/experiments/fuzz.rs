@@ -15,7 +15,7 @@
 //! `itr-fuzz serve` sync, the barrier timing is part of the job graph,
 //! so the artifact is byte-identical at any `--jobs` level.
 
-use super::{data_payload, emit_payload, get_str, get_u64, obj, Csv, Emitted, Scale};
+use super::{emit_payload, get_str, get_u64, obj, Csv, Emitted, Scale};
 use itr_fuzz::{run, sync, FuzzConfig, Fuzzer};
 use itr_harness::{JobSpec, Registry, ShardSpec};
 use itr_stats::json::Value;
@@ -264,7 +264,7 @@ pub fn register(reg: &mut Registry, scale: &Scale, out: &Path) {
                 let range = (cfg.iters * shard as u64, cfg.iters * (shard as u64 + 1));
                 ShardSpec::new(shard, range, move |ctx| {
                     let outcome = run(&cfg, &|| ctx.cancelled());
-                    data_payload(shard_value(shard, &cfg, &outcome))
+                    shard_value(shard, &cfg, &outcome)
                 })
             })
             .collect()
@@ -291,11 +291,11 @@ pub fn register(reg: &mut Registry, scale: &Scale, out: &Path) {
                     f.run_iters(cfg.iters, &cancelled);
                     let export = sync::render(&f.export_corpus());
                     let outcome = f.outcome();
-                    data_payload(obj(vec![
+                    obj(vec![
                         ("worker", Value::UInt(u64::from(worker))),
                         ("gen0", outcome.stats_value(&cfg)),
                         ("export", Value::Str(export)),
-                    ]))
+                    ])
                 })
             })
             .collect()

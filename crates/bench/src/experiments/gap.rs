@@ -24,13 +24,11 @@
 //! The emit job renders `gap.txt` / `gap.csv` in suite order; both are
 //! byte-identical across `--jobs` counts like every other artifact.
 
-use super::{
-    data_payload, emit_payload, get_bool, get_f64, get_str, get_u64, obj, Csv, Emitted, Scale,
-};
+use super::{emit_payload, get_bool, get_f64, get_str, get_u64, obj, Csv, Emitted, Scale};
 use itr_analyze::{gap_report, GapObservations};
 use itr_core::{Associativity, ItrCacheConfig, ItrConfig, ItrMode};
 use itr_faults::{run_campaign, CampaignConfig};
-use itr_fuzz::{FuzzConfig, Fuzzer};
+use itr_fuzz::{gap_race, FuzzConfig};
 use itr_harness::{JobSpec, Registry, ShardSpec};
 use itr_isa::asm::assemble;
 use itr_isa::Program;
@@ -186,35 +184,21 @@ fn adversarial_value(scale: &Scale, index: u64, name: &str, source: &str) -> Val
     ])
 }
 
-/// One pinned directed-vs-blind race (the `itr-fuzz gap-ab` contract,
-/// inlined so the repro artifact carries the evidence).
+/// One pinned directed-vs-blind race ([`gap_race`], the `itr-fuzz
+/// gap-ab` contract), encoded so the repro artifact carries the evidence.
 fn gap_ab_value(seed: u64, iters: u64) -> Value {
-    let quick = FuzzConfig { skip_seeding: true, ..FuzzConfig::quick(seed, iters) };
-    let mut base = Fuzzer::new(FuzzConfig { directed: false, ..quick.clone() });
-    base.seed(&|| false);
-    let mut trajectory = vec![(base.execs(), base.gap_closures())];
-    for _ in 0..iters {
-        base.step();
-        trajectory.push((base.execs(), base.gap_closures()));
-    }
-    let target = (base.gap_closures() * 95).div_ceil(100);
-    let base_execs =
-        trajectory.iter().find(|&&(_, c)| c >= target).map_or_else(|| base.execs(), |&(e, _)| e);
-
-    let mut dir = Fuzzer::new(FuzzConfig { directed: true, ..quick });
-    dir.seed(&|| false);
-    while dir.gap_closures() < target && dir.iterations() < iters * 4 {
-        dir.step();
-    }
-    let pass = target > 0 && dir.gap_closures() >= target && dir.execs() <= base_execs;
+    let race = gap_race(&FuzzConfig { skip_seeding: true, ..FuzzConfig::quick(seed, iters) });
+    let pass = race.target > 0
+        && race.directed_closures >= race.target
+        && race.directed_execs <= race.blind_execs;
     obj(vec![
         ("seed", Value::UInt(seed)),
         ("iters", Value::UInt(iters)),
-        ("blind_closures", Value::UInt(base.gap_closures())),
-        ("target", Value::UInt(target)),
-        ("blind_execs", Value::UInt(base_execs)),
-        ("directed_closures", Value::UInt(dir.gap_closures())),
-        ("directed_execs", Value::UInt(dir.execs())),
+        ("blind_closures", Value::UInt(race.blind_closures)),
+        ("target", Value::UInt(race.target)),
+        ("blind_execs", Value::UInt(race.blind_execs)),
+        ("directed_closures", Value::UInt(race.directed_closures)),
+        ("directed_execs", Value::UInt(race.directed_execs)),
         ("pass", Value::Bool(pass)),
     ])
 }
@@ -408,10 +392,10 @@ pub fn register(reg: &mut Registry, scale: &Scale, out: &Path) {
                             ("closed", Value::Bool(report.is_closed())),
                         ]));
                     }
-                    data_payload(obj(vec![
+                    obj(vec![
                         ("shard", Value::UInt(shard as u64)),
                         ("workloads", Value::Array(values)),
-                    ]))
+                    ])
                 })
             })
             .collect()
@@ -431,7 +415,7 @@ pub fn register(reg: &mut Registry, scale: &Scale, out: &Path) {
             .map(|(i, (name, source))| {
                 let s = s.clone();
                 ShardSpec::new(i as u32, (i as u64, specs.len() as u64), move |_| {
-                    data_payload(adversarial_value(&s, i as u64, name, &source()))
+                    adversarial_value(&s, i as u64, name, &source())
                 })
             })
             .collect()
@@ -443,7 +427,7 @@ pub fn register(reg: &mut Registry, scale: &Scale, out: &Path) {
             .enumerate()
             .map(|(i, (seed, iters))| {
                 ShardSpec::new(i as u32, (i as u64, GAP_AB_CONFIGS.len() as u64), move |_| {
-                    data_payload(gap_ab_value(seed, iters))
+                    gap_ab_value(seed, iters)
                 })
             })
             .collect()

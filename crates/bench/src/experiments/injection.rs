@@ -8,7 +8,7 @@
 //! through an in-process cache — resumed runs whose shards all replay
 //! from the journal never build it at all.
 
-use super::{data_payload, emit_payload, get_str, obj, Csv, Emitted, Scale};
+use super::{emit_payload, get_str, obj, Csv, Emitted, Scale};
 use itr_faults::{shard_bounds, CampaignConfig, CampaignPlan, FaultRecord, Outcome};
 use itr_harness::{JobSpec, Registry, ShardSpec};
 use itr_isa::{DecodeSignals, Program};
@@ -271,12 +271,12 @@ pub fn register(reg: &mut Registry, scale: &Scale, out: &Path) {
                         planned
                             .plan
                             .run_range(&planned.program, &planned.cfg, lo, hi, &|| ctx.cancelled());
-                    data_payload(obj(vec![
+                    obj(vec![
                         ("bench", Value::Str(profile.name.to_string())),
                         ("lo", Value::UInt(lo as u64)),
                         ("hi", Value::UInt(hi as u64)),
                         ("counts", counts_value(&tally(&shard.records))),
-                    ]))
+                    ])
                 }));
             }
         }
@@ -323,7 +323,7 @@ pub fn register(reg: &mut Registry, scale: &Scale, out: &Path) {
                             .plan
                             .run_range(&planned.program, &planned.cfg, lo, hi, &|| ctx.cancelled());
                     let fields = tally_by_field(&shard.records);
-                    data_payload(obj(vec![
+                    obj(vec![
                         ("lo", Value::UInt(lo as u64)),
                         ("hi", Value::UInt(hi as u64)),
                         (
@@ -332,7 +332,7 @@ pub fn register(reg: &mut Registry, scale: &Scale, out: &Path) {
                                 fields.iter().map(|(f, c)| (f.clone(), counts_value(c))).collect(),
                             ),
                         ),
-                    ]))
+                    ])
                 })
             })
             .collect()

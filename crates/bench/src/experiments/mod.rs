@@ -24,7 +24,7 @@
 //! fuzz-service (one shard per worker)         ──► fuzz-service-report
 //! analyze-suite (workload shards)             ──► analyze
 //! gap-suite, gap-adversarial, gap-ab          ──► gap
-//! sweep (one tap shard per workload)          ──► sweep-pareto
+//! sweep (one shard per workload)              ──► sweep-pareto
 //! env-interleave, env-faultmodels,
 //! env-workloads (hostile environments)        ──► env-report
 //! table2, area, width-sweep, signature-fold (leaf emit jobs)
@@ -47,7 +47,7 @@ pub mod sweep;
 pub mod width;
 pub mod window;
 
-use itr_harness::{Registry, ShardPayload};
+use itr_harness::Registry;
 use itr_stats::json::Value;
 use std::path::Path;
 
@@ -166,17 +166,9 @@ impl Emitted {
 
 /// Shard payload for an emit job: writes the artifacts and advertises
 /// them for `MANIFEST.json`.
-pub(crate) fn emit_payload(out: &Path, emitted: &Emitted) -> ShardPayload {
+pub(crate) fn emit_payload(out: &Path, emitted: &Emitted) -> Value {
     let artifacts = emitted.write(out).into_iter().map(Value::Str).collect();
-    ShardPayload {
-        data: Some(Value::Object(vec![("artifacts".into(), Value::Array(artifacts))])),
-        ..ShardPayload::default()
-    }
-}
-
-/// Shard payload carrying only structured data for dependent jobs.
-pub(crate) fn data_payload(value: Value) -> ShardPayload {
-    ShardPayload { data: Some(value), ..ShardPayload::default() }
+    Value::Object(vec![("artifacts".into(), Value::Array(artifacts))])
 }
 
 // -- small Value accessors (decode side of the journal round-trip) --

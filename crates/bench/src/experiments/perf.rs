@@ -2,14 +2,13 @@
 //! ITR unit (plus the §3 redundant-fetch fallback), one shard per
 //! workload.
 
-use super::{data_payload, emit_payload, get_f64, get_str, obj, Csv, Emitted, Scale};
+use super::{emit_payload, get_f64, get_str, obj, Csv, Emitted, Scale};
 use itr_core::ItrConfig;
 use itr_harness::{JobSpec, Registry, ShardSpec};
 use itr_isa::asm::assemble;
 use itr_isa::Program;
 use itr_sim::{Pipeline, PipelineConfig};
 use itr_stats::json::Value;
-use itr_stats::Report;
 use itr_workloads::{generate_mimic_sized, kernels, profiles};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -17,14 +16,11 @@ use std::path::Path;
 /// Cycle budget for the hand-written kernels (they halt long before it).
 pub const KERNEL_BUDGET: u64 = 50_000_000;
 
-/// IPC read back from the run's `itr-stats/v1` JSON export rather than
-/// the live stats struct, exercising the same path external tooling
-/// uses.
+/// IPC of one run, read from its `itr-stats/v1` report.
 pub fn ipc(program: &Program, cfg: PipelineConfig, max_cycles: u64) -> f64 {
     let mut pipe = Pipeline::new(program, cfg);
     pipe.run(max_cycles);
-    let report =
-        Report::from_json(&pipe.stats_json()).expect("pipeline emits a valid itr-stats/v1 report");
+    let report = pipe.stats_report();
     let cycles = report.counter("pipeline", "cycles").unwrap_or(0);
     let committed = report.counter("pipeline", "committed").unwrap_or(0);
     if cycles == 0 {
@@ -131,7 +127,7 @@ pub fn register(reg: &mut Registry, scale: &Scale, out: &Path) {
         for kernel in kernels::all() {
             shards.push(ShardSpec::new(index, (index as u64, index as u64 + 1), move |_| {
                 let program = assemble(kernel.source).expect("kernel assembles");
-                data_payload(measure(kernel.name, &program, KERNEL_BUDGET).to_value())
+                measure(kernel.name, &program, KERNEL_BUDGET).to_value()
             }));
             index += 1;
         }
@@ -139,7 +135,7 @@ pub fn register(reg: &mut Registry, scale: &Scale, out: &Path) {
             let s = s.clone();
             shards.push(ShardSpec::new(index, (index as u64, index as u64 + 1), move |_| {
                 let program = generate_mimic_sized(profile, s.seed, s.program_instrs);
-                data_payload(measure(profile.name, &program, s.program_instrs * 20).to_value())
+                measure(profile.name, &program, s.program_instrs * 20).to_value()
             }));
             index += 1;
         }

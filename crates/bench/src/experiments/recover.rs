@@ -15,7 +15,7 @@
 //!   quantum, including mid-retry).
 //! * **recover-report** — renders `recover.txt` / `recover.csv`.
 
-use super::{data_payload, emit_payload, get_str, get_u64, obj, Csv, Emitted, Scale};
+use super::{emit_payload, get_str, get_u64, obj, Csv, Emitted, Scale};
 use itr_faults::{CampaignConfig, ModelKind};
 use itr_harness::{JobSpec, Registry, ShardSpec};
 use itr_isa::asm::assemble;
@@ -245,7 +245,7 @@ pub fn register(reg: &mut Registry, scale: &Scale, out: &Path) {
                         cond.switch_cycles,
                         &|| ctx.cancelled(),
                     );
-                    data_payload(obj(vec![
+                    obj(vec![
                         ("program", Value::Str(program.into())),
                         ("kind", Value::Str(kind.label().into())),
                         ("cond", Value::Str(cond.label.into())),
@@ -283,7 +283,7 @@ pub fn register(reg: &mut Registry, scale: &Scale, out: &Path) {
                                     .collect(),
                             ),
                         ),
-                    ]))
+                    ])
                 })
             })
             .collect()

@@ -10,7 +10,7 @@
 //! a single pass over the records. A direct implementation would
 //! re-simulate each workload 1056 times; this one simulates it once.
 
-use super::{data_payload, emit_payload, get_arr, get_str, obj, Csv, Emitted, Scale};
+use super::{emit_payload, get_arr, get_str, obj, Csv, Emitted, Scale};
 use itr_core::{fan_out_records, Associativity, CoverageModel, ItrCacheConfig};
 use itr_harness::{JobSpec, Registry, ShardSpec};
 use itr_power::{energy_per_access_nj, itr_cache_area_cm2, itr_cache_spec};
@@ -317,7 +317,7 @@ pub fn register(reg: &mut Registry, scale: &Scale, out: &Path) {
             .map(|(i, p)| {
                 let s = s.clone();
                 ShardSpec::new(i as u32, (i as u64, i as u64 + 1), move |_| {
-                    data_payload(sweep_unit(p, s.seed, s.program_instrs).to_value())
+                    sweep_unit(p, s.seed, s.program_instrs).to_value()
                 })
             })
             .collect()

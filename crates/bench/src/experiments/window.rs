@@ -9,7 +9,7 @@
 //!
 //! [`CampaignPlan::run_range_windows`]: itr_faults::Plan::run_range_windows
 
-use super::{data_payload, emit_payload, get_arr, get_u64, obj, Csv, Emitted, Scale};
+use super::{emit_payload, get_arr, get_u64, obj, Csv, Emitted, Scale};
 use crate::experiments::injection::{planned_campaign, tally, OutcomeCounts, FAULTS_PER_SHARD};
 use itr_faults::{shard_bounds, CampaignConfig, Outcome};
 use itr_harness::{JobSpec, Registry, ShardSpec};
@@ -131,7 +131,7 @@ pub fn register(reg: &mut Registry, scale: &Scale, out: &Path) {
                         hi,
                         &|| ctx.cancelled(),
                     );
-                    data_payload(obj(vec![
+                    obj(vec![
                         ("lo", Value::UInt(lo as u64)),
                         ("hi", Value::UInt(hi as u64)),
                         (
@@ -157,7 +157,7 @@ pub fn register(reg: &mut Registry, scale: &Scale, out: &Path) {
                                     .collect(),
                             ),
                         ),
-                    ]))
+                    ])
                 })
             })
             .collect()

@@ -110,12 +110,6 @@ impl ItrCacheConfig {
         self.checked_bit_replacement = on;
         self
     }
-
-    /// Enables or disables per-line parity (builder style).
-    pub fn with_parity(mut self, on: bool) -> ItrCacheConfig {
-        self.parity = on;
-        self
-    }
 }
 
 impl Default for ItrCacheConfig {

@@ -245,14 +245,6 @@ impl ItrCache {
             .map(|l| l.signature)
     }
 
-    /// `true` if the line for `start_pc` is present but has never been
-    /// referenced since insertion (an "unchecked" line in §2.3's terms).
-    pub fn is_unreferenced(&self, start_pc: u64) -> bool {
-        self.lines[self.set_range(start_pc)]
-            .iter()
-            .any(|l| l.valid && l.start_pc == start_pc && !l.referenced)
-    }
-
     /// Number of valid lines that have not yet been referenced — the
     /// quantity tracked by the coarse-grain checkpointing scheme of §2.3.
     /// Maintained incrementally; O(1).

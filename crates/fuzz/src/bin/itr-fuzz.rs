@@ -41,7 +41,7 @@
 //! `corpus` parses a persisted `itr-fuzz-sync/v1` corpus and reports its
 //! size and digest — CI's check that a serve campaign's corpus reloads.
 
-use itr_fuzz::{FuzzConfig, Fuzzer, RegressionCase, Schedule, ServeConfig};
+use itr_fuzz::{gap_race, FuzzConfig, Fuzzer, GapRace, RegressionCase, Schedule, ServeConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -333,54 +333,30 @@ fn gap_ab_cmd(args: &[String]) -> Result<ExitCode, String> {
         return Err(format!("unknown flag `{extra}` (try --help)"));
     }
 
-    // Baseline: blind (undirected) mutation for the full budget,
-    // recording the gap-closure trajectory. Same 95% rationale as `ab`:
-    // the last closures are seed luck, the bulk of the curve is signal.
-    // Gap accounting runs identically in both engines; only the
-    // mutation policy differs.
-    let base_cfg = FuzzConfig { directed: false, ..cfg.clone() };
-    let mut base = Fuzzer::new(base_cfg);
-    base.seed(&|| false);
-    let mut trajectory = vec![(base.execs(), base.gap_closures())];
-    for _ in 0..cfg.iters {
-        base.step();
-        trajectory.push((base.execs(), base.gap_closures()));
-    }
-    if base.gap_closures() == 0 {
+    let GapRace { blind_closures, target, blind_execs, directed_closures, directed_execs } =
+        gap_race(&cfg);
+    if blind_closures == 0 {
         eprintln!("itr-fuzz: gap A/B FAIL — blind baseline closed no gaps; config too small");
         return Ok(ExitCode::from(1));
     }
-    let target = (base.gap_closures() * 95).div_ceil(100);
-    let base_execs =
-        trajectory.iter().find(|&&(_, c)| c >= target).map_or_else(|| base.execs(), |&(e, _)| e);
     eprintln!(
-        "itr-fuzz: blind closed {target} gaps (95% of {}) in {base_execs} execs",
-        base.gap_closures()
+        "itr-fuzz: blind closed {target} gaps (95% of {blind_closures}) in {blind_execs} execs"
     );
+    eprintln!("itr-fuzz: directed closed {directed_closures} gaps in {directed_execs} execs");
 
-    // Challenger: analysis-directed mutation until it matches the
-    // target (capped at 4x the budget so a regression still terminates).
-    let mut dir = Fuzzer::new(FuzzConfig { directed: true, ..cfg.clone() });
-    dir.seed(&|| false);
-    while dir.gap_closures() < target && dir.iterations() < cfg.iters * 4 {
-        dir.step();
-    }
-    let dir_execs = dir.execs();
-    eprintln!("itr-fuzz: directed closed {} gaps in {dir_execs} execs", dir.gap_closures());
-
-    if dir.gap_closures() < target {
+    if directed_closures < target {
         eprintln!("itr-fuzz: gap A/B FAIL — directed never reached the closure target");
         return Ok(ExitCode::from(1));
     }
-    if dir_execs > base_execs {
+    if directed_execs > blind_execs {
         eprintln!(
-            "itr-fuzz: gap A/B FAIL — directed spent {dir_execs} execs vs blind's {base_execs}"
+            "itr-fuzz: gap A/B FAIL — directed spent {directed_execs} execs vs blind's {blind_execs}"
         );
         return Ok(ExitCode::from(1));
     }
     eprintln!(
         "itr-fuzz: gap A/B ok — directed closed {target} gaps with {} of blind's execs",
-        format_args!("{dir_execs}/{base_execs}")
+        format_args!("{directed_execs}/{blind_execs}")
     );
     Ok(ExitCode::SUCCESS)
 }

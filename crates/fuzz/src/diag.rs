@@ -5,11 +5,11 @@
 //! `CommitRecord`s. This module locates the first divergent commit and
 //! renders everything a human needs to debug it: the commit index, the
 //! PC and disassembly on both sides, both commit records, and the two
-//! architectural states — reconstructed by replaying each committed
-//! stream's register writebacks — with a register-level diff.
+//! architectural states — each the [`snapshot_at`] replay of its
+//! stream's prefix — with a register-level diff.
 
 use itr_isa::Program;
-use itr_sim::{ArchState, CommitRecord};
+use itr_sim::{snapshot_at, CommitRecord, SimSnapshot};
 use std::fmt;
 
 /// The first point where two committed streams disagree.
@@ -24,29 +24,14 @@ pub struct Divergence {
     pub actual: Option<CommitRecord>,
     /// Golden architectural state immediately *before* the divergent
     /// commit.
-    pub golden_state: ArchState,
+    pub golden_state: SimSnapshot,
     /// Actual architectural state immediately before the divergent
     /// commit.
-    pub actual_state: ArchState,
+    pub actual_state: SimSnapshot,
     /// Disassembly of the instruction at the golden record's PC.
     pub golden_disasm: String,
     /// Disassembly of the instruction at the actual record's PC.
     pub actual_disasm: String,
-}
-
-/// Replays the register writebacks of `records[..upto]` from the reset
-/// state, reconstructing the architectural state just before commit
-/// `upto`.
-fn replay(program: &Program, records: &[CommitRecord], upto: usize) -> ArchState {
-    let mut a = ArchState::new(program.entry());
-    a.set_int_reg(29, itr_isa::STACK_TOP as u32);
-    for r in &records[..upto.min(records.len())] {
-        if let Some((dst, value)) = r.dst {
-            a.set_reg(dst, value);
-        }
-        a.pc = r.next_pc;
-    }
-    a
 }
 
 fn disasm_at(program: &Program, record: Option<&CommitRecord>) -> String {
@@ -75,14 +60,14 @@ pub fn first_divergence(
         index,
         golden: golden.get(index).copied(),
         actual: actual.get(index).copied(),
-        golden_state: replay(program, golden, index),
-        actual_state: replay(program, actual, index),
+        golden_state: snapshot_at(program, &golden[..index]),
+        actual_state: snapshot_at(program, &actual[..index]),
         golden_disasm: disasm_at(program, golden.get(index)),
         actual_disasm: disasm_at(program, actual.get(index)),
     })
 }
 
-fn reg_name(idx: u16) -> String {
+fn reg_name(idx: usize) -> String {
     match idx {
         0..=31 => format!("r{idx}"),
         32..=63 => format!("f{}", idx - 32),
@@ -105,8 +90,8 @@ impl fmt::Display for Divergence {
             self.golden_state.pc, self.actual_state.pc
         )?;
         let mut differing = 0;
-        for idx in 0..itr_sim::NUM_ARCH_REGS as u16 {
-            let (g, a) = (self.golden_state.reg(idx), self.actual_state.reg(idx));
+        for (idx, (g, a)) in self.golden_state.regs.iter().zip(&self.actual_state.regs).enumerate()
+        {
             if g != a {
                 writeln!(f, "    {:<4} golden={g:#010x} actual={a:#010x}", reg_name(idx))?;
                 differing += 1;

@@ -234,7 +234,6 @@ pub struct Fuzzer {
     out: FuzzOutcome,
     finding_ids: Vec<(OracleKind, u64)>,
     iter: u64,
-    pending_novel: Vec<SyncRecord>,
     last_novel: Option<FuzzCase>,
     /// Campaign-aggregate observed (branch_pc, dest_pc) edges — the
     /// compact dynamic side the gap engine diffs against, fed straight
@@ -263,7 +262,6 @@ impl Fuzzer {
             out: FuzzOutcome::default(),
             finding_ids: Vec::new(),
             iter: 0,
-            pending_novel: Vec::new(),
             last_novel: None,
             observed: BTreeSet::new(),
             gap_plans: BTreeMap::new(),
@@ -333,7 +331,6 @@ impl Fuzzer {
         }
         let pushed = self.corpus.push_with(case.clone(), features.to_vec(), novel, depth);
         if pushed {
-            self.pending_novel.push(SyncRecord { case: case.clone(), depth });
             self.last_novel = Some(case);
         }
         pushed
@@ -468,12 +465,6 @@ impl Fuzzer {
         (scanned, admitted)
     }
 
-    /// Drains the cases retained since the last call — the worker's next
-    /// sync export.
-    pub fn take_novel(&mut self) -> Vec<SyncRecord> {
-        std::mem::take(&mut self.pending_novel)
-    }
-
     /// Everything retained right now, as sync records (for corpus
     /// persistence in serve mode).
     pub fn export_corpus(&self) -> Vec<SyncRecord> {
@@ -571,6 +562,56 @@ pub fn run(cfg: &FuzzConfig, cancelled: &dyn Fn() -> bool) -> FuzzOutcome {
     fuzzer.finish()
 }
 
+/// One directed-vs-blind gap-closure race (`itr-fuzz gap-ab` and the
+/// repro's `gap-ab` job).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GapRace {
+    /// Gaps the blind engine closed over the whole budget.
+    pub blind_closures: u64,
+    /// The closure target: 95% of `blind_closures`, rounded up.
+    pub target: u64,
+    /// Execs the blind engine spent reaching `target` (its total when a
+    /// target of 0 is met before the first step).
+    pub blind_execs: u64,
+    /// Gaps the directed engine closed when it stopped.
+    pub directed_closures: u64,
+    /// Execs the directed engine spent.
+    pub directed_execs: u64,
+}
+
+/// Races analysis-directed against blind mutation on `cfg`. The blind
+/// engine runs the full `cfg.iters` budget, recording its gap-closure
+/// trajectory; the directed engine runs until it closes 95% of the blind
+/// total (the last closures are seed luck, the bulk of the curve is
+/// signal), capped at 4x the budget so a regression still terminates.
+/// Gap accounting runs identically in both engines; only the mutation
+/// policy differs.
+pub fn gap_race(cfg: &FuzzConfig) -> GapRace {
+    let mut blind = Fuzzer::new(FuzzConfig { directed: false, ..cfg.clone() });
+    blind.seed(&|| false);
+    let mut trajectory = vec![(blind.execs(), blind.gap_closures())];
+    for _ in 0..cfg.iters {
+        blind.step();
+        trajectory.push((blind.execs(), blind.gap_closures()));
+    }
+    let target = (blind.gap_closures() * 95).div_ceil(100);
+    let blind_execs =
+        trajectory.iter().find(|&&(_, c)| c >= target).map_or_else(|| blind.execs(), |&(e, _)| e);
+
+    let mut directed = Fuzzer::new(FuzzConfig { directed: true, ..cfg.clone() });
+    directed.seed(&|| false);
+    while directed.gap_closures() < target && directed.iterations() < cfg.iters * 4 {
+        directed.step();
+    }
+    GapRace {
+        blind_closures: blind.gap_closures(),
+        target,
+        blind_execs,
+        directed_closures: directed.gap_closures(),
+        directed_execs: directed.execs(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -662,18 +703,6 @@ mod tests {
         assert_eq!((scanned, admitted), (0, 0), "re-import is a no-op");
         assert_eq!(a.execs(), execs_before, "no-op import consumes no execs");
         assert_eq!(a.corpus().digest(), b.corpus().digest());
-    }
-
-    #[test]
-    fn take_novel_drains_retained_cases() {
-        let mut f = Fuzzer::new(tiny_cfg(6, 8));
-        f.run_iters(8, &|| false);
-        let first = f.take_novel();
-        assert!(!first.is_empty(), "early iterations always find novelty");
-        assert!(f.take_novel().is_empty(), "drained");
-        for rec in &first {
-            assert!(f.corpus().contains(rec.case.fingerprint()));
-        }
     }
 
     #[test]

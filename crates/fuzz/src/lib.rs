@@ -68,7 +68,9 @@ pub use corpus::{seed_corpus, Corpus, CorpusEntry, CorpusStats, RegressionCase, 
 pub use coverage::{CoverageMap, MAP_SIZE};
 pub use diag::{first_divergence, Divergence};
 pub use directed::{directed_mutate, BranchGoal, DirectedPlan, GAP_LENS};
-pub use engine::{run, FuzzConfig, FuzzOutcome, FuzzStats, Fuzzer, STATS_SCHEMA};
+pub use engine::{
+    gap_race, run, FuzzConfig, FuzzOutcome, FuzzStats, Fuzzer, GapRace, STATS_SCHEMA,
+};
 pub use oracle::{evaluate, replay, Evaluation, Finding, OracleConfig, OracleKind};
 pub use schedule::{PowerSchedule, Schedule};
 pub use server::{serve, ServeConfig, SERVE_SCHEMA};

@@ -10,7 +10,6 @@
 //! run resumes correctly under any `--jobs` value.
 
 use itr_stats::json::Value;
-use itr_stats::Report;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -43,21 +42,10 @@ impl ShardCtx {
     }
 }
 
-/// What one shard produced.
-#[derive(Debug, Clone, Default)]
-pub struct ShardPayload {
-    /// CSV rows contributed to the job's artifact (merged in shard order).
-    pub rows: Vec<String>,
-    /// Human-readable fragment for the job's text artifact.
-    pub text: String,
-    /// The shard's `itr-stats/v1` report, if the shard ran simulations.
-    pub report: Option<Report>,
-    /// Free-form JSON consumed by dependent jobs via the blackboard.
-    pub data: Option<Value>,
-}
-
-/// The closure executed for one shard.
-pub type ShardFn = Box<dyn FnOnce(&ShardCtx) -> ShardPayload + Send>;
+/// The closure executed for one shard. It returns the shard's payload:
+/// free-form JSON that dependent jobs read from the blackboard and the
+/// journal stores verbatim.
+pub type ShardFn = Box<dyn FnOnce(&ShardCtx) -> Value + Send>;
 
 /// One schedulable unit of a job.
 pub struct ShardSpec {
@@ -79,7 +67,7 @@ impl ShardSpec {
     pub fn new(
         index: u32,
         (seed_lo, seed_hi): (u64, u64),
-        run: impl FnOnce(&ShardCtx) -> ShardPayload + Send + 'static,
+        run: impl FnOnce(&ShardCtx) -> Value + Send + 'static,
     ) -> ShardSpec {
         ShardSpec { index, seed_lo, seed_hi, deadline: DEFAULT_DEADLINE, run: Box::new(run) }
     }
@@ -122,7 +110,7 @@ impl JobSpec {
     pub fn single(
         name: impl Into<String>,
         deps: &[&str],
-        run: impl FnOnce(&ShardCtx, &Blackboard) -> ShardPayload + Send + 'static,
+        run: impl FnOnce(&ShardCtx, &Blackboard) -> Value + Send + 'static,
     ) -> JobSpec {
         JobSpec::new(name, deps, move |board: &Blackboard| {
             // The blackboard snapshot the shard needs is only borrowable
@@ -143,7 +131,7 @@ pub struct ShardRecord {
     /// Exclusive upper bound of the covered range.
     pub seed_hi: u64,
     /// The shard's output.
-    pub payload: ShardPayload,
+    pub payload: Value,
     /// `true` when the payload was replayed from the journal.
     pub from_journal: bool,
     /// Wall-clock milliseconds the shard took (0 when journaled).
@@ -173,32 +161,10 @@ pub struct JobResult {
 }
 
 impl JobResult {
-    /// All CSV rows in deterministic (shard-index) order.
-    pub fn rows(&self) -> Vec<String> {
-        self.shards.iter().flat_map(|s| s.payload.rows.iter().cloned()).collect()
-    }
-
-    /// All text fragments concatenated in shard order.
-    pub fn text(&self) -> String {
-        self.shards.iter().map(|s| s.payload.text.as_str()).collect()
-    }
-
-    /// Deterministic fold of every shard's `itr-stats` report: shards are
-    /// merged in index order, so the aggregate is identical regardless of
-    /// thread count or completion order.
-    pub fn merged_report(&self) -> Report {
-        let mut merged = Report::new();
-        for s in &self.shards {
-            if let Some(r) = &s.payload.report {
-                merged.merge(r);
-            }
-        }
-        merged
-    }
-
-    /// The `data` payloads in shard order.
+    /// The shard payloads in shard-index order — the same order whatever
+    /// the thread count or completion order.
     pub fn data(&self) -> impl Iterator<Item = &Value> {
-        self.shards.iter().filter_map(|s| s.payload.data.as_ref())
+        self.shards.iter().map(|s| &s.payload)
     }
 }
 
@@ -409,17 +375,13 @@ mod tests {
             index: i,
             seed_lo: 0,
             seed_hi: 1,
-            payload: ShardPayload {
-                rows: vec![row.to_string()],
-                text: format!("{row}\n"),
-                ..ShardPayload::default()
-            },
+            payload: Value::Str(row.to_string()),
             from_journal: false,
             elapsed_ms: 0,
         };
         let r =
             JobResult { shards: vec![shard(0, "first"), shard(1, "second")], quarantined: vec![] };
-        assert_eq!(r.rows(), vec!["first".to_string(), "second".to_string()]);
-        assert_eq!(r.text(), "first\nsecond\n");
+        let data: Vec<_> = r.data().filter_map(Value::as_str).collect();
+        assert_eq!(data, vec!["first", "second"]);
     }
 }

@@ -1,15 +1,18 @@
 //! The append-only run journal (`results/journal.jsonl`).
 //!
-//! One JSON object per line, schema-tagged `itr-harness/v1`:
+//! One JSON object per line, schema-tagged `itr-harness/v2`:
 //!
 //! ```json
-//! {"schema":"itr-harness/v1","kind":"run","fingerprint":123,"mode":"quick"}
-//! {"schema":"itr-harness/v1","kind":"shard","job":"fig8:bzip","shard":2,
-//!  "seed_lo":50,"seed_hi":75,"elapsed_ms":810,
-//!  "payload":{"rows":[...],"text":"...","report":{...},"data":{...}}}
-//! {"schema":"itr-harness/v1","kind":"quarantine","job":"fig8:gcc","shard":1,
+//! {"schema":"itr-harness/v2","kind":"run","fingerprint":123,"mode":"quick"}
+//! {"schema":"itr-harness/v2","kind":"shard","job":"fig8:bzip","shard":2,
+//!  "seed_lo":50,"seed_hi":75,"elapsed_ms":810,"payload":{...}}
+//! {"schema":"itr-harness/v2","kind":"quarantine","job":"fig8:gcc","shard":1,
 //!  "seed_lo":25,"seed_hi":50,"reason":"deadline 30s exceeded"}
 //! ```
+//!
+//! A shard's `payload` is the JSON value its closure returned, stored
+//! verbatim. A journal of another schema does not load: its first line
+//! is not a valid entry.
 //!
 //! Crash safety: every line is flushed before the shard counts as
 //! journaled, the loader tolerates a torn final line (a crash mid-write
@@ -19,15 +22,13 @@
 //! configuration fingerprint; resuming under different scale parameters
 //! is refused rather than silently mixing incompatible shards.
 
-use crate::job::ShardPayload;
 use itr_stats::json::Value;
-use itr_stats::Report;
 use std::fs::File;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 
 /// Journal schema identifier.
-pub const SCHEMA: &str = "itr-harness/v1";
+pub const SCHEMA: &str = "itr-harness/v2";
 
 /// One parsed journal line.
 #[derive(Debug, Clone)]
@@ -52,7 +53,7 @@ pub enum Entry {
         /// Wall-clock milliseconds the shard took.
         elapsed_ms: u64,
         /// The shard's output.
-        payload: ShardPayload,
+        payload: Value,
     },
     /// A shard the watchdog (or a panic) removed from the run.
     Quarantine {
@@ -130,7 +131,7 @@ impl Journal {
         index: u32,
         (seed_lo, seed_hi): (u64, u64),
         elapsed_ms: u64,
-        payload: &ShardPayload,
+        payload: &Value,
     ) -> std::io::Result<()> {
         self.append_entry(&Entry::Shard {
             job: job.to_string(),
@@ -219,7 +220,7 @@ fn entry_to_value(entry: &Entry) -> Value {
             fields.push(("seed_lo".into(), Value::UInt(*seed_lo)));
             fields.push(("seed_hi".into(), Value::UInt(*seed_hi)));
             fields.push(("elapsed_ms".into(), Value::UInt(*elapsed_ms)));
-            fields.push(("payload".into(), payload_to_value(payload)));
+            fields.push(("payload".into(), payload.clone()));
             Value::Object(fields)
         }
         Entry::Quarantine { job, index, seed_lo, seed_hi, reason } => {
@@ -250,7 +251,7 @@ fn entry_from_value(v: &Value) -> Option<Entry> {
             seed_lo: u64_field("seed_lo")?,
             seed_hi: u64_field("seed_hi")?,
             elapsed_ms: u64_field("elapsed_ms")?,
-            payload: payload_from_value(v.get("payload")?)?,
+            payload: v.get("payload")?.clone(),
         }),
         "quarantine" => Some(Entry::Quarantine {
             job: str_field("job")?,
@@ -263,43 +264,9 @@ fn entry_from_value(v: &Value) -> Option<Entry> {
     }
 }
 
-fn payload_to_value(p: &ShardPayload) -> Value {
-    let mut fields = vec![
-        ("rows".to_string(), Value::Array(p.rows.iter().map(|r| Value::Str(r.clone())).collect())),
-        ("text".to_string(), Value::Str(p.text.clone())),
-    ];
-    if let Some(report) = &p.report {
-        // The report serializes through its own schema; embed it as the
-        // parsed value so the journal line stays one JSON document.
-        let value = Value::parse(&report.to_json()).expect("report emits valid JSON");
-        fields.push(("report".to_string(), value));
-    }
-    if let Some(data) = &p.data {
-        fields.push(("data".to_string(), data.clone()));
-    }
-    Value::Object(fields)
-}
-
-fn payload_from_value(v: &Value) -> Option<ShardPayload> {
-    let rows = v
-        .get("rows")?
-        .as_array()?
-        .iter()
-        .map(|r| r.as_str().map(str::to_string))
-        .collect::<Option<Vec<_>>>()?;
-    let text = v.get("text")?.as_str()?.to_string();
-    let report = match v.get("report") {
-        Some(rv) => Some(Report::from_json(&rv.to_json()).ok()?),
-        None => None,
-    };
-    let data = v.get("data").cloned();
-    Some(ShardPayload { rows, text, report, data })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use itr_stats::{Counters, Unit};
     use std::fs::OpenOptions;
 
     fn tmp(name: &str) -> PathBuf {
@@ -310,18 +277,11 @@ mod tests {
         dir.join("journal.jsonl")
     }
 
-    fn payload() -> ShardPayload {
-        let mut c = Counters::new();
-        let n = c.register("faults", Unit::Events, "");
-        c.add(n, 25);
-        let mut report = Report::new();
-        report.push_section("campaign", &c, &[]);
-        ShardPayload {
-            rows: vec!["a,1".into(), "b,2".into()],
-            text: "two rows\n".into(),
-            report: Some(report),
-            data: Some(Value::Object(vec![("k".into(), Value::UInt(7))])),
-        }
+    fn payload() -> Value {
+        Value::Object(vec![
+            ("k".into(), Value::UInt(7)),
+            ("rows".into(), Value::Array(vec![Value::Str("a,1".into())])),
+        ])
     }
 
     #[test]
@@ -337,10 +297,7 @@ mod tests {
             Entry::Shard { job, index, seed_lo, seed_hi, elapsed_ms, payload: p } => {
                 assert_eq!((job.as_str(), *index), ("fig8:bzip", 3));
                 assert_eq!((*seed_lo, *seed_hi, *elapsed_ms), (75, 100, 1200));
-                assert_eq!(p.rows, vec!["a,1", "b,2"]);
-                assert_eq!(p.text, "two rows\n");
-                assert_eq!(p.report.as_ref().unwrap().counter("campaign", "faults"), Some(25));
-                assert_eq!(p.data.as_ref().unwrap().get("k").unwrap().as_u64(), Some(7));
+                assert_eq!(p.to_json(), payload().to_json(), "payload stored verbatim");
             }
             other => panic!("expected shard entry, got {other:?}"),
         }
@@ -357,17 +314,18 @@ mod tests {
     fn torn_final_line_is_dropped_and_repaired() {
         let path = tmp("torn");
         let mut j = Journal::create(&path, 7, "quick").expect("create");
-        j.append_shard("a", 0, (0, 1), 5, &ShardPayload::default()).expect("shard");
+        j.append_shard("a", 0, (0, 1), 5, &Value::Null).expect("shard");
         drop(j);
         // Simulate a crash mid-append.
         let mut f = OpenOptions::new().append(true).open(&path).expect("reopen");
-        f.write_all(b"{\"schema\":\"itr-harness/v1\",\"kind\":\"shard\",\"jo").expect("tear");
+        let torn = format!("{{\"schema\":\"{SCHEMA}\",\"kind\":\"shard\",\"jo");
+        f.write_all(torn.as_bytes()).expect("tear");
         drop(f);
         let (mut j, entries) = Journal::resume(&path, 7).expect("resume");
         assert_eq!(entries.len(), 2, "header + whole shard; torn line dropped");
         // Appending after the repair produces a journal with no trace of
         // the torn fragment.
-        j.append_shard("a", 1, (1, 2), 6, &ShardPayload::default()).expect("append");
+        j.append_shard("a", 1, (1, 2), 6, &Value::Null).expect("append");
         drop(j);
         let reloaded = load(&path).expect("reload");
         assert_eq!(reloaded.len(), 3);
@@ -386,10 +344,65 @@ mod tests {
     fn corrupt_interior_line_is_an_error() {
         let path = tmp("corrupt");
         let mut j = Journal::create(&path, 7, "quick").expect("create");
-        j.append_shard("a", 0, (0, 1), 5, &ShardPayload::default()).expect("shard");
+        j.append_shard("a", 0, (0, 1), 5, &Value::Null).expect("shard");
         drop(j);
         let body = std::fs::read_to_string(&path).expect("read");
-        std::fs::write(&path, body.replacen("itr-harness/v1", "bogus/v0", 1)).expect("write");
+        std::fs::write(&path, body.replacen(SCHEMA, "bogus/v0", 1)).expect("write");
         assert!(load(&path).is_err());
+    }
+
+    #[test]
+    fn v1_journal_is_refused_on_resume() {
+        let path = tmp("v1");
+        let v1 = "{\"schema\":\"itr-harness/v1\",\"kind\":\"run\",\"fingerprint\":7,\"mode\":\"quick\"}\n\
+                  {\"schema\":\"itr-harness/v1\",\"kind\":\"shard\",\"job\":\"a\",\"shard\":0,\
+                  \"seed_lo\":0,\"seed_hi\":1,\"elapsed_ms\":5,\
+                  \"payload\":{\"rows\":[],\"text\":\"\",\"data\":{\"k\":7}}}\n";
+        std::fs::write(&path, v1).expect("write");
+        let err = Journal::resume(&path, 7).unwrap_err();
+        assert!(err.contains("line 1 is not a valid itr-harness/v2 entry"), "{err}");
+    }
+
+    /// A valid three-line journal: header, shard, quarantine.
+    fn three_line_journal(path: &Path) -> Vec<u8> {
+        let mut j = Journal::create(path, 9, "quick").expect("create");
+        j.append_shard("fig8:bzip", 3, (75, 100), 1200, &payload()).expect("shard");
+        j.append_quarantine("fig8:gcc", 1, (25, 50), "deadline exceeded").expect("quarantine");
+        drop(j);
+        std::fs::read(path).expect("read")
+    }
+
+    #[test]
+    fn every_truncation_loads_the_whole_lines() {
+        let path = tmp("truncate");
+        let body = three_line_journal(&path);
+        let line_ends: Vec<usize> =
+            body.iter().enumerate().filter(|(_, &b)| b == b'\n').map(|(i, _)| i).collect();
+        assert_eq!(line_ends.len(), 3);
+        for cut in 0..=body.len() {
+            std::fs::write(&path, &body[..cut]).expect("write");
+            // A line is whole once every byte before its newline is kept.
+            let whole = line_ends.iter().filter(|&&end| cut >= end).count();
+            match load(&path) {
+                Ok(entries) => assert_eq!(entries.len(), whole, "cut at {cut}"),
+                Err(e) => panic!("cut at {cut}: a truncated journal must load: {e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn every_byte_flip_loads_or_errors_without_panicking() {
+        let path = tmp("flip");
+        let body = three_line_journal(&path);
+        for i in 0..body.len() {
+            for mask in [0x01u8, 0x20, 0x80] {
+                let mut flipped = body.clone();
+                flipped[i] ^= mask;
+                std::fs::write(&path, &flipped).expect("write");
+                if let Ok(entries) = load(&path) {
+                    assert!(entries.len() <= 3, "byte {i} mask {mask:#x}");
+                }
+            }
+        }
     }
 }

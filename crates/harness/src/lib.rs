@@ -10,15 +10,15 @@
 //!   independent units of scheduling;
 //! * [`pool`] — a work-stealing thread pool; shards of *all* ready jobs
 //!   interleave, so one slow campaign never idles the machine;
-//! * [`journal`] — an append-only `journal.jsonl` (`itr-harness/v1`)
-//!   recording each completed shard's seed range and `itr-stats/v1`
-//!   payload; an interrupted run resumes with zero recomputation;
+//! * [`journal`] — an append-only `journal.jsonl` (`itr-harness/v2`)
+//!   recording each completed shard's seed range and JSON payload; an
+//!   interrupted run resumes with zero recomputation;
 //! * watchdogs — every shard carries a deadline; overdue shards are
 //!   cancelled cooperatively or, if deaf, abandoned and quarantined
 //!   while a replacement worker keeps the run alive;
-//! * deterministic merge — [`JobResult`] folds per-shard rows, text and
-//!   `itr-stats` reports in shard-index order, so the aggregate is
-//!   byte-identical regardless of thread count or completion order;
+//! * deterministic merge — [`JobResult`] hands dependent jobs the shard
+//!   payloads in shard-index order, so what they render is byte-identical
+//!   regardless of thread count or completion order;
 //! * [`manifest`] — `MANIFEST.json` inventories the artifacts a run
 //!   produced, with shard accounting for resume verification.
 //!
@@ -38,8 +38,8 @@ pub mod progress;
 pub mod runner;
 
 pub use job::{
-    Blackboard, JobResult, JobSpec, QuarantineRecord, Registry, ShardCtx, ShardPayload,
-    ShardRecord, ShardSpec, DEFAULT_DEADLINE,
+    Blackboard, JobResult, JobSpec, QuarantineRecord, Registry, ShardCtx, ShardRecord, ShardSpec,
+    DEFAULT_DEADLINE,
 };
 pub use journal::{Entry, Journal};
 pub use manifest::{collect_artifacts, write_manifest, ManifestEntry, ShardCounts};

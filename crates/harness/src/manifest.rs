@@ -1,6 +1,6 @@
 //! The artifact manifest (`results/MANIFEST.json`).
 //!
-//! Emit jobs advertise the files they wrote through their shard `data`
+//! Emit jobs advertise the files they wrote through their shard
 //! payload (`{"artifacts": ["fig8_injection.csv", ...]}`, paths relative
 //! to the output directory); the manifest collects them with sizes and
 //! provenance so a consumer can tell a complete reproduction from a

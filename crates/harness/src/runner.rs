@@ -10,11 +10,11 @@
 //! and report back over a channel.
 
 use crate::job::{
-    Blackboard, JobResult, JobSpec, QuarantineRecord, Registry, ShardCtx, ShardPayload,
-    ShardRecord, ShardSpec,
+    Blackboard, JobResult, JobSpec, QuarantineRecord, Registry, ShardCtx, ShardRecord, ShardSpec,
 };
 use crate::journal::{Entry, Journal};
 use crate::progress::Progress;
+use itr_stats::json::Value;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -85,7 +85,7 @@ struct RunningShard {
 
 enum Event {
     Started { key: ShardKey, worker: usize },
-    Finished { key: ShardKey, outcome: Result<ShardPayload, String>, elapsed_ms: u64 },
+    Finished { key: ShardKey, outcome: Result<Value, String>, elapsed_ms: u64 },
 }
 
 struct JobState {
@@ -102,7 +102,7 @@ pub fn run(registry: Registry, opts: &RunOptions) -> Result<RunSummary, String> 
     let fingerprint = registry.fingerprint();
 
     // -- journal: load prior shards, open for appending --
-    let mut prior_done: HashMap<ShardKey, ((u64, u64), ShardPayload, u64)> = HashMap::new();
+    let mut prior_done: HashMap<ShardKey, ((u64, u64), Value, u64)> = HashMap::new();
     let mut prior_quarantine: HashMap<ShardKey, ((u64, u64), String)> = HashMap::new();
     let mut journal = match &opts.journal_path {
         Some(path) if opts.resume && path.exists() => {
@@ -457,8 +457,6 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use itr_stats::json::Value;
-    use itr_stats::{Counters, Report, Unit};
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir =
@@ -468,18 +466,9 @@ mod tests {
         dir
     }
 
-    fn counting_payload(n: u64) -> ShardPayload {
-        let mut c = Counters::new();
-        let events = c.register("events", Unit::Events, "");
-        c.add(events, n);
-        let mut report = Report::new();
-        report.push_section("test", &c, &[]);
-        ShardPayload {
-            rows: vec![format!("row,{n}")],
-            text: format!("shard {n}\n"),
-            report: Some(report),
-            data: Some(Value::UInt(n)),
-        }
+    /// A job's payloads in shard order, as one JSON document.
+    fn data_json(summary: &RunSummary, job: &str) -> String {
+        Value::Array(summary.blackboard.expect(job).data().cloned().collect()).to_json()
     }
 
     fn two_stage_registry() -> Registry {
@@ -488,14 +477,14 @@ mod tests {
             (0..4u32)
                 .map(|i| {
                     ShardSpec::new(i, (i as u64 * 10, i as u64 * 10 + 10), move |_ctx| {
-                        counting_payload(i as u64 + 1)
+                        Value::UInt(i as u64 + 1)
                     })
                 })
                 .collect()
         }));
         registry.add(JobSpec::single("consume", &["produce"], |_ctx, board| {
             let total: u64 = board.expect("produce").data().map(|v| v.as_u64().unwrap_or(0)).sum();
-            ShardPayload { rows: vec![format!("total,{total}")], ..ShardPayload::default() }
+            Value::Str(format!("total,{total}"))
         }));
         registry
     }
@@ -505,11 +494,8 @@ mod tests {
         let summary = run(two_stage_registry(), &RunOptions::default()).expect("run");
         assert_eq!(summary.executed, 5);
         assert_eq!(summary.quarantined, 0);
-        let produce = summary.blackboard.expect("produce");
-        assert_eq!(produce.rows(), vec!["row,1", "row,2", "row,3", "row,4"]);
-        assert_eq!(produce.merged_report().counter("test", "events"), Some(10));
-        let consume = summary.blackboard.expect("consume");
-        assert_eq!(consume.rows(), vec!["total,10"], "dependent saw every shard payload");
+        assert_eq!(data_json(&summary, "produce"), "[1,2,3,4]");
+        assert_eq!(data_json(&summary, "consume"), "[\"total,10\"]", "dependent saw every shard");
     }
 
     #[test]
@@ -518,12 +504,8 @@ mod tests {
             .expect("run");
         let eight = run(two_stage_registry(), &RunOptions { threads: 8, ..RunOptions::default() })
             .expect("run");
-        let rows = |s: &RunSummary| s.blackboard.expect("produce").rows();
-        assert_eq!(rows(&one), rows(&eight));
-        assert_eq!(
-            one.blackboard.expect("produce").merged_report().to_json(),
-            eight.blackboard.expect("produce").merged_report().to_json()
-        );
+        assert_eq!(data_json(&one, "produce"), data_json(&eight, "produce"));
+        assert_eq!(data_json(&one, "consume"), data_json(&eight, "consume"));
     }
 
     #[test]
@@ -542,14 +524,8 @@ mod tests {
             .expect("resumed run");
         assert_eq!(resumed.executed, 0, "every shard replayed from the journal");
         assert_eq!(resumed.journaled, 5);
-        assert_eq!(
-            resumed.blackboard.expect("produce").merged_report().to_json(),
-            first.blackboard.expect("produce").merged_report().to_json()
-        );
-        assert_eq!(
-            resumed.blackboard.expect("consume").rows(),
-            first.blackboard.expect("consume").rows()
-        );
+        assert_eq!(data_json(&resumed, "produce"), data_json(&first, "produce"));
+        assert_eq!(data_json(&resumed, "consume"), data_json(&first, "consume"));
     }
 
     #[test]
@@ -563,7 +539,7 @@ mod tests {
         let fingerprint = registry.fingerprint();
         let mut journal =
             Journal::create(&journal_path, fingerprint, "quick").expect("create journal");
-        journal.append_shard("produce", 0, (0, 10), 3, &counting_payload(1)).expect("append");
+        journal.append_shard("produce", 0, (0, 10), 3, &Value::UInt(1)).expect("append");
         drop(journal);
 
         let summary = run(
@@ -580,8 +556,8 @@ mod tests {
         assert_eq!(summary.executed, 4, "three produce shards + consume");
         let fresh = run(two_stage_registry(), &RunOptions::default()).expect("fresh");
         assert_eq!(
-            summary.blackboard.expect("produce").merged_report().to_json(),
-            fresh.blackboard.expect("produce").merged_report().to_json(),
+            data_json(&summary, "produce"),
+            data_json(&fresh, "produce"),
             "journal replay + fresh shards merge to the same aggregate"
         );
     }
@@ -591,14 +567,14 @@ mod tests {
         let mut registry = Registry::new(1);
         registry.add(JobSpec::new("mixed", &[], |_| {
             vec![
-                ShardSpec::new(0, (0, 1), |_ctx| counting_payload(1)),
+                ShardSpec::new(0, (0, 1), |_ctx| Value::UInt(1)),
                 ShardSpec::new(1, (1, 2), |_ctx| panic!("injected shard failure")),
-                ShardSpec::new(2, (2, 3), |_ctx| counting_payload(3)),
+                ShardSpec::new(2, (2, 3), |_ctx| Value::UInt(3)),
             ]
         }));
         registry.add(JobSpec::single("after", &["mixed"], |_ctx, board| {
             let survivors = board.expect("mixed").shards.len() as u64;
-            ShardPayload { rows: vec![format!("survivors,{survivors}")], ..Default::default() }
+            Value::UInt(survivors)
         }));
         let summary = run(registry, &RunOptions::default()).expect("run survives the panic");
         assert_eq!(summary.quarantined, 1);
@@ -608,7 +584,7 @@ mod tests {
             "{:?}",
             summary.quarantines
         );
-        assert_eq!(summary.blackboard.expect("after").rows(), vec!["survivors,2"]);
+        assert_eq!(data_json(&summary, "after"), "[2]");
     }
 
     #[test]
@@ -621,10 +597,10 @@ mod tests {
                     while !ctx.cancelled() {
                         std::thread::sleep(Duration::from_millis(5));
                     }
-                    counting_payload(99)
+                    Value::UInt(99)
                 })
                 .with_deadline(Duration::from_millis(60)),
-                ShardSpec::new(1, (1, 2), |_ctx| counting_payload(1)),
+                ShardSpec::new(1, (1, 2), |_ctx| Value::UInt(1)),
             ]
         }));
         let summary = run(registry, &RunOptions::default()).expect("run");
@@ -644,10 +620,10 @@ mod tests {
                 ShardSpec::new(0, (0, 1), |_ctx| {
                     // Never polls the cancel flag — a truly hung shard.
                     std::thread::sleep(Duration::from_secs(2));
-                    counting_payload(1)
+                    Value::UInt(1)
                 })
                 .with_deadline(Duration::from_millis(50)),
-                ShardSpec::new(1, (1, 2), |_ctx| counting_payload(2)),
+                ShardSpec::new(1, (1, 2), |_ctx| Value::UInt(2)),
             ]
         }));
         let start = Instant::now();

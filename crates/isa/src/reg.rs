@@ -37,11 +37,6 @@ impl Reg {
             Reg::Int(i) | Reg::Fp(i) => i,
         }
     }
-
-    /// `true` for floating-point registers.
-    pub fn is_fp(self) -> bool {
-        matches!(self, Reg::Fp(_))
-    }
 }
 
 impl fmt::Display for Reg {

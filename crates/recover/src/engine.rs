@@ -6,10 +6,10 @@
 //! ## Rollback protocol
 //!
 //! 1. The active pipeline runs with the [`itr_core::CoarseCheckpointer`]
-//!    enabled; every checkpoint it takes is logged as a
+//!    enabled; it keeps the last checkpoint it took as a
 //!    [`CheckpointRecord`] (commit count + escaped-output length).
-//! 2. On a machine check (or a watchdog deadlock), the engine picks the
-//!    last logged checkpoint. When the faulty run's commits up to it
+//! 2. On a machine check (or a watchdog deadlock), the engine picks
+//!    that checkpoint. When the faulty run's commits up to it
 //!    equal the golden run's (the [`itr_faults::Lockstep`] the run is
 //!    driven by records its first divergence), it reconstructs the
 //!    checkpoint's architectural snapshot by replaying that golden
@@ -255,7 +255,7 @@ fn drive(
     run
 }
 
-/// Rolls back to the last logged checkpoint and re-executes, returning
+/// Rolls back to the pipeline's last checkpoint and re-executes, returning
 /// the ground-truth outcome.
 fn rollback(
     program: &Program,
@@ -264,7 +264,7 @@ fn rollback(
     run: &mut RecoveryRun,
 ) -> ActualOutcome {
     let pipe = faulty.pipeline();
-    let Some(ck) = pipe.checkpoint_log().last().copied() else {
+    let Some(ck) = pipe.last_checkpoint() else {
         return ActualOutcome::Fatal;
     };
     let at = ck.committed as usize;

@@ -118,15 +118,6 @@ impl TimingCache {
     pub fn misses(&self) -> u64 {
         self.misses
     }
-
-    /// Miss ratio (0 when never accessed).
-    pub fn miss_ratio(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
 }
 
 #[cfg(test)]

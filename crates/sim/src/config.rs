@@ -199,10 +199,6 @@ pub struct PipelineConfig {
     pub rename_protection: bool,
     /// Planned rename-unit fault, if any.
     pub rename_fault: Option<RenameFault>,
-    /// Depth of the post-mortem stage-event ring (most recent pipeline
-    /// events kept for inspection after an ITR mismatch or machine
-    /// check). `0` disables recording.
-    pub stage_trace_depth: usize,
 }
 
 impl PipelineConfig {
@@ -242,7 +238,6 @@ impl Default for PipelineConfig {
             scheduler_fault: None,
             rename_protection: false,
             rename_fault: None,
-            stage_trace_depth: 0,
         }
     }
 }

@@ -65,7 +65,5 @@ pub use config::{
 pub use execution::Execution;
 pub use func::{FuncSim, StopReason, TraceStream};
 pub use mem::Memory;
-pub use pipeline::{
-    CheckpointRecord, Pipeline, PipelineStats, RunExit, SpcViolation, Stage, StageEvent,
-};
+pub use pipeline::{CheckpointRecord, Pipeline, PipelineStats, RunExit, SpcViolation};
 pub use snapshot::{snapshot_at, SimSnapshot};

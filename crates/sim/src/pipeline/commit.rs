@@ -7,7 +7,6 @@
 //! escaped), and only then do stores reach memory and traps take effect.
 
 use super::rename::rename_extra;
-use super::stats::Stage;
 use super::{Pipeline, RunExit, SpcViolation};
 use crate::arch::CommitRecord;
 use crate::semantics::{operand_plan, TrapAction};
@@ -94,12 +93,6 @@ impl Pipeline {
                     // commits and refetch, exactly like an ITR retry.
                     self.metrics.inc(self.metrics.redundant_detects);
                     self.metrics.inc(self.metrics.retry_flushes);
-                    self.metrics.event(
-                        self.cycle,
-                        Stage::Commit,
-                        start_pc,
-                        "redundant-fetch detect",
-                    );
                     self.itr.as_mut().expect("checked").on_retry_flush(start_pc);
                     self.full_flush_to(start_pc);
                     true
@@ -132,13 +125,11 @@ impl Pipeline {
                     CommitAction::Stall => return,
                     CommitAction::Retry { start_pc } => {
                         self.metrics.inc(self.metrics.retry_flushes);
-                        self.metrics.event(self.cycle, Stage::Commit, start_pc, "ITR retry flush");
                         self.itr.as_mut().expect("checked").on_retry_flush(start_pc);
                         self.full_flush_to(start_pc);
                         return;
                     }
                     CommitAction::MachineCheck { start_pc } => {
-                        self.metrics.event(self.cycle, Stage::Commit, start_pc, "machine check");
                         self.itr.as_mut().expect("checked").on_machine_check(start_pc);
                         self.exit = Some(RunExit::MachineCheck { start_pc });
                         return;
@@ -162,7 +153,6 @@ impl Pipeline {
             if self.cfg.spc_check {
                 let is_branch_flag = u.sig.flags.contains(SignalFlags::IS_BRANCH);
                 if !self.spc.check_and_advance(u.pc, is_branch_flag, u.next_pc) {
-                    self.metrics.event(self.cycle, Stage::Commit, u.pc, "sequential-PC violation");
                     self.metrics.inc(self.metrics.spc_violations);
                     self.spc_violations.push(SpcViolation { cycle: self.cycle, pc: u.pc });
                 }
@@ -211,7 +201,7 @@ impl Pipeline {
                         Some(age) => unit.cache().unreferenced_young_count(age),
                     };
                     if self.checkpointer.observe(blocking, committed) {
-                        self.checkpoint_log.push(super::CheckpointRecord {
+                        self.last_checkpoint = Some(super::CheckpointRecord {
                             committed,
                             output_len: self.output.len(),
                         });

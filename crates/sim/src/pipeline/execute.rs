@@ -7,7 +7,6 @@
 //!
 //! [`Uop::itr_snap`]: super::window::Uop
 
-use super::stats::Stage;
 use super::Pipeline;
 
 impl Pipeline {
@@ -27,8 +26,6 @@ impl Pipeline {
             let u = &self.win[i];
             if u.taken.is_some() && u.next_pc != u.predicted_next {
                 self.metrics.inc(self.metrics.mispredicts);
-                let pc = u.pc;
-                self.metrics.event(self.cycle, Stage::Execute, pc, "mispredict repair");
                 self.repair_mispredict(seq);
             }
         }

@@ -6,7 +6,7 @@
 //! is visible downstream. Redirects (mispredict repair, flush-restart)
 //! come back through [`Frontend::redirect`].
 
-use super::stats::{SimMetrics, Stage};
+use super::stats::SimMetrics;
 use crate::branch::{Btb, Gshare, ReturnStack};
 use crate::cache::TimingCache;
 use crate::config::PipelineConfig;
@@ -98,13 +98,7 @@ impl Frontend {
 
     /// One fetch cycle: up to `width` instructions from one cache line,
     /// ending early at a predicted-taken redirect or line boundary.
-    pub fn fetch(
-        &mut self,
-        mem: &Memory,
-        cfg: &PipelineConfig,
-        metrics: &mut SimMetrics,
-        cycle: u64,
-    ) {
+    pub fn fetch(&mut self, mem: &Memory, cfg: &PipelineConfig, metrics: &mut SimMetrics) {
         if self.halted {
             return;
         }
@@ -133,7 +127,6 @@ impl Frontend {
             let Ok(inst) = decode(word) else {
                 // Un-decodable word (wild fetch): stall until a redirect.
                 self.halted = true;
-                metrics.event(cycle, Stage::Fetch, pc, "undecodable word; fetch halted");
                 break;
             };
             let fetched = self.predecode(pc, inst);

@@ -7,7 +7,6 @@
 //! visible at the entry's `done_cycle` (the complete stage's input).
 
 use super::lsq::OverlayLoader;
-use super::stats::Stage;
 use super::window::Uop;
 use super::Pipeline;
 use crate::config::SchedulerFault;
@@ -73,12 +72,6 @@ impl Pipeline {
                 self.metrics.inc(self.metrics.tac_violations);
                 self.metrics.inc(self.metrics.tac_recoveries);
                 let restart_pc = self.win[i].pc;
-                self.metrics.event(
-                    self.cycle,
-                    Stage::Issue,
-                    restart_pc,
-                    "TAC violation; flush-restart",
-                );
                 if let Some(unit) = &mut self.itr {
                     unit.on_full_flush();
                 }

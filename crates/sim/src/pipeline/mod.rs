@@ -33,8 +33,11 @@
 //! every cycle (LSQ occupancy, the issued-not-done list, the unissued
 //! stores); every push and pop goes through its methods, and debug
 //! builds re-check that state against a full scan once per cycle;
-//! every counter, histogram and post-mortem stage event flows through
-//! [`stats`] into the `itr-stats` layer (see [`Pipeline::stats_report`]).
+//! every counter and histogram flows through [`stats`] into the
+//! `itr-stats` layer (see [`Pipeline::stats_report`]). Post-mortem
+//! inspection reads the cycle-tagged ITR events
+//! ([`Pipeline::itr_events`]) and sequential-PC violations
+//! ([`Pipeline::spc_violations`]) next to the counters.
 
 mod commit;
 mod execute;
@@ -48,7 +51,7 @@ mod window;
 #[cfg(test)]
 mod tests;
 
-pub use stats::{PipelineStats, Stage, StageEvent};
+pub use stats::PipelineStats;
 
 use crate::arch::CommitRecord;
 use crate::cache::TimingCache;
@@ -137,7 +140,7 @@ pub struct Pipeline {
     // Checks.
     pub(in crate::pipeline) itr: Option<ItrUnit>,
     pub(in crate::pipeline) checkpointer: CoarseCheckpointer,
-    pub(in crate::pipeline) checkpoint_log: Vec<CheckpointRecord>,
+    pub(in crate::pipeline) last_checkpoint: Option<CheckpointRecord>,
     pub(in crate::pipeline) itr_events: Vec<(u64, ItrEvent)>,
     pub(in crate::pipeline) spc: SequentialPcChecker,
     pub(in crate::pipeline) spc_violations: Vec<SpcViolation>,
@@ -205,7 +208,7 @@ impl Pipeline {
             dcache: TimingCache::new(cfg.dcache),
             itr: cfg.itr.map(ItrUnit::new),
             checkpointer: CoarseCheckpointer::new(cfg.checkpoint_min_gap),
-            checkpoint_log: Vec::new(),
+            last_checkpoint: None,
             itr_events: Vec::new(),
             spc: SequentialPcChecker::new(),
             spc_violations: Vec::new(),
@@ -218,7 +221,7 @@ impl Pipeline {
             swap_done: false,
             output: String::new(),
             exit: None,
-            metrics: SimMetrics::new(cfg.stage_trace_depth),
+            metrics: SimMetrics::new(),
             cfg,
         }
     }
@@ -336,10 +339,11 @@ impl Pipeline {
         &self.checkpointer
     }
 
-    /// Every checkpoint the run took, in commit order (empty without an
-    /// ITR unit — checkpoint safety is defined by the ITR cache).
-    pub fn checkpoint_log(&self) -> &[CheckpointRecord] {
-        &self.checkpoint_log
+    /// The most recent checkpoint the run took — the §2.3 rollback
+    /// target (`None` without an ITR unit: checkpoint safety is defined
+    /// by the ITR cache).
+    pub fn last_checkpoint(&self) -> Option<CheckpointRecord> {
+        self.last_checkpoint
     }
 
     /// Memory contents (e.g. to inspect results after a run).
@@ -350,12 +354,6 @@ impl Pipeline {
     /// Current cycle count.
     pub fn cycle(&self) -> u64 {
         self.cycle
-    }
-
-    /// The post-mortem stage-event trace, oldest first (empty unless
-    /// [`PipelineConfig::stage_trace_depth`] is non-zero).
-    pub fn stage_trace(&self) -> impl Iterator<Item = &StageEvent> {
-        self.metrics.events.iter()
     }
 
     /// Builds the full `itr-stats/v1` report: the `pipeline` section plus,
@@ -390,8 +388,7 @@ impl Pipeline {
             self.complete();
             self.issue();
             self.dispatch();
-            let cycle = self.cycle;
-            self.fe.fetch(&self.mem, &self.cfg, &mut self.metrics, cycle);
+            self.fe.fetch(&self.mem, &self.cfg, &mut self.metrics);
         }
         if let Some(unit) = &mut self.itr {
             let cycle = self.cycle;

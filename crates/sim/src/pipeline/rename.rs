@@ -7,7 +7,6 @@
 //!
 //! [`DecodeFault`]: crate::config::DecodeFault
 
-use super::stats::Stage;
 use super::window::Uop;
 use super::Pipeline;
 use crate::config::RenameFault;
@@ -105,7 +104,6 @@ impl Pipeline {
             for fault in &self.faults {
                 if decoded_so_far == fault.nth_decode {
                     sig = sig.with_bit_flipped(fault.bit);
-                    self.metrics.event(self.cycle, Stage::Dispatch, f.pc, "decode fault injected");
                 }
             }
             // Multi-cycle faults (stuck-at / intermittent / repeated
@@ -116,12 +114,6 @@ impl Pipeline {
                     let struck = fault.apply(packed);
                     if struck != packed {
                         sig = DecodeSignals::unpack(struck);
-                        self.metrics.event(
-                            self.cycle,
-                            Stage::Dispatch,
-                            f.pc,
-                            "signal fault active",
-                        );
                     }
                 }
             }
@@ -130,7 +122,6 @@ impl Pipeline {
             if let (Some(burst), Some(from)) = (self.cfg.burst_fault, self.first_mismatch_decode) {
                 if decoded_so_far >= from && decoded_so_far < from.saturating_add(burst.len) {
                     sig = sig.with_bit_flipped(burst.bit % 64);
-                    self.metrics.event(self.cycle, Stage::Dispatch, f.pc, "burst fault injected");
                 }
             }
             self.metrics.inc(self.metrics.decoded);

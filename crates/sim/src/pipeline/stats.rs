@@ -1,12 +1,12 @@
-//! The pipeline's telemetry: every counter, histogram and stage event
-//! flows through [`SimMetrics`] into the `itr-stats` layer.
+//! The pipeline's telemetry: every counter and histogram flows through
+//! [`SimMetrics`] into the `itr-stats` layer.
 //!
 //! Stages increment typed counter handles (plain vector indexes — no
 //! hashing on the cycle path); [`SimMetrics::snapshot`] materializes the
 //! public [`PipelineStats`] view, and [`SimMetrics::export`] appends the
 //! `pipeline` section of the `itr-stats/v1` JSON report.
 
-use itr_stats::{Counter, Counters, EventRing, Histogram, Report, Unit};
+use itr_stats::{Counter, Counters, Histogram, Report, Unit};
 
 /// Aggregate pipeline statistics (a point-in-time snapshot; every value
 /// lives in the `itr-stats` counter registry).
@@ -57,51 +57,7 @@ impl PipelineStats {
     }
 }
 
-/// A pipeline stage, as tagged on post-mortem trace events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stage {
-    /// Fetch/predecode.
-    Fetch,
-    /// Decode/rename/dispatch.
-    Dispatch,
-    /// Select/execute.
-    Issue,
-    /// Writeback/mispredict repair.
-    Execute,
-    /// Retirement (including the ITR interlock).
-    Commit,
-}
-
-impl Stage {
-    /// Stable lowercase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::Fetch => "fetch",
-            Stage::Dispatch => "dispatch",
-            Stage::Issue => "issue",
-            Stage::Execute => "execute",
-            Stage::Commit => "commit",
-        }
-    }
-}
-
-/// One recorded stage event — a hardware-style post-mortem trace entry
-/// kept in a bounded ring (see [`PipelineConfig::stage_trace_depth`]).
-///
-/// [`PipelineConfig::stage_trace_depth`]: crate::PipelineConfig::stage_trace_depth
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StageEvent {
-    /// Cycle the event occurred in.
-    pub cycle: u64,
-    /// Stage that raised it.
-    pub stage: Stage,
-    /// PC involved.
-    pub pc: u64,
-    /// What happened.
-    pub what: &'static str,
-}
-
-/// Counter handles + histograms + event ring for one pipeline instance.
+/// Counter handles + histograms for one pipeline instance.
 #[derive(Debug, Clone)]
 pub(in crate::pipeline) struct SimMetrics {
     counters: Counters,
@@ -129,12 +85,10 @@ pub(in crate::pipeline) struct SimMetrics {
     pub iq_occupancy: Histogram,
     /// Fetch-queue occupancy sampled every cycle.
     pub fetch_queue_occupancy: Histogram,
-    /// Post-mortem ring of recent notable stage events.
-    pub events: EventRing<StageEvent>,
 }
 
 impl SimMetrics {
-    pub fn new(stage_trace_depth: usize) -> SimMetrics {
+    pub fn new() -> SimMetrics {
         let mut c = Counters::new();
         let cycles = c.register("cycles", Unit::Cycles, "cycles simulated");
         let committed = c.register("committed", Unit::Instructions, "instructions committed");
@@ -193,7 +147,6 @@ impl SimMetrics {
             rob_occupancy: Histogram::new("rob_occupancy"),
             iq_occupancy: Histogram::new("iq_occupancy"),
             fetch_queue_occupancy: Histogram::new("fetch_queue_occupancy"),
-            events: EventRing::new(stage_trace_depth),
         }
     }
 
@@ -215,13 +168,6 @@ impl SimMetrics {
     #[inline]
     pub fn get(&self, c: Counter) -> u64 {
         self.counters.get(c)
-    }
-
-    /// Records a notable stage event in the post-mortem ring (no-op when
-    /// the ring depth is 0).
-    #[inline]
-    pub fn event(&mut self, cycle: u64, stage: Stage, pc: u64, what: &'static str) {
-        self.events.push(StageEvent { cycle, stage, pc, what });
     }
 
     /// Point-in-time [`PipelineStats`] view.

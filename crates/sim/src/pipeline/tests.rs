@@ -572,7 +572,8 @@ fn bounded_wait_restores_checkpoint_availability_past_a_prologue() {
         pipe.checkpointer().checkpoints_taken(),
         pipe.checkpointer().opportunities()
     );
-    assert_eq!(pipe.checkpoint_log().len() as u64, pipe.checkpointer().checkpoints_taken());
+    let last = pipe.last_checkpoint().expect("the run took checkpoints");
+    assert!(last.committed <= pipe.stats().committed, "{last:?}");
 }
 
 #[test]
@@ -594,36 +595,6 @@ fn fp_program_runs_correctly_out_of_order() {
     let (pipe, exit) = run_pipeline(src, PipelineConfig::with_itr());
     assert_eq!(exit, RunExit::Halted);
     assert_eq!(pipe.output(), "3");
-}
-
-#[test]
-fn stage_trace_records_recovery_post_mortem() {
-    let cfg = PipelineConfig {
-        faults: vec![DecodeFault { nth_decode: 50, bit: 25 }],
-        stage_trace_depth: 64,
-        ..PipelineConfig::with_itr()
-    };
-    let (pipe, exit) = run_pipeline(SUM_LOOP, cfg);
-    assert_eq!(exit, RunExit::Halted);
-    let events: Vec<_> = pipe.stage_trace().collect();
-    assert!(
-        events.iter().any(|e| e.what == "decode fault injected"),
-        "the injection itself is traced"
-    );
-    assert!(
-        events.iter().any(|e| e.what == "ITR retry flush"),
-        "the recovery is traced: {events:?}"
-    );
-}
-
-#[test]
-fn stage_trace_is_off_by_default() {
-    let cfg = PipelineConfig {
-        faults: vec![DecodeFault { nth_decode: 50, bit: 25 }],
-        ..PipelineConfig::with_itr()
-    };
-    let (pipe, _) = run_pipeline(SUM_LOOP, cfg);
-    assert_eq!(pipe.stage_trace().count(), 0);
 }
 
 #[test]

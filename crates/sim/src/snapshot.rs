@@ -7,8 +7,9 @@
 //! effect completely (destination writes, stores, the next-PC chain), so
 //! [`snapshot_at`] builds every snapshot by replaying a recorded prefix —
 //! the fuzzer's start states cut from an [`Execution`](crate::Execution)
-//! at trace boundaries, and the recovery engine's §2.3 checkpoints cut
-//! from a pipeline's commit log — instead of stepping a live simulator.
+//! at trace boundaries, the recovery engine's §2.3 checkpoints cut from
+//! the golden commit stream, and the two states a fuzz divergence report
+//! diffs — instead of stepping a live simulator.
 //!
 //! Restoring a snapshot with [`FuncSim::from_snapshot`] reproduces the
 //! original run's commit stream from the capture point onward. When the

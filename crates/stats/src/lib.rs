@@ -12,8 +12,6 @@
 //!   integer [`Counter`] handles (safe for cycle-loop hot paths),
 //! * [`Histogram`] — power-of-two-bucketed distribution, used for
 //!   per-stage occupancy and width histograms,
-//! * [`EventRing`] — a fixed-capacity ring buffer of recent stage events,
-//!   kept for post-mortem inspection after an ITR mismatch,
 //! * [`Report`] / [`Section`] — the export schema: named sections of
 //!   counters and histograms with [`Report::to_json`] /
 //!   [`Report::from_json`],
@@ -43,11 +41,9 @@ mod counter;
 mod histogram;
 pub mod json;
 mod report;
-mod ring;
 pub mod rng;
 
 pub use counter::{Counter, CounterDef, Counters, Unit};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use report::{Report, Section};
-pub use ring::EventRing;
 pub use rng::SplitMix64;

@@ -136,12 +136,8 @@ impl Report {
     /// same regardless of shard completion order or thread count, as
     /// long as every producer registers the same counter set (all our
     /// producers do: registration order is fixed at construction).
-    ///
-    /// Event rings ([`crate::EventRing`]) are deliberately *not* part
-    /// of the export and therefore not merged: a ring is per-run
-    /// post-mortem state whose length is `min(capacity, pushed)`, so a
-    /// "merged ring" would have no well-defined contents. Consumers
-    /// that need cross-shard event totals must export them as counters.
+    /// Only counters and histograms are exported, so events a consumer
+    /// needs totalled across shards must be counted, not listed.
     pub fn merge(&mut self, other: &Report) {
         for os in &other.sections {
             let section = match self.sections.iter_mut().find(|s| s.name == os.name) {

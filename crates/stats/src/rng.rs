@@ -36,12 +36,6 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
-    /// Next raw 32-bit output (high half of [`next_u64`](Self::next_u64)).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {

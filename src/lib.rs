@@ -29,8 +29,7 @@
 //!   cross-validation oracle,
 //! * [`power`] — CACTI-lite energy and the S/390 G5 area comparison,
 //! * [`stats`] — the unified telemetry layer: typed counters, per-stage
-//!   histograms, the post-mortem event ring, the `itr-stats/v1` JSON
-//!   export, and the deterministic [`stats::SplitMix64`] PRNG.
+//!   histograms, the `itr-stats/v1` JSON export, and the deterministic [`stats::SplitMix64`] PRNG.
 //!
 //! # Quick start
 //!
