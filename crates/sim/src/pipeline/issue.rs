@@ -18,18 +18,25 @@ impl Pipeline {
     }
 
     pub(in crate::pipeline) fn issue(&mut self) {
-        // Oldest-first select among ready instructions. Loads wait for
-        // every older store to issue; the barrier is taken before select,
-        // so a store issuing this cycle frees younger loads next cycle.
+        // Oldest-first select among ready instructions: the issue queue
+        // is in age order, so the first `issue_width` ready entries are
+        // the picks. Loads wait for every older store to issue; the
+        // barrier is taken before select, so a store issuing this cycle
+        // frees younger loads next cycle.
         let barrier = self.win.store_barrier();
         let mut candidates = std::mem::take(&mut self.issue_candidates);
         candidates.clear();
-        candidates.extend(self.win.iq().iter().copied().filter(|&seq| {
-            let u = &self.win[self.win.idx(seq)];
-            self.srcs_ready(u) && (seq < barrier || !u.is_load())
-        }));
-        candidates.sort_unstable();
-        candidates.truncate(self.cfg.issue_width as usize);
+        candidates.extend(
+            self.win
+                .iq()
+                .iter()
+                .copied()
+                .filter(|&seq| {
+                    let u = &self.win[self.win.idx(seq)];
+                    self.srcs_ready(u) && (seq < barrier || !u.is_load())
+                })
+                .take(self.cfg.issue_width as usize),
+        );
 
         // Scheduler fault: at the chosen issue index the select logic
         // wrongly grabs the oldest not-ready instruction instead.
@@ -116,6 +123,7 @@ impl Pipeline {
                 self.rn.phys_val[d.phys as usize] = out.value;
             }
         }
+        self.win.drop_issued();
         self.issue_candidates = candidates;
     }
 }
