@@ -6,7 +6,7 @@
 //! renders everything a human needs to debug it: the commit index, the
 //! PC and disassembly on both sides, both commit records, and the two
 //! architectural states — each the [`snapshot_at`] replay of its
-//! stream's prefix — with a register-level diff.
+//! stream through the divergent commit — with a register-level diff.
 
 use itr_isa::Program;
 use itr_sim::{snapshot_at, CommitRecord, SimSnapshot};
@@ -22,11 +22,12 @@ pub struct Divergence {
     pub golden: Option<CommitRecord>,
     /// The other (pipeline) record, if its stream reaches this index.
     pub actual: Option<CommitRecord>,
-    /// Golden architectural state immediately *before* the divergent
-    /// commit.
+    /// Golden architectural state immediately *after* the divergent
+    /// commit (at the stream's end when the golden stream is the shorter
+    /// one).
     pub golden_state: SimSnapshot,
-    /// Actual architectural state immediately before the divergent
-    /// commit.
+    /// Actual architectural state immediately after the divergent commit
+    /// (at the stream's end when the actual stream is the shorter one).
     pub actual_state: SimSnapshot,
     /// Disassembly of the instruction at the golden record's PC.
     pub golden_disasm: String,
@@ -56,12 +57,16 @@ pub fn first_divergence(
         .zip(actual.iter())
         .position(|(g, a)| g != a)
         .or_else(|| (golden.len() != actual.len()).then(|| golden.len().min(actual.len())))?;
+    // Up to the divergent commit both streams are equal, so each state
+    // includes that commit on the side that has it.
+    let through =
+        |stream: &[CommitRecord]| snapshot_at(program, &stream[..stream.len().min(index + 1)]);
     Some(Divergence {
         index,
         golden: golden.get(index).copied(),
         actual: actual.get(index).copied(),
-        golden_state: snapshot_at(program, &golden[..index]),
-        actual_state: snapshot_at(program, &actual[..index]),
+        golden_state: through(golden),
+        actual_state: through(actual),
         golden_disasm: disasm_at(program, golden.get(index)),
         actual_disasm: disasm_at(program, actual.get(index)),
     })
@@ -86,7 +91,7 @@ impl fmt::Display for Divergence {
         writeln!(f, "  actual: {}  [{}]", fmt_record(self.actual.as_ref()), self.actual_disasm)?;
         writeln!(
             f,
-            "  arch state before the commit (golden pc={:#010x}, actual pc={:#010x}):",
+            "  arch state after the commit (golden pc={:#010x}, actual pc={:#010x}):",
             self.golden_state.pc, self.actual_state.pc
         )?;
         let mut differing = 0;
@@ -98,7 +103,7 @@ impl fmt::Display for Divergence {
             }
         }
         if differing == 0 {
-            writeln!(f, "    registers identical — the divergence is within the commit itself")?;
+            writeln!(f, "    registers identical — the commits differ in memory or control flow")?;
         }
         Ok(())
     }
@@ -155,25 +160,17 @@ mod tests {
     fn state_diff_shows_the_poisoned_register() {
         let (p, golden) = stream(SRC, 100);
         let mut actual = golden.clone();
-        // Poison the writeback of an *earlier* commit so the replayed
-        // states differ at the divergence point.
-        if let Some((r, v)) = &mut actual[1].dst {
-            assert_eq!(*r, 9, "second commit writes r9");
-            *v = 0xDEAD;
-        }
+        let Some((r, v)) = &mut actual[1].dst else { panic!("second commit writes") };
+        assert_eq!(*r, 9, "second commit writes r9");
+        let clean = *v;
+        *v = 0xDEAD;
         let d = first_divergence(&p, &golden, &actual).expect("diverges");
         assert_eq!(d.index, 1, "divergence at the poisoned commit");
-        // Diverge later instead: splice golden prefix so states differ.
-        let mut late = golden.clone();
-        if let Some((_, v)) = &mut late[1].dst {
-            *v = 0xDEAD;
-        }
-        if let Some((_, v)) = &mut late[2].dst {
-            *v = 0xBEEF;
-        }
-        let d = first_divergence(&p, &golden, &late).unwrap();
         let text = d.to_string();
-        assert_eq!(d.index, 1);
-        assert!(text.contains("registers identical"), "{text}");
+        assert!(
+            text.contains(&format!("r9   golden={clean:#010x} actual={:#010x}", 0xDEAD)),
+            "{text}"
+        );
+        assert!(!text.contains("registers identical"), "{text}");
     }
 }
