@@ -30,6 +30,12 @@ impl CoarseCheckpointer {
         CoarseCheckpointer { min_gap, ..CoarseCheckpointer::default() }
     }
 
+    /// `true` when `other` takes the same checkpoints from here on: same
+    /// spacing and last checkpoint; the counts are left out.
+    pub fn same_state(&self, other: &CoarseCheckpointer) -> bool {
+        self.min_gap == other.min_gap && self.last_checkpoint_at == other.last_checkpoint_at
+    }
+
     /// Reports the current state; returns `true` when a checkpoint should
     /// be taken now.
     ///

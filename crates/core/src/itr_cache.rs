@@ -4,7 +4,7 @@ use crate::config::ItrCacheConfig;
 use itr_stats::{Counter, Counters, Report, Unit as StatUnit};
 
 /// One signature line.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct Line {
     valid: bool,
     /// Full start PC of the trace (used as the tag).
@@ -172,6 +172,15 @@ impl ItrCache {
             tick: 0,
             unreferenced: 0,
         }
+    }
+
+    /// `true` when `other` holds the same lines, LRU clock and
+    /// configuration; the counters are left out.
+    pub fn same_state(&self, other: &ItrCache) -> bool {
+        self.config == other.config
+            && self.tick == other.tick
+            && self.unreferenced == other.unreferenced
+            && self.lines == other.lines
     }
 
     /// The cache's configuration.

@@ -82,7 +82,7 @@ impl std::error::Error for ItrRobFull {}
 
 /// Circular buffer of in-flight trace records, freed in order at commit
 /// and rolled back on branch mispredictions.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ItrRob {
     entries: VecDeque<ItrRobEntry>,
     head_seq: ItrRobIndex,

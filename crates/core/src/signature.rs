@@ -132,6 +132,17 @@ pub struct TraceBuilder {
     max_len: u32,
 }
 
+/// Two builders are equal when they form the same traces from here on:
+/// the start PC of an empty trace is stale (the next push overwrites it),
+/// so it is left out.
+impl PartialEq for TraceBuilder {
+    fn eq(&self, other: &TraceBuilder) -> bool {
+        self.gen == other.gen
+            && self.max_len == other.max_len
+            && (self.gen.count() == 0 || self.start_pc == other.start_pc)
+    }
+}
+
 impl TraceBuilder {
     /// Creates a builder that terminates traces at `max_len` instructions.
     ///

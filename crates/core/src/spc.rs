@@ -23,6 +23,12 @@ impl SequentialPcChecker {
         SequentialPcChecker::default()
     }
 
+    /// `true` when `other` expects the same next PC; the counts are left
+    /// out.
+    pub fn same_state(&self, other: &SequentialPcChecker) -> bool {
+        self.expected == other.expected
+    }
+
     /// Checks a committing instruction and advances the commit PC.
     ///
     /// * `pc` — the committing instruction's own PC,

@@ -112,7 +112,7 @@ pub enum ItrEvent {
 }
 
 /// Snapshot of dispatch-side ITR state, captured at branch dispatch.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ItrSnapshot {
     builder: TraceBuilder,
     rob_next_seq: ItrRobIndex,
@@ -281,7 +281,7 @@ pub struct ItrUnit {
 }
 
 /// A dispatched trace whose ITR cache read has not completed yet.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct PendingCheck {
     trace_seq: ItrRobIndex,
     record: TraceRecord,
@@ -327,6 +327,20 @@ impl ItrUnit {
                 self.rob.get_mut(p.trace_seq).expect("checked").state = state;
             }
         }
+    }
+
+    /// `true` when `other` is in the same state as `self`: everything
+    /// that steers a later cycle (configuration, cache contents, ITR
+    /// ROB, trace builder, retry and pending-read state, clock), and not
+    /// the counters or the undrained event list.
+    pub fn same_state(&self, other: &ItrUnit) -> bool {
+        self.config == other.config
+            && self.now == other.now
+            && self.retry_armed == other.retry_armed
+            && self.builder == other.builder
+            && self.rob == other.rob
+            && self.pending == other.pending
+            && self.cache.same_state(&other.cache)
     }
 
     /// The unit's configuration.

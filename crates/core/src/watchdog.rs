@@ -4,7 +4,7 @@
 
 /// Counts cycles since the last committed instruction and fires when the
 /// limit is exceeded.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Watchdog {
     limit: u64,
     last_commit_cycle: u64,

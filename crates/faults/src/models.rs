@@ -306,6 +306,21 @@ impl Fault for FaultModel {
     fn inject_into(&self, cfg: &mut PipelineConfig) {
         FaultModel::inject_into(self, cfg);
     }
+
+    /// One decode past the last struck one. A stuck-at fault models a
+    /// defect, so its window end is not taken as the end of its strikes:
+    /// it is never spent. A burst's strikes follow the run's first
+    /// mismatch; the pipeline tracks them.
+    fn strikes_end(&self) -> Option<u64> {
+        match *self {
+            FaultModel::Seu(f) => Some(f.nth_decode + 1),
+            FaultModel::MultiBitAdjacent { nth_decode, .. }
+            | FaultModel::MultiBitRandom { nth_decode, .. } => Some(nth_decode + 1),
+            FaultModel::StuckAt { .. } => None,
+            FaultModel::Intermittent { until_decode, .. } => Some(until_decode),
+            FaultModel::BurstOnRetry { primary, .. } => Some(primary.nth_decode + 1),
+        }
+    }
 }
 
 /// The plan of one fault-model campaign: instances of one [`ModelKind`]

@@ -3,7 +3,7 @@
 
 /// Gshare direction predictor: a table of 2-bit saturating counters
 /// indexed by `PC ⊕ global-history`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Gshare {
     counters: Vec<u8>,
     history_bits: u32,
@@ -67,7 +67,7 @@ impl Gshare {
 
 /// Direct-mapped branch target buffer for indirect jumps (`jr`/`jalr` to
 /// non-return targets).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Btb {
     entries: Vec<Option<(u64, u64)>>,
 }
@@ -105,7 +105,7 @@ impl Btb {
 /// Return-address stack. Speculative and unrepaired: a misprediction may
 /// leave it misaligned, which only costs accuracy (the execution unit
 /// corrects all targets).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReturnStack {
     stack: Vec<u64>,
     capacity: usize,

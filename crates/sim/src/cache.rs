@@ -34,7 +34,7 @@ impl CacheGeometry {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct TagLine {
     valid: bool,
     tag: u64,
@@ -74,6 +74,12 @@ impl TimingCache {
     /// The cache geometry.
     pub fn geometry(&self) -> &CacheGeometry {
         &self.geometry
+    }
+
+    /// `true` when `other` holds the same tags and LRU stamps; the
+    /// access and miss counts are left out.
+    pub fn same_state(&self, other: &TimingCache) -> bool {
+        self.geometry == other.geometry && self.tick == other.tick && self.lines == other.lines
     }
 
     /// Accesses the line containing `addr`; returns `true` on hit. Misses

@@ -120,7 +120,7 @@ pub struct SchedulerFault {
 ///
 /// Defaults model a 4-wide out-of-order core similar in spirit to the
 /// MIPS R10K the paper's simulator targets.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineConfig {
     /// Fetch/decode/rename/commit width.
     pub width: u32,

@@ -18,7 +18,7 @@ fn offset(addr: u64) -> usize {
 /// faulty wild load cannot exhaust memory); writes allocate on demand.
 /// An access that stays inside one page looks the page up once, by
 /// binary search over the resident pages, so the store is hash-free.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Memory {
     /// Resident pages, sorted by page number.
     pages: Vec<(u64, Box<Page>)>,

@@ -15,7 +15,7 @@ use itr_isa::{decode, Instruction, Opcode};
 use std::collections::VecDeque;
 
 /// One predecoded instruction: the fetch→dispatch latch entry.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(in crate::pipeline) struct Fetched {
     pub pc: u64,
     pub inst: Instruction,
@@ -40,6 +40,19 @@ pub(in crate::pipeline) struct Frontend {
 }
 
 impl Frontend {
+    /// `true` when `other` fetches the same instructions from here on
+    /// (the I-cache counters are left out).
+    pub fn same_state(&self, other: &Frontend) -> bool {
+        self.fetch_pc == other.fetch_pc
+            && self.icache_stall == other.icache_stall
+            && self.halted == other.halted
+            && self.queue == other.queue
+            && self.gshare == other.gshare
+            && self.btb == other.btb
+            && self.ras == other.ras
+            && self.icache.same_state(&other.icache)
+    }
+
     pub fn new(cfg: &PipelineConfig, entry: u64) -> Frontend {
         Frontend {
             fetch_pc: entry,

@@ -1,6 +1,6 @@
 //! End-to-end pipeline tests: architecture, recovery, and fault studies.
 
-use super::{Pipeline, RunExit};
+use super::{Pipeline, RunExit, SpcViolation};
 use crate::config::{DecodeFault, PipelineConfig};
 use crate::func::{FuncSim, StopReason};
 use itr_isa::asm::assemble;
@@ -705,4 +705,118 @@ fn take_itr_events_empties_the_log() {
     assert!(n > 0);
     assert_eq!(pipe.take_itr_events().len(), n);
     assert!(pipe.itr_events().is_empty());
+}
+
+/// A gzip-mimic pipeline with ITR, stopped mid-run at a cycle where the
+/// ROB, the ITR ROB (head trace confirmed) and the ITR cache are busy.
+fn mid_run_pipeline() -> Pipeline {
+    let profile = itr_workloads::profiles::by_name("gzip").expect("gzip profile");
+    let p = itr_workloads::generate_mimic_sized(profile, 1, 20_000);
+    let mut pipe = Pipeline::new(&p, PipelineConfig::with_itr());
+    pipe.run(5_000);
+    loop {
+        let unit = pipe.itr().expect("unit present");
+        let head = pipe.win.front().map(|u| u.trace_seq);
+        let confirmed = head
+            .and_then(|seq| unit.rob_entry(seq))
+            .is_some_and(|e| e.state == itr_core::ControlState::ChkOnly);
+        if confirmed && pipe.win.len() > 1 && pipe.rn.free_list.len() > 1 {
+            return pipe;
+        }
+        assert_eq!(pipe.run(pipe.cycle() + 1), RunExit::CycleLimit, "kernel ended too early");
+    }
+}
+
+#[test]
+fn same_state_sees_every_component() {
+    let base = mid_run_pipeline();
+    assert!(base.same_state(&base.clone()), "a clone is the same state");
+    type Change = (&'static str, fn(&mut Pipeline));
+    let changed: Vec<Change> = vec![
+        ("memory byte", |p| {
+            let addr = p.win.front().map_or(0x1000_0000, |u| u.pc);
+            let b = p.mem.read(addr, 1);
+            p.mem.write(addr, 1, b ^ 1);
+        }),
+        ("ROB uop signals", |p| {
+            let last = p.win.len() - 1;
+            p.win[last].sig = p.win[last].sig.with_bit_flipped(40);
+        }),
+        ("free-list order", |p| p.rn.free_list.swap(0, 1)),
+        ("stale phys_val", |p| {
+            let free = p.rn.free_list[0] as usize;
+            p.rn.phys_val[free] ^= 1;
+        }),
+        ("gshare counter", |p| {
+            let before = p.fe.gshare.clone();
+            p.fe.gshare.train(0x40_0000, 0, false);
+            if p.fe.gshare == before {
+                p.fe.gshare.train(0x40_0000, 0, true);
+            }
+        }),
+        ("BTB entry", |p| p.fe.btb.update(0x40_0010, 0x40_0bad)),
+        ("RAS entry", |p| p.fe.ras.push(0x40_0bad)),
+        ("I-cache tag", |p| {
+            p.fe.icache.access(0x7f00_0000);
+        }),
+        ("D-cache LRU stamp", |p| {
+            p.dcache.access(0x7f00_0000);
+        }),
+        ("ITR cache line", |p| {
+            let unit = p.itr.as_mut().expect("unit");
+            let (pc, _) = unit.cache().iter_lines().next().expect("a resident line");
+            unit.cache_mut().corrupt_signature(pc, 5);
+        }),
+        ("ITR cache tick", |p| {
+            let unit = p.itr.as_mut().expect("unit");
+            assert_eq!(unit.cache_mut().probe(0x7f00_0000), itr_core::ProbeResult::Miss);
+        }),
+        ("ITR ROB entry", |p| {
+            let seq = p.win.front().expect("busy ROB").trace_seq;
+            p.itr.as_mut().expect("unit").on_trace_end_commit(seq);
+        }),
+        ("checkpointer's last checkpoint", |p| {
+            let far = p.metrics.get(p.metrics.committed) + 1_000_000;
+            p.checkpointer.observe(0, far);
+        }),
+        ("watchdog", |p| p.wdog.pet(p.cycle + 7)),
+        ("output", |p| p.output.push('x')),
+    ];
+    for (what, change) in changed {
+        let mut other = base.clone();
+        change(&mut other);
+        assert!(!base.same_state(&other), "{what}: a change must compare unequal");
+        assert!(!other.same_state(&base), "{what}: equality is symmetric");
+    }
+    let unchanged: Vec<Change> = vec![
+        ("pipeline counters and histograms", |p| {
+            p.metrics.inc(p.metrics.mispredicts);
+            p.metrics.inc(p.metrics.decoded);
+            p.metrics.commit_width.record(3);
+        }),
+        ("ITR cache counters", |p| p.itr.as_mut().expect("unit").cache_mut().reset_stats()),
+        ("ITR event log", |p| {
+            p.itr_events.push((p.cycle, itr_core::ItrEvent::RetryInitiated { start_pc: 4 }))
+        }),
+        ("SPC violation log", |p| p.spc_violations.push(SpcViolation { cycle: 1, pc: 4 })),
+        ("scratch buffers", |p| {
+            p.issue_candidates.push(3);
+            p.due.push(3);
+        }),
+        ("spent fault configuration", |p| {
+            let decoded = p.metrics.get(p.metrics.decoded);
+            p.arm(|_| {});
+            p.faults.push(DecodeFault { nth_decode: decoded - 1, bit: 3 });
+        }),
+    ];
+    for (what, change) in unchanged {
+        let mut other = base.clone();
+        change(&mut other);
+        assert!(base.same_state(&other), "{what}: must compare equal");
+    }
+    let mut pending = base.clone();
+    let decoded = pending.stats().decoded;
+    pending.arm(|c| c.faults.push(DecodeFault { nth_decode: decoded + 5, bit: 3 }));
+    assert!(pending.strikes_pending());
+    assert!(!base.same_state(&pending), "a pending strike is a difference");
 }

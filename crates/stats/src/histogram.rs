@@ -61,6 +61,48 @@ impl HistogramSnapshot {
     }
 }
 
+impl HistogramSnapshot {
+    /// This snapshot, taken at some point of one run, advanced by what a
+    /// second run recorded between its snapshots `before` and `after`:
+    /// buckets, count and sum add the second run's change. The largest
+    /// sample after the cut is known only when the second run's max rose
+    /// (it is then `after.max`) or when `self.max` already reaches
+    /// `before.max`; otherwise, or when `after` is not a continuation of
+    /// `before`, the result is `None`.
+    pub fn advanced_by(
+        &self,
+        before: &HistogramSnapshot,
+        after: &HistogramSnapshot,
+    ) -> Option<HistogramSnapshot> {
+        let delta = |a: u64, b: u64| a.checked_sub(b);
+        let at = |v: &[u64], i: usize| v.get(i).copied().unwrap_or(0);
+        let len = self.buckets.len().max(after.buckets.len()).max(before.buckets.len());
+        let mut buckets = (0..len)
+            .map(|i| {
+                let change = delta(at(&after.buckets, i), at(&before.buckets, i))?;
+                Some(at(&self.buckets, i) + change)
+            })
+            .collect::<Option<Vec<u64>>>()?;
+        while buckets.last() == Some(&0) {
+            buckets.pop();
+        }
+        let max = if after.max > before.max {
+            self.max.max(after.max)
+        } else if self.max >= before.max {
+            self.max
+        } else {
+            return None;
+        };
+        Some(HistogramSnapshot {
+            name: self.name.clone(),
+            buckets,
+            count: self.count + delta(after.count, before.count)?,
+            sum: self.sum + delta(after.sum, before.sum)?,
+            max,
+        })
+    }
+}
+
 impl Histogram {
     /// An empty histogram.
     pub fn new(name: &'static str) -> Histogram {
@@ -117,6 +159,51 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SplitMix64;
+
+    fn of(samples: &[u64]) -> HistogramSnapshot {
+        let mut h = Histogram::new("h");
+        samples.iter().for_each(|&v| h.record(v));
+        h.snapshot()
+    }
+
+    #[test]
+    fn advancing_by_a_shared_suffix_equals_the_whole_run() {
+        // One run records `head` then `tail`; another records `other`
+        // then the same `tail`. Advancing the first run's snapshot after
+        // `head` by the second run's change gives the first run's whole
+        // snapshot whenever the max is derivable, and the derivable cases
+        // are exactly the rule's.
+        let mut rng = SplitMix64::new(9);
+        let (mut derived, mut refused) = (0, 0);
+        for _ in 0..2_000 {
+            let mut draw = |n: usize| -> Vec<u64> {
+                (0..rng.gen_range(0..n)).map(|_| rng.gen_range(0..300u64)).collect()
+            };
+            let (head, other, tail) = (draw(6), draw(6), draw(6));
+            let whole = of(&[head.clone(), tail.clone()].concat());
+            let before = of(&other);
+            let after = of(&[other.clone(), tail.clone()].concat());
+            let cut = of(&head);
+            match cut.advanced_by(&before, &after) {
+                Some(advanced) => {
+                    assert_eq!(advanced, whole, "{head:?} {other:?} {tail:?}");
+                    derived += 1;
+                }
+                None => {
+                    assert!(after.max == before.max && cut.max < before.max);
+                    refused += 1;
+                }
+            }
+        }
+        assert!(derived > 1_000 && refused > 0, "{derived} derived, {refused} refused");
+    }
+
+    #[test]
+    fn advancing_refuses_a_run_that_went_backwards() {
+        let (before, after) = (of(&[5, 9]), of(&[5]));
+        assert_eq!(of(&[1]).advanced_by(&before, &after), None);
+    }
 
     #[test]
     fn buckets_are_log2() {

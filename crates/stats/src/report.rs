@@ -162,6 +162,44 @@ impl Report {
         }
     }
 
+    /// This report, taken at some point of one run, advanced by what a
+    /// second run in the same state recorded between its reports `before`
+    /// and `after`: counters add the second run's change, histograms
+    /// advance per [`HistogramSnapshot::advanced_by`]. The three reports
+    /// must export the same sections, counters and histograms in the same
+    /// order, and every counter must only grow from `before` to `after`;
+    /// otherwise, or when a histogram's max cannot be derived, the result
+    /// is `None`.
+    pub fn advanced_by(&self, before: &Report, after: &Report) -> Option<Report> {
+        let same_len = |a: usize, b: usize, c: usize| a == b && b == c;
+        if !same_len(self.sections.len(), before.sections.len(), after.sections.len()) {
+            return None;
+        }
+        let mut out = self.clone();
+        for ((s, b), a) in out.sections.iter_mut().zip(&before.sections).zip(&after.sections) {
+            if s.name != b.name
+                || b.name != a.name
+                || !same_len(s.counters.len(), b.counters.len(), a.counters.len())
+                || !same_len(s.histograms.len(), b.histograms.len(), a.histograms.len())
+            {
+                return None;
+            }
+            for ((c, bc), ac) in s.counters.iter_mut().zip(&b.counters).zip(&a.counters) {
+                if c.name != bc.name || bc.name != ac.name {
+                    return None;
+                }
+                c.value += ac.value.checked_sub(bc.value)?;
+            }
+            for ((h, bh), ah) in s.histograms.iter_mut().zip(&b.histograms).zip(&a.histograms) {
+                if h.name != bh.name || bh.name != ah.name {
+                    return None;
+                }
+                *h = h.advanced_by(bh, ah)?;
+            }
+        }
+        Some(out)
+    }
+
     /// Serializes to the compact `itr-stats/v1` JSON document.
     pub fn to_json(&self) -> String {
         let sections = self
@@ -289,6 +327,20 @@ mod tests {
         let mut r = Report::new();
         r.push_section("pipeline", &c, &[h.snapshot()]);
         r
+    }
+
+    #[test]
+    fn advancing_adds_counters_and_checks_the_shape() {
+        let cut = sample_report();
+        let before = sample_report();
+        let mut after = sample_report();
+        after.merge(&sample_report());
+        let advanced = cut.advanced_by(&before, &after).expect("same shape");
+        assert_eq!(advanced.to_json(), after.to_json(), "cut equals before: the result is after");
+        assert!(cut.advanced_by(&after, &before).is_none(), "counters never shrink");
+        let mut renamed = Report::new();
+        renamed.push_section("other", &Counters::new(), &[]);
+        assert!(cut.advanced_by(&renamed, &renamed).is_none(), "sections must match");
     }
 
     #[test]

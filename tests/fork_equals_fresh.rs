@@ -196,3 +196,29 @@ fn seu_model_plans_sample_and_report_like_campaign_plans() {
         assert_eq!(a.report.to_json(), b.report.to_json(), "seed {seed:#x}");
     }
 }
+
+/// Runs that rejoin the clean run are cut there and their windows
+/// assembled from the clean run; through `run_range` and
+/// `run_range_windows` they must observe exactly what fresh runs
+/// simulated in full do ([`check_plan`]). Some runs of every kind but
+/// the stuck-at ones must actually be cut; stuck-at runs never are.
+#[test]
+fn cut_runs_equal_full_runs_for_every_kind() {
+    let p = mimic();
+    let cfg = cfg(12, INSTRS / 4, INSTRS);
+    let mut cut = 0;
+    for kind in ModelKind::ALL {
+        let plan = ModelPlan::new(&p, kind, &cfg);
+        check_plan(&p, &plan, &cfg);
+        let rejoined = plan.rejoined_runs();
+        eprintln!("{}: {rejoined}", kind.label());
+        if matches!(kind, ModelKind::StuckAt0 | ModelKind::StuckAt1) {
+            assert_eq!(rejoined, 0, "{}: a stuck-at run is never cut", kind.label());
+        }
+        cut += rejoined;
+    }
+    let seus = CampaignPlan::new(&p, &cfg);
+    check_plan(&p, &seus, &cfg);
+    eprintln!("seu plan: {}", seus.rejoined_runs());
+    assert!(seus.rejoined_runs() > 0 && cut > 0, "no run was cut");
+}
