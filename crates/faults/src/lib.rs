@@ -30,7 +30,13 @@
 //! `itr-recover`, goes through one golden-vs-faulty driver,
 //! [`Lockstep`]. A plan forks its faulty runs
 //! from snapshots of one fault-free run instead of re-simulating each
-//! fault's prefix; a forked run observes exactly what a fresh one does.
+//! fault's prefix, and stops a run once it rejoins that clean run: when
+//! its fault can strike no more ([`Fault::strikes_end`]) and its state
+//! equals the clean run's at a 10,000-cycle boundary
+//! ([`itr_sim::Pipeline::same_state`]), the rest of every window is
+//! derived from the clean run ([`Plan::rejoined_runs`] counts such runs).
+//! A forked or cut run observes exactly what a fresh one simulated in
+//! full does.
 //! A plan's golden stream and clean-signature map ([`clean_signatures`])
 //! derive from one recorded [`itr_sim::Execution`].
 
