@@ -1,7 +1,7 @@
 //! The ITR cache: a small, PC-indexed store of trace signatures (§2.2).
 
 use crate::config::ItrCacheConfig;
-use itr_stats::{Counter, Counters, Report, Unit as StatUnit};
+use itr_stats::{Report, Unit as StatUnit};
 
 /// One signature line.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -66,8 +66,7 @@ pub struct FlushSummary {
     pub unreferenced_instrs: u64,
 }
 
-/// Running access statistics (a point-in-time snapshot; the live values
-/// are kept in an `itr-stats` counter registry — see [`ItrCache::export`]).
+/// Running access statistics (exported by [`ItrCache::export`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Probe count (one per dispatched trace).
@@ -82,48 +81,6 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Displaced lines that were never referenced.
     pub evictions_unreferenced: u64,
-}
-
-/// Counter registry + handles for one cache instance.
-#[derive(Debug, Clone)]
-struct CacheMetrics {
-    counters: Counters,
-    reads: Counter,
-    writes: Counter,
-    hits: Counter,
-    misses: Counter,
-    evictions: Counter,
-    evictions_unreferenced: Counter,
-}
-
-impl CacheMetrics {
-    fn new() -> CacheMetrics {
-        let mut c = Counters::new();
-        let reads = c.register("reads", StatUnit::Accesses, "probes (one per dispatched trace)");
-        let writes =
-            c.register("writes", StatUnit::Accesses, "inserts (one per missed trace at commit)");
-        let hits = c.register("hits", StatUnit::Accesses, "probe hits");
-        let misses = c.register("misses", StatUnit::Accesses, "probe misses");
-        let evictions = c.register("evictions", StatUnit::Events, "valid lines displaced");
-        let evictions_unreferenced = c.register(
-            "evictions_unreferenced",
-            StatUnit::Events,
-            "displaced lines never referenced (§2.3 detection loss)",
-        );
-        CacheMetrics { counters: c, reads, writes, hits, misses, evictions, evictions_unreferenced }
-    }
-
-    fn snapshot(&self) -> CacheStats {
-        let g = |c| self.counters.get(c);
-        CacheStats {
-            reads: g(self.reads),
-            writes: g(self.writes),
-            hits: g(self.hits),
-            misses: g(self.misses),
-            evictions: g(self.evictions),
-            evictions_unreferenced: g(self.evictions_unreferenced),
-        }
-    }
 }
 
 /// The ITR cache (§2.2): stores signatures of previously executed traces,
@@ -155,7 +112,7 @@ pub struct ItrCache {
     config: ItrCacheConfig,
     /// `sets * ways` lines, row-major by set.
     lines: Vec<Line>,
-    metrics: CacheMetrics,
+    stats: CacheStats,
     tick: u64,
     /// Valid lines never referenced since insertion (maintained
     /// incrementally so the §2.3 checkpointing query is O(1)).
@@ -168,7 +125,7 @@ impl ItrCache {
         ItrCache {
             config,
             lines: vec![Line::default(); config.entries as usize],
-            metrics: CacheMetrics::new(),
+            stats: CacheStats::default(),
             tick: 0,
             unreferenced: 0,
         }
@@ -193,17 +150,29 @@ impl ItrCache {
     ///
     /// [`reset_stats`]: ItrCache::reset_stats
     pub fn stats(&self) -> CacheStats {
-        self.metrics.snapshot()
+        self.stats
     }
 
     /// Clears the statistics counters (the contents stay).
     pub fn reset_stats(&mut self) {
-        self.metrics.counters.reset();
+        self.stats = CacheStats::default();
     }
 
     /// Appends the `itr_cache` section to an `itr-stats` report.
     pub fn export(&self, report: &mut Report) {
-        report.push_section("itr_cache", &self.metrics.counters, &[]);
+        let s = &self.stats;
+        report.push_section(
+            "itr_cache",
+            &[
+                ("reads", StatUnit::Accesses, s.reads),
+                ("writes", StatUnit::Accesses, s.writes),
+                ("hits", StatUnit::Accesses, s.hits),
+                ("misses", StatUnit::Accesses, s.misses),
+                ("evictions", StatUnit::Events, s.evictions),
+                ("evictions_unreferenced", StatUnit::Events, s.evictions_unreferenced),
+            ],
+            &[],
+        );
     }
 
     fn set_of(&self, start_pc: u64) -> usize {
@@ -223,7 +192,7 @@ impl ItrCache {
     /// Probes for `start_pc`'s signature, as done when a trace is
     /// dispatched. A hit marks the line referenced and checked.
     pub fn probe(&mut self, start_pc: u64) -> ProbeResult {
-        self.metrics.counters.inc(self.metrics.reads);
+        self.stats.reads += 1;
         self.tick += 1;
         let tick = self.tick;
         let range = self.set_range(start_pc);
@@ -235,14 +204,14 @@ impl ItrCache {
                 line.referenced = true;
                 line.checked = true;
                 line.last_use = tick;
-                self.metrics.counters.inc(self.metrics.hits);
+                self.stats.hits += 1;
                 return ProbeResult::Hit {
                     signature: line.signature,
                     parity_ok: line.parity == Self::parity_of(line.signature),
                 };
             }
         }
-        self.metrics.counters.inc(self.metrics.misses);
+        self.stats.misses += 1;
         ProbeResult::Miss
     }
 
@@ -295,7 +264,7 @@ impl ItrCache {
     /// when its trace-ending instruction commits. Returns the displaced
     /// line, if a valid one was evicted.
     pub fn insert(&mut self, start_pc: u64, signature: u64, len: u32) -> Option<Eviction> {
-        self.metrics.counters.inc(self.metrics.writes);
+        self.stats.writes += 1;
         self.tick += 1;
         let tick = self.tick;
         let checked_pref = self.config.checked_bit_replacement && self.config.ways() > 1;
@@ -335,9 +304,9 @@ impl ItrCache {
         }
         self.unreferenced += 1; // the new line starts unreferenced
         let evicted = if old.valid && old.start_pc != start_pc {
-            self.metrics.counters.inc(self.metrics.evictions);
+            self.stats.evictions += 1;
             if !old.referenced {
-                self.metrics.counters.inc(self.metrics.evictions_unreferenced);
+                self.stats.evictions_unreferenced += 1;
             }
             Some(Eviction {
                 start_pc: old.start_pc,

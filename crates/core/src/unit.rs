@@ -25,7 +25,7 @@ use crate::itr_cache::{ItrCache, ProbeResult};
 use crate::itr_rob::{ControlState, ItrRob, ItrRobEntry, ItrRobIndex};
 use crate::signature::{TraceBuilder, TraceRecord};
 use itr_isa::DecodeSignals;
-use itr_stats::{Counter, Counters, Report, Unit as StatUnit};
+use itr_stats::{Report, Unit as StatUnit};
 
 /// Outcome of dispatching one instruction through the ITR unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,8 +118,7 @@ pub struct ItrSnapshot {
     rob_next_seq: ItrRobIndex,
 }
 
-/// Aggregate counters (a point-in-time snapshot; the live values are kept
-/// in an `itr-stats` counter registry — see [`ItrUnit::export`]).
+/// Aggregate counters (exported by [`ItrUnit::export`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UnitStats {
     /// Traces pushed into the ITR ROB at dispatch (includes wrong-path).
@@ -167,100 +166,6 @@ impl std::fmt::Display for UnitStats {
     }
 }
 
-/// Counter registry + handles for one unit instance.
-#[derive(Debug, Clone)]
-struct UnitMetrics {
-    counters: Counters,
-    traces_dispatched: Counter,
-    traces_committed: Counter,
-    instrs_committed: Counter,
-    recovery_loss_instrs: Counter,
-    detection_loss_instrs: Counter,
-    mismatches: Counter,
-    rob_forward_hits: Counter,
-    retries: Counter,
-    recoveries: Counter,
-    machine_checks: Counter,
-    parity_repairs: Counter,
-}
-
-impl UnitMetrics {
-    fn new() -> UnitMetrics {
-        let mut c = Counters::new();
-        let traces_dispatched = c.register(
-            "traces_dispatched",
-            StatUnit::Traces,
-            "traces pushed into the ITR ROB at dispatch (incl. wrong-path)",
-        );
-        let traces_committed =
-            c.register("traces_committed", StatUnit::Traces, "trace-terminating commits");
-        let instrs_committed = c.register(
-            "instrs_committed",
-            StatUnit::Instructions,
-            "instructions committed in checked or missed traces",
-        );
-        let recovery_loss_instrs = c.register(
-            "recovery_loss_instrs",
-            StatUnit::Instructions,
-            "committed instructions in missed traces (§2.3 recovery loss)",
-        );
-        let detection_loss_instrs = c.register(
-            "detection_loss_instrs",
-            StatUnit::Instructions,
-            "instructions of instances evicted unreferenced (§2.3 detection loss)",
-        );
-        let mismatches = c.register("mismatches", StatUnit::Events, "signature mismatches");
-        let rob_forward_hits = c.register(
-            "rob_forward_hits",
-            StatUnit::Events,
-            "traces confirmed against an older in-flight instance",
-        );
-        let retries = c.register("retries", StatUnit::Events, "retry flushes initiated");
-        let recoveries =
-            c.register("recoveries", StatUnit::Events, "successful recoveries (retry matched)");
-        let machine_checks =
-            c.register("machine_checks", StatUnit::Events, "machine checks raised");
-        let parity_repairs =
-            c.register("parity_repairs", StatUnit::Events, "ITR cache lines repaired via parity");
-        UnitMetrics {
-            counters: c,
-            traces_dispatched,
-            traces_committed,
-            instrs_committed,
-            recovery_loss_instrs,
-            detection_loss_instrs,
-            mismatches,
-            rob_forward_hits,
-            retries,
-            recoveries,
-            machine_checks,
-            parity_repairs,
-        }
-    }
-
-    #[inline]
-    fn inc(&mut self, c: Counter) {
-        self.counters.inc(c);
-    }
-
-    fn snapshot(&self) -> UnitStats {
-        let g = |c| self.counters.get(c);
-        UnitStats {
-            traces_dispatched: g(self.traces_dispatched),
-            traces_committed: g(self.traces_committed),
-            instrs_committed: g(self.instrs_committed),
-            recovery_loss_instrs: g(self.recovery_loss_instrs),
-            detection_loss_instrs: g(self.detection_loss_instrs),
-            mismatches: g(self.mismatches),
-            rob_forward_hits: g(self.rob_forward_hits),
-            retries: g(self.retries),
-            recoveries: g(self.recoveries),
-            machine_checks: g(self.machine_checks),
-            parity_repairs: g(self.parity_repairs),
-        }
-    }
-}
-
 /// The ITR unit: trace formation, ITR ROB, ITR cache and the
 /// detection/recovery state machine.
 #[derive(Debug, Clone)]
@@ -277,7 +182,7 @@ pub struct ItrUnit {
     /// Cycle last passed to [`ItrUnit::advance`].
     now: u64,
     events: Vec<ItrEvent>,
-    metrics: UnitMetrics,
+    stats: UnitStats,
 }
 
 /// A dispatched trace whose ITR cache read has not completed yet.
@@ -300,7 +205,7 @@ impl ItrUnit {
             pending: std::collections::VecDeque::new(),
             now: 0,
             events: Vec::new(),
-            metrics: UnitMetrics::new(),
+            stats: UnitStats::default(),
         }
     }
 
@@ -361,13 +266,30 @@ impl ItrUnit {
 
     /// Aggregate counters, as a point-in-time snapshot.
     pub fn stats(&self) -> UnitStats {
-        self.metrics.snapshot()
+        self.stats
     }
 
     /// Appends the `itr` and `itr_cache` sections to an `itr-stats`
     /// report.
     pub fn export(&self, report: &mut Report) {
-        report.push_section("itr", &self.metrics.counters, &[]);
+        let s = &self.stats;
+        report.push_section(
+            "itr",
+            &[
+                ("traces_dispatched", StatUnit::Traces, s.traces_dispatched),
+                ("traces_committed", StatUnit::Traces, s.traces_committed),
+                ("instrs_committed", StatUnit::Instructions, s.instrs_committed),
+                ("recovery_loss_instrs", StatUnit::Instructions, s.recovery_loss_instrs),
+                ("detection_loss_instrs", StatUnit::Instructions, s.detection_loss_instrs),
+                ("mismatches", StatUnit::Events, s.mismatches),
+                ("rob_forward_hits", StatUnit::Events, s.rob_forward_hits),
+                ("retries", StatUnit::Events, s.retries),
+                ("recoveries", StatUnit::Events, s.recoveries),
+                ("machine_checks", StatUnit::Events, s.machine_checks),
+                ("parity_repairs", StatUnit::Events, s.parity_repairs),
+            ],
+            &[],
+        );
         self.cache.export(report);
     }
 
@@ -404,7 +326,7 @@ impl ItrUnit {
         let Some(record) = self.builder.push_with_extra(pc, signals, extra) else {
             return DispatchResult { trace_seq, trace_end: false };
         };
-        self.metrics.inc(self.metrics.traces_dispatched);
+        self.stats.traces_dispatched += 1;
         let latency = self.config.cache_read_latency;
         if latency > 0 {
             // The read is launched now and completes `latency` cycles
@@ -447,12 +369,12 @@ impl ItrUnit {
                         // Retried trace now matches: the first instance was
                         // the faulty one and it never committed.
                         self.retry_armed = None;
-                        self.metrics.inc(self.metrics.recoveries);
+                        self.stats.recoveries += 1;
                         self.events.push(ItrEvent::RecoverySuccess { start_pc: record.start_pc });
                     }
                     ControlState::ChkOnly
                 } else {
-                    self.metrics.inc(self.metrics.mismatches);
+                    self.stats.mismatches += 1;
                     self.events.push(ItrEvent::Mismatch {
                         start_pc: record.start_pc,
                         trace_seq,
@@ -467,7 +389,7 @@ impl ItrUnit {
                         // cache itself: repair the line and proceed (§2.4).
                         self.cache.insert(record.start_pc, record.signature, record.len);
                         self.retry_armed = None;
-                        self.metrics.inc(self.metrics.parity_repairs);
+                        self.stats.parity_repairs += 1;
                         self.events
                             .push(ItrEvent::CacheFaultRepaired { start_pc: record.start_pc });
                         ControlState::ChkOnly
@@ -498,11 +420,11 @@ impl ItrUnit {
                     .flatten()
                 {
                     Some(older) if older.signature == record.signature => {
-                        self.metrics.inc(self.metrics.rob_forward_hits);
+                        self.stats.rob_forward_hits += 1;
                         ControlState::ChkOnly
                     }
                     Some(older) => {
-                        self.metrics.inc(self.metrics.mismatches);
+                        self.stats.mismatches += 1;
                         self.events.push(ItrEvent::Mismatch {
                             start_pc: record.start_pc,
                             trace_seq,
@@ -564,7 +486,7 @@ impl ItrUnit {
     /// flush: arms the retry and clears all in-flight ITR state.
     pub fn on_retry_flush(&mut self, start_pc: u64) {
         self.retry_armed = Some(start_pc);
-        self.metrics.inc(self.metrics.retries);
+        self.stats.retries += 1;
         self.events.push(ItrEvent::RetryInitiated { start_pc });
         self.rob.clear();
         self.builder.reset();
@@ -573,7 +495,7 @@ impl ItrUnit {
 
     /// Must be called when the host raises a machine check, for counters.
     pub fn on_machine_check(&mut self, start_pc: u64) {
-        self.metrics.inc(self.metrics.machine_checks);
+        self.stats.machine_checks += 1;
         self.events.push(ItrEvent::MachineCheck { start_pc });
     }
 
@@ -595,16 +517,14 @@ impl ItrUnit {
     pub fn on_trace_end_commit(&mut self, trace_seq: ItrRobIndex) {
         assert_eq!(trace_seq, self.rob.head_seq(), "traces must commit in order");
         let entry = self.rob.free_head();
-        self.metrics.inc(self.metrics.traces_committed);
-        self.metrics.counters.add(self.metrics.instrs_committed, entry.len as u64);
+        self.stats.traces_committed += 1;
+        self.stats.instrs_committed += entry.len as u64;
         if entry.state == ControlState::Miss {
-            self.metrics.counters.add(self.metrics.recovery_loss_instrs, entry.len as u64);
+            self.stats.recovery_loss_instrs += entry.len as u64;
             self.events.push(ItrEvent::MissCommitted { start_pc: entry.start_pc, len: entry.len });
             if let Some(ev) = self.cache.insert(entry.start_pc, entry.signature, entry.len) {
                 if ev.unreferenced {
-                    self.metrics
-                        .counters
-                        .add(self.metrics.detection_loss_instrs, ev.len_at_insert as u64);
+                    self.stats.detection_loss_instrs += ev.len_at_insert as u64;
                     self.events.push(ItrEvent::EvictionUnreferenced {
                         start_pc: ev.start_pc,
                         len: ev.len_at_insert,

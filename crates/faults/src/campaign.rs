@@ -6,7 +6,7 @@ use crate::lockstep::{observe_passive, PrefixSet};
 use itr_core::{ItrConfig, ItrMode, TraceBuilder, MAX_TRACE_LEN};
 use itr_isa::Program;
 use itr_sim::{CommitRecord, DecodeFault, Execution, PipelineConfig};
-use itr_stats::{Counters, Report, SplitMix64, Unit};
+use itr_stats::{Report, SplitMix64, Unit};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::OnceLock;
@@ -238,16 +238,15 @@ pub struct CampaignShard<F = DecodeFault> {
 
 impl<F> CampaignShard<F> {
     /// Appends the outcome tallies as a `campaign` section: one
-    /// `injected` counter plus one counter per outcome, registered for
-    /// every outcome (zeros included) so all shards export the same
-    /// counter set and the merged report is shard-decomposition-independent.
+    /// `injected` counter (faults injected and classified) plus one
+    /// counter per outcome, listed for every outcome (zeros included) so
+    /// all shards export the same counter set and the merged report is
+    /// shard-decomposition-independent.
     fn seal(&mut self) {
-        let mut campaign = Counters::new();
-        let c = campaign.register("injected", Unit::Events, "faults injected and classified");
-        campaign.set(c, self.records.len() as u64);
+        let mut campaign = vec![("injected", Unit::Events, self.records.len() as u64)];
         for outcome in Outcome::ALL {
-            let c = campaign.register(outcome.label(), Unit::Events, "faults with this outcome");
-            campaign.set(c, self.records.iter().filter(|r| r.outcome == outcome).count() as u64);
+            let n = self.records.iter().filter(|r| r.outcome == outcome).count();
+            campaign.push((outcome.label(), Unit::Events, n as u64));
         }
         self.report.push_section("campaign", &campaign, &[]);
     }

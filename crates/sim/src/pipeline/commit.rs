@@ -74,7 +74,7 @@ impl Pipeline {
                 // Launch the redundant fetch: frontend depth plus one
                 // fetch group per `width` instructions.
                 let groups = (len as u64).div_ceil(self.cfg.width as u64);
-                self.metrics.add(self.metrics.redundant_fetch_groups, groups);
+                self.stats.redundant_fetch_groups += groups;
                 self.redundant_verify = Some((trace_seq, self.cycle + 6 + groups));
                 true
             }
@@ -83,7 +83,7 @@ impl Pipeline {
                     return true;
                 }
                 self.redundant_verify = None;
-                self.metrics.inc(self.metrics.redundant_verifies);
+                self.stats.redundant_verifies += 1;
                 let clean = self.redecode_trace(start_pc, max_len);
                 if clean.map(|(sig, _)| sig) == Some(in_flight_sig) {
                     self.verified_miss = Some(trace_seq);
@@ -91,8 +91,8 @@ impl Pipeline {
                 } else {
                     // The in-flight copy is faulty: flush before anything
                     // commits and refetch, exactly like an ITR retry.
-                    self.metrics.inc(self.metrics.redundant_detects);
-                    self.metrics.inc(self.metrics.retry_flushes);
+                    self.stats.redundant_detects += 1;
+                    self.stats.retry_flushes += 1;
                     self.itr.as_mut().expect("checked").on_retry_flush(start_pc);
                     self.full_flush_to(start_pc);
                     true
@@ -124,7 +124,7 @@ impl Pipeline {
                     CommitAction::Proceed => {}
                     CommitAction::Stall => return,
                     CommitAction::Retry { start_pc } => {
-                        self.metrics.inc(self.metrics.retry_flushes);
+                        self.stats.retry_flushes += 1;
                         self.itr.as_mut().expect("checked").on_retry_flush(start_pc);
                         self.full_flush_to(start_pc);
                         return;
@@ -153,7 +153,7 @@ impl Pipeline {
             if self.cfg.spc_check {
                 let is_branch_flag = u.sig.flags.contains(SignalFlags::IS_BRANCH);
                 if !self.spc.check_and_advance(u.pc, is_branch_flag, u.next_pc) {
-                    self.metrics.inc(self.metrics.spc_violations);
+                    self.stats.spc_violations += 1;
                     self.spc_violations.push(SpcViolation { cycle: self.cycle, pc: u.pc });
                 }
             }
@@ -187,7 +187,7 @@ impl Pipeline {
             }
 
             self.wdog.pet(self.cycle);
-            self.metrics.inc(self.metrics.committed);
+            self.stats.committed += 1;
             if u.trace_end {
                 if let Some(unit) = &mut self.itr {
                     unit.on_trace_end_commit(u.trace_seq);
@@ -195,7 +195,7 @@ impl Pipeline {
                     // unchecked (unreferenced) lines are resident. Under
                     // bounded wait only *young* unreferenced lines block;
                     // aged-out lines (run-once prologues) no longer do.
-                    let committed = self.metrics.get(self.metrics.committed);
+                    let committed = self.stats.committed;
                     let blocking = match self.cfg.checkpoint_line_age {
                         None => unit.cache().unreferenced_count(),
                         Some(age) => unit.cache().unreferenced_young_count(age),

@@ -25,7 +25,7 @@ impl Pipeline {
             }
             let u = &self.win[i];
             if u.taken.is_some() && u.next_pc != u.predicted_next {
-                self.metrics.inc(self.metrics.mispredicts);
+                self.stats.mispredicts += 1;
                 self.repair_mispredict(seq);
             }
         }

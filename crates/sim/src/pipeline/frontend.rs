@@ -6,7 +6,7 @@
 //! is visible downstream. Redirects (mispredict repair, flush-restart)
 //! come back through [`Frontend::redirect`].
 
-use super::stats::SimMetrics;
+use super::PipelineStats;
 use crate::branch::{Btb, Gshare, ReturnStack};
 use crate::cache::TimingCache;
 use crate::config::PipelineConfig;
@@ -111,7 +111,7 @@ impl Frontend {
 
     /// One fetch cycle: up to `width` instructions from one cache line,
     /// ending early at a predicted-taken redirect or line boundary.
-    pub fn fetch(&mut self, mem: &Memory, cfg: &PipelineConfig, metrics: &mut SimMetrics) {
+    pub fn fetch(&mut self, mem: &Memory, cfg: &PipelineConfig, stats: &mut PipelineStats) {
         if self.halted {
             return;
         }
@@ -125,9 +125,9 @@ impl Frontend {
         // One I-cache access per productive fetch cycle (the unit of the
         // §5 energy accounting).
         let hit = self.icache.access(self.fetch_pc);
-        metrics.inc(metrics.icache_accesses);
+        stats.icache_accesses += 1;
         if !hit {
-            metrics.inc(metrics.icache_misses);
+            stats.icache_misses += 1;
             self.icache_stall = cfg.icache_miss_penalty;
             return;
         }

@@ -41,7 +41,7 @@ impl Pipeline {
         // Scheduler fault: at the chosen issue index the select logic
         // wrongly grabs the oldest not-ready instruction instead.
         if let Some(SchedulerFault { nth_issue }) = self.cfg.scheduler_fault {
-            let issued_so_far = self.metrics.get(self.metrics.issued);
+            let issued_so_far = self.stats.issued;
             let in_window = issued_so_far <= nth_issue
                 && nth_issue < issued_so_far + candidates.len().max(1) as u64;
             if in_window {
@@ -70,14 +70,14 @@ impl Pipeline {
 
         for &seq in &candidates {
             let Some(i) = self.win.idx_checked(seq) else { continue };
-            self.metrics.inc(self.metrics.issued);
+            self.stats.issued += 1;
             // TAC-style issue-order assertion (§1): the sources of an
             // issuing instruction must be ready. A violation means the
             // select logic mis-fired; squash from the offender and
             // restart (its re-execution issues correctly).
             if self.cfg.tac_check && !self.srcs_ready(&self.win[i]) {
-                self.metrics.inc(self.metrics.tac_violations);
-                self.metrics.inc(self.metrics.tac_recoveries);
+                self.stats.tac_violations += 1;
+                self.stats.tac_recoveries += 1;
                 let restart_pc = self.win[i].pc;
                 if let Some(unit) = &mut self.itr {
                     unit.on_full_flush();
@@ -103,9 +103,9 @@ impl Pipeline {
 
             let mut latency = u.sig.lat_class().cycles();
             if let Some((addr, _)) = out.load {
-                self.metrics.inc(self.metrics.dcache_accesses);
+                self.stats.dcache_accesses += 1;
                 if !self.dcache.access(addr) {
-                    self.metrics.inc(self.metrics.dcache_misses);
+                    self.stats.dcache_misses += 1;
                     latency += self.cfg.dcache_miss_penalty as u64;
                 }
             }

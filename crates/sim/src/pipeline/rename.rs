@@ -85,10 +85,7 @@ impl Pipeline {
             // Fetch-reorder fault: swap the next two instruction words
             // (their PCs and predictions keep their slots).
             if let Some(nth) = self.cfg.swap_fault {
-                if !self.swap_done
-                    && self.metrics.get(self.metrics.decoded) == nth
-                    && self.fe.queue.len() >= 2
-                {
+                if !self.swap_done && self.stats.decoded == nth && self.fe.queue.len() >= 2 {
                     let inst0 = self.fe.queue[0].inst;
                     self.fe.queue[0].inst = self.fe.queue[1].inst;
                     self.fe.queue[1].inst = inst0;
@@ -99,7 +96,7 @@ impl Pipeline {
 
             // Decode: derive the signal vector, injecting any planned
             // upsets striking this instruction.
-            let decoded_so_far = self.metrics.get(self.metrics.decoded);
+            let decoded_so_far = self.stats.decoded;
             let mut sig = DecodeSignals::from_instruction(&f.inst);
             for fault in &self.faults {
                 if decoded_so_far == fault.nth_decode {
@@ -124,7 +121,7 @@ impl Pipeline {
                     sig = sig.with_bit_flipped(burst.bit % 64);
                 }
             }
-            self.metrics.inc(self.metrics.decoded);
+            self.stats.decoded += 1;
 
             // Rename: derive the map-table indexes, strike them with the
             // planned rename fault if this is the chosen instruction.

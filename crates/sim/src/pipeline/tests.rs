@@ -776,7 +776,7 @@ fn same_state_sees_every_component() {
             p.itr.as_mut().expect("unit").on_trace_end_commit(seq);
         }),
         ("checkpointer's last checkpoint", |p| {
-            let far = p.metrics.get(p.metrics.committed) + 1_000_000;
+            let far = p.stats.committed + 1_000_000;
             p.checkpointer.observe(0, far);
         }),
         ("watchdog", |p| p.wdog.pet(p.cycle + 7)),
@@ -790,9 +790,9 @@ fn same_state_sees_every_component() {
     }
     let unchanged: Vec<Change> = vec![
         ("pipeline counters and histograms", |p| {
-            p.metrics.inc(p.metrics.mispredicts);
-            p.metrics.inc(p.metrics.decoded);
-            p.metrics.commit_width.record(3);
+            p.stats.mispredicts += 1;
+            p.stats.decoded += 1;
+            p.commit_width.record(3);
         }),
         ("ITR cache counters", |p| p.itr.as_mut().expect("unit").cache_mut().reset_stats()),
         ("ITR event log", |p| {
@@ -804,7 +804,7 @@ fn same_state_sees_every_component() {
             p.due.push(3);
         }),
         ("spent fault configuration", |p| {
-            let decoded = p.metrics.get(p.metrics.decoded);
+            let decoded = p.stats.decoded;
             p.arm(|_| {});
             p.faults.push(DecodeFault { nth_decode: decoded - 1, bit: 3 });
         }),

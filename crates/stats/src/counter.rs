@@ -1,8 +1,6 @@
-//! Typed, named counters addressed by integer handles.
-//!
-//! Registration happens once at construction time; the cycle-loop hot
-//! path then increments through a [`Counter`] handle, which is a plain
-//! index — no hashing, no string comparison.
+//! Counter units. Producers keep their counters as plain `u64` fields
+//! of their stats structs and list each one with its [`Unit`] when they
+//! export (see [`crate::Report::push_section`]).
 
 /// What a counter's value measures, carried into the JSON export so
 /// consumers don't have to guess.
@@ -45,123 +43,9 @@ impl Unit {
     }
 }
 
-/// A registered counter's metadata.
-#[derive(Debug, Clone, Copy)]
-pub struct CounterDef {
-    /// Stable snake_case name (the JSON key).
-    pub name: &'static str,
-    /// Measurement unit.
-    pub unit: Unit,
-    /// One-line description.
-    pub help: &'static str,
-}
-
-/// Cheap handle to one counter in a [`Counters`] set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Counter(u32);
-
-/// An ordered set of named counters.
-#[derive(Debug, Clone, Default)]
-pub struct Counters {
-    defs: Vec<CounterDef>,
-    values: Vec<u64>,
-}
-
-impl Counters {
-    /// An empty set.
-    pub fn new() -> Counters {
-        Counters::default()
-    }
-
-    /// Registers a counter and returns its handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a duplicate name — counter names are JSON keys and must
-    /// be unique within a set.
-    pub fn register(&mut self, name: &'static str, unit: Unit, help: &'static str) -> Counter {
-        assert!(self.defs.iter().all(|d| d.name != name), "duplicate counter `{name}`");
-        self.defs.push(CounterDef { name, unit, help });
-        self.values.push(0);
-        Counter(self.defs.len() as u32 - 1)
-    }
-
-    /// Adds `n` to a counter.
-    #[inline]
-    pub fn add(&mut self, c: Counter, n: u64) {
-        self.values[c.0 as usize] += n;
-    }
-
-    /// Increments a counter by one.
-    #[inline]
-    pub fn inc(&mut self, c: Counter) {
-        self.add(c, 1);
-    }
-
-    /// Overwrites a counter (for gauges like `cycles`).
-    #[inline]
-    pub fn set(&mut self, c: Counter, v: u64) {
-        self.values[c.0 as usize] = v;
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self, c: Counter) -> u64 {
-        self.values[c.0 as usize]
-    }
-
-    /// Looks a counter up by name (export/consumer path; not for hot
-    /// loops).
-    pub fn get_by_name(&self, name: &str) -> Option<u64> {
-        self.defs.iter().position(|d| d.name == name).map(|i| self.values[i])
-    }
-
-    /// Iterates `(def, value)` in registration order.
-    pub fn iter(&self) -> impl Iterator<Item = (&CounterDef, u64)> {
-        self.defs.iter().zip(self.values.iter().copied())
-    }
-
-    /// Number of registered counters.
-    pub fn len(&self) -> usize {
-        self.defs.len()
-    }
-
-    /// `true` when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.defs.is_empty()
-    }
-
-    /// Resets every value to zero, keeping the registrations.
-    pub fn reset(&mut self) {
-        self.values.iter_mut().for_each(|v| *v = 0);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn register_add_get_roundtrip() {
-        let mut c = Counters::new();
-        let a = c.register("a", Unit::Events, "");
-        let b = c.register("b", Unit::Cycles, "");
-        c.add(a, 5);
-        c.inc(a);
-        c.set(b, 42);
-        assert_eq!(c.get(a), 6);
-        assert_eq!(c.get_by_name("b"), Some(42));
-        assert_eq!(c.get_by_name("nope"), None);
-        assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate counter")]
-    fn duplicate_names_are_rejected() {
-        let mut c = Counters::new();
-        c.register("x", Unit::Events, "");
-        c.register("x", Unit::Events, "");
-    }
 
     #[test]
     fn unit_names_roundtrip() {

@@ -1,15 +1,17 @@
 //! # itr-stats — the unified telemetry layer
 //!
-//! Every counter in the workspace flows through this crate: the pipeline's
-//! per-stage statistics, the ITR unit's chk/miss/retry accounting, the
-//! coverage models, and the SRAM access counts behind the §5 energy study.
-//! Consumers (the fault-campaign runner, the figure binaries, tests) read
-//! one JSON export instead of reaching into simulator internals.
+//! Every counter in the workspace is exported through this crate: the
+//! pipeline's per-stage statistics, the ITR unit's chk/miss/retry
+//! accounting, the coverage models, and the SRAM access counts behind the
+//! §5 energy study. Each producer keeps its counters as plain `u64` fields
+//! of its own stats struct and lists them, with their [`Unit`]s, when it
+//! exports. Consumers (the fault-campaign runner, the figure binaries,
+//! tests) read one JSON export instead of reaching into simulator
+//! internals.
 //!
 //! ## Components
 //!
-//! * [`Counters`] — a registry of typed, named counters addressed by cheap
-//!   integer [`Counter`] handles (safe for cycle-loop hot paths),
+//! * [`Unit`] — what a counter measures, carried into the export,
 //! * [`Histogram`] — power-of-two-bucketed distribution, used for
 //!   per-stage occupancy and width histograms,
 //! * [`Report`] / [`Section`] — the export schema: named sections of
@@ -22,13 +24,11 @@
 //! ## Example
 //!
 //! ```
-//! use itr_stats::{Counters, Report, Unit};
+//! use itr_stats::{Report, Unit};
 //!
-//! let mut c = Counters::new();
-//! let hits = c.register("hits", Unit::Events, "cache hits");
-//! c.add(hits, 3);
+//! let hits = 3;
 //! let mut report = Report::new();
-//! report.push_section("cache", &c, &[]);
+//! report.push_section("cache", &[("hits", Unit::Events, hits)], &[]);
 //! let back = Report::from_json(&report.to_json()).unwrap();
 //! assert_eq!(back.counter("cache", "hits"), Some(3));
 //! ```
@@ -43,7 +43,7 @@ pub mod json;
 mod report;
 pub mod rng;
 
-pub use counter::{Counter, CounterDef, Counters, Unit};
+pub use counter::Unit;
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use report::{Report, Section};
 pub use rng::SplitMix64;

@@ -18,7 +18,7 @@
 //! }
 //! ```
 
-use crate::counter::{Counters, Unit};
+use crate::counter::Unit;
 use crate::histogram::HistogramSnapshot;
 use crate::json::{ParseError, Value};
 
@@ -81,24 +81,35 @@ impl Report {
         Report::default()
     }
 
-    /// Appends a section built from a live [`Counters`] set and
-    /// histogram snapshots. Replaces any earlier section with the same
-    /// name so producers can re-export without duplicating.
+    /// Appends a section of `(name, unit, value)` counters, in the
+    /// given order, and histogram snapshots. Replaces any earlier section
+    /// with the same name so producers can re-export without duplicating.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a duplicate counter name: counter names are JSON keys
+    /// and must be unique within a section.
     pub fn push_section(
         &mut self,
         name: &str,
-        counters: &Counters,
+        counters: &[(&str, Unit, u64)],
         histograms: &[HistogramSnapshot],
     ) {
+        for (i, (counter, ..)) in counters.iter().enumerate() {
+            assert!(
+                counters[..i].iter().all(|(earlier, ..)| earlier != counter),
+                "duplicate counter `{counter}`"
+            );
+        }
         self.sections.retain(|s| s.name != name);
         self.sections.push(Section {
             name: name.to_string(),
             counters: counters
                 .iter()
-                .map(|(def, value)| CounterEntry {
-                    name: def.name.to_string(),
+                .map(|&(name, unit, value)| CounterEntry {
+                    name: name.to_string(),
                     value,
-                    unit: Some(def.unit),
+                    unit: Some(unit),
                 })
                 .collect(),
             histograms: histograms.to_vec(),
@@ -134,8 +145,8 @@ impl Report {
     /// equals the report of one combined run, and — because addition
     /// and max are commutative and associative — the aggregate is the
     /// same regardless of shard completion order or thread count, as
-    /// long as every producer registers the same counter set (all our
-    /// producers do: registration order is fixed at construction).
+    /// long as every producer exports the same counter set (all our
+    /// producers do: each lists its counters in a fixed order).
     /// Only counters and histograms are exported, so events a consumer
     /// needs totalled across shards must be counted, not listed.
     pub fn merge(&mut self, other: &Report) {
@@ -311,15 +322,10 @@ impl Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counter::Unit;
     use crate::histogram::Histogram;
 
     fn sample_report() -> Report {
-        let mut c = Counters::new();
-        let cycles = c.register("cycles", Unit::Cycles, "total cycles");
-        let commits = c.register("committed", Unit::Instructions, "retired instructions");
-        c.set(cycles, 1200);
-        c.add(commits, 900);
+        let c = [("cycles", Unit::Cycles, 1200), ("committed", Unit::Instructions, 900)];
         let mut h = Histogram::new("commit_width");
         for w in [0u64, 1, 2, 4, 4, 3] {
             h.record(w);
@@ -339,7 +345,7 @@ mod tests {
         assert_eq!(advanced.to_json(), after.to_json(), "cut equals before: the result is after");
         assert!(cut.advanced_by(&after, &before).is_none(), "counters never shrink");
         let mut renamed = Report::new();
-        renamed.push_section("other", &Counters::new(), &[]);
+        renamed.push_section("other", &[], &[]);
         assert!(cut.advanced_by(&renamed, &renamed).is_none(), "sections must match");
     }
 
@@ -367,12 +373,20 @@ mod tests {
     #[test]
     fn push_section_replaces_same_name() {
         let mut r = sample_report();
-        let mut c = Counters::new();
-        let x = c.register("cycles", Unit::Cycles, "");
-        c.set(x, 7);
-        r.push_section("pipeline", &c, &[]);
+        r.push_section("pipeline", &[("cycles", Unit::Cycles, 7)], &[]);
         assert_eq!(r.sections().count(), 1);
         assert_eq!(r.counter("pipeline", "cycles"), Some(7));
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate counter `x`")]
+    fn duplicate_names_are_rejected() {
+        let mut r = Report::new();
+        r.push_section(
+            "s",
+            &[("x", Unit::Events, 1), ("y", Unit::Events, 2), ("x", Unit::Cycles, 3)],
+            &[],
+        );
     }
 
     #[test]
@@ -381,15 +395,16 @@ mod tests {
         // three shards; the merged shard reports must match exactly.
         let samples: Vec<u64> = (0..30).map(|i| (i * 7) % 23).collect();
         let report_of = |chunk: &[u64]| {
-            let mut c = Counters::new();
-            let n = c.register("events", Unit::Events, "");
             let mut h = Histogram::new("widths");
             for &s in chunk {
-                c.add(n, 1);
                 h.record(s);
             }
             let mut r = Report::new();
-            r.push_section("pipeline", &c, &[h.snapshot()]);
+            r.push_section(
+                "pipeline",
+                &[("events", Unit::Events, chunk.len() as u64)],
+                &[h.snapshot()],
+            );
             r
         };
         let combined = report_of(&samples);
@@ -404,9 +419,7 @@ mod tests {
     fn merge_is_order_independent() {
         let a = sample_report();
         let mut b = Report::new();
-        let mut c = Counters::new();
-        let x = c.register("cycles", Unit::Cycles, "");
-        c.set(x, 7);
+        let c = [("cycles", Unit::Cycles, 7)];
         b.push_section("pipeline", &c, &[]);
         b.push_section("extra", &c, &[]);
 

@@ -11,7 +11,7 @@ use itr::faults::{
 };
 use itr::isa::Program;
 use itr::sim::{Pipeline, PipelineConfig};
-use itr::stats::{Counters, Report, Unit};
+use itr::stats::{Report, Unit};
 use itr::workloads::{generate_mimic_sized, profiles};
 use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -49,12 +49,10 @@ fn sealed(reports: &[Report], outcomes: &[Outcome]) -> Report {
     for r in reports {
         merged.merge(r);
     }
-    let mut campaign = Counters::new();
-    let c = campaign.register("injected", Unit::Events, "");
-    campaign.set(c, outcomes.len() as u64);
+    let mut campaign = vec![("injected", Unit::Events, outcomes.len() as u64)];
     for outcome in Outcome::ALL {
-        let c = campaign.register(outcome.label(), Unit::Events, "");
-        campaign.set(c, outcomes.iter().filter(|&&o| o == outcome).count() as u64);
+        let n = outcomes.iter().filter(|&&o| o == outcome).count();
+        campaign.push((outcome.label(), Unit::Events, n as u64));
     }
     merged.push_section("campaign", &campaign, &[]);
     merged
