@@ -39,6 +39,19 @@ const OBSERVED_EDGES_CAP: usize = 1 << 16;
 /// recomputed for free).
 const GAP_PLAN_CAP: usize = 256;
 
+/// Probability of generating a fresh case instead of mutating.
+const FRESH_RATIO: f64 = 0.15;
+
+/// Shrinker evaluation budget per finding.
+const SHRINK_BUDGET: usize = 48;
+
+/// Stop recording findings past this many (the loop keeps running for
+/// coverage, but shrinking duplicates of a systemic bug is wasted work).
+const MAX_FINDINGS: usize = 8;
+
+/// Snapshots materialized per cadence point.
+const SNAPSHOT_MAX: usize = 1;
+
 /// Engine parameters.
 #[derive(Debug, Clone)]
 pub struct FuzzConfig {
@@ -56,14 +69,6 @@ pub struct FuzzConfig {
     pub mimic_seed_instrs: u64,
     /// Skip workload seeding (unit tests and shrink-replay paths).
     pub skip_seeding: bool,
-    /// Probability of generating a fresh case instead of mutating.
-    pub fresh_ratio: f64,
-    /// Shrinker evaluation budget per finding.
-    pub shrink_budget: usize,
-    /// Stop recording findings past this many (the loop keeps running
-    /// for coverage, but shrinking duplicates of a systemic bug is
-    /// wasted work).
-    pub max_findings: usize,
     /// Corpus selection policy.
     pub schedule: Schedule,
     /// Analysis-directed mutation: consult the `itr-gap/v1` plan of the
@@ -75,8 +80,6 @@ pub struct FuzzConfig {
     /// Every `snapshot_every`-th iteration, materialize snapshot
     /// start-states from the most recent novelty-bearing case (0 = off).
     pub snapshot_every: u64,
-    /// Snapshots materialized per cadence point.
-    pub snapshot_max: usize,
 }
 
 impl Default for FuzzConfig {
@@ -89,13 +92,9 @@ impl Default for FuzzConfig {
             corpus_cap: 256,
             mimic_seed_instrs: 1500,
             skip_seeding: false,
-            fresh_ratio: 0.15,
-            shrink_budget: 48,
-            max_findings: 8,
             schedule: Schedule::Power,
             directed: false,
             snapshot_every: 64,
-            snapshot_max: 1,
         }
     }
 }
@@ -217,7 +216,7 @@ impl FuzzOutcome {
 fn shrink_finding(case: &FuzzCase, finding: &oracle::Finding, cfg: &FuzzConfig) -> RegressionCase {
     let mut reproduces =
         |c: &FuzzCase| oracle::replay(c, finding.kind, finding.fault, &cfg.oracle).is_some();
-    let small = shrink(case, cfg.shrink_budget, &mut reproduces);
+    let small = shrink(case, SHRINK_BUDGET, &mut reproduces);
     RegressionCase::new(small, finding, cfg.oracle.clone())
 }
 
@@ -340,7 +339,7 @@ impl Fuzzer {
     pub fn step(&mut self) {
         let mut parent_fp = None;
         let mut plan: Option<DirectedPlan> = None;
-        let (case, depth) = if self.corpus.is_empty() || self.rng.gen_bool(self.cfg.fresh_ratio) {
+        let (case, depth) = if self.corpus.is_empty() || self.rng.gen_bool(FRESH_RATIO) {
             let target = 24 + self.rng.gen_range(0usize..64);
             (mutate::fresh(&mut self.rng, target), 0)
         } else {
@@ -413,7 +412,7 @@ impl Fuzzer {
     /// novelty-bearing case and evaluates them like any other input.
     fn snapshot_round(&mut self) {
         let Some(src) = self.last_novel.take() else { return };
-        for m in snapshot_cases(&src, self.cfg.oracle.max_instrs, self.cfg.snapshot_max) {
+        for m in snapshot_cases(&src, self.cfg.oracle.max_instrs, SNAPSHOT_MAX) {
             if self.corpus.contains(m.fingerprint()) {
                 continue;
             }
@@ -538,7 +537,7 @@ impl Fuzzer {
     fn record_findings(&mut self, case: &FuzzCase, findings: &[oracle::Finding]) {
         for finding in findings {
             *self.out.stats.findings_by_oracle.entry(finding.kind.label()).or_insert(0) += 1;
-            if self.out.findings.len() >= self.cfg.max_findings {
+            if self.out.findings.len() >= MAX_FINDINGS {
                 continue;
             }
             let rc = shrink_finding(case, finding, &self.cfg);
@@ -732,8 +731,7 @@ mod tests {
     fn snapshot_cadence_materializes_start_states() {
         // A dense cadence over a seeded loop-heavy corpus must produce
         // snapshot cases within a modest budget.
-        let mut f =
-            Fuzzer::new(FuzzConfig { snapshot_every: 4, snapshot_max: 2, ..tiny_cfg(7, 40) });
+        let mut f = Fuzzer::new(FuzzConfig { snapshot_every: 4, ..tiny_cfg(7, 40) });
         // Seed one loop-rich case directly.
         let case = gen::generate(&mut SplitMix64::new(77), 48);
         let eval = oracle::evaluate(&case, &f.cfg.oracle, false, &mut SplitMix64::new(0));
