@@ -54,6 +54,7 @@ pub fn encode(inst: &Instruction) -> u32 {
 ///
 /// Returns [`DecodeError`] if the word's `(major, funct)` pair does not name
 /// a defined operation.
+#[inline]
 pub fn decode(word: u32) -> Result<Instruction, DecodeError> {
     let major = (word >> 26) as u8;
     let funct = (word & 0x3F) as u8;

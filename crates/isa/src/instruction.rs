@@ -72,11 +72,13 @@ impl Instruction {
     /// For J-format instructions only the low 16 bits of the 26-bit target
     /// enter the signal vector (Table 2 fixes `imm` at 16 bits); the full
     /// target still flows to the fetch unit through the instruction word.
+    #[inline]
     pub fn imm_bits(&self) -> u16 {
         (self.imm as u32 & 0xFFFF) as u16
     }
 
     /// `true` if this instruction terminates an ITR trace.
+    #[inline]
     pub fn ends_trace(&self) -> bool {
         self.op.ends_trace()
     }
@@ -85,6 +87,7 @@ impl Instruction {
     ///
     /// Conditional branches are PC-relative (`pc + 4 + imm*4`); J-format
     /// jumps are absolute within the current 256 MiB segment.
+    #[inline]
     pub fn direct_target(&self, pc: u64) -> Option<u64> {
         match self.op.props().syntax {
             Syntax::Branch2 | Syntax::Branch1 | Syntax::FpBranch => {

@@ -204,6 +204,7 @@ impl DecodeSignals {
     ///   `ft` for FP three-operand forms),
     /// * destination (`rdst`) — `rd` for R-format, `rt` for immediates and
     ///   loads, `fd` for FP.
+    #[inline]
     pub fn from_instruction(inst: &Instruction) -> DecodeSignals {
         let p = inst.op.props();
         let (rsrc1, rsrc2) = match p.syntax {
@@ -271,6 +272,7 @@ impl DecodeSignals {
     ///
     /// This is the value the ITR signature generator XOR-folds (§2.1 of the
     /// paper).
+    #[inline]
     pub fn pack(&self) -> u64 {
         (self.opcode as u64)
             | ((self.flags.bits() as u64 & 0xFFF) << 8)
