@@ -3,8 +3,9 @@
 //! Every trace the decode stage actually forms must be explainable by
 //! the static enumeration, in two parts:
 //!
-//! 1. **Content** — re-walking the trace's start PC through the static
-//!    image must reproduce the observed `(signature, length)`. This is
+//! 1. **Content** — the static walk from the trace's start PC (the
+//!    universe's stored walk, or a fresh one for a start outside it)
+//!    must reproduce the observed `(signature, length)`. This is
 //!    sound whenever the fetched bytes cannot have been modified at run
 //!    time; rISA programs have no self-modifying stores into text (the
 //!    fuzz generator pins stores to the data segment and low scratch
@@ -24,7 +25,7 @@
 //! violations.
 
 use crate::image::ProgramImage;
-use crate::trace::Universe;
+use crate::trace::{walk, Universe};
 use itr_core::{FoldKind, TraceRecord};
 use itr_isa::Program;
 use itr_sim::TraceStream;
@@ -78,6 +79,11 @@ impl CrossValidation {
 }
 
 /// Checks one dynamic trace against the universe, updating `cv`.
+///
+/// A start the universe holds is checked against its stored trace:
+/// [`enumerate`](crate::enumerate) walked it with the same
+/// `walk(image, start, max_len, FoldKind::Xor)` a fresh check would
+/// run. Only starts outside the universe are walked here.
 pub fn check_trace(
     image: &ProgramImage,
     universe: &Universe,
@@ -89,25 +95,29 @@ pub fn check_trace(
         cv.region_escapes += 1;
         return;
     }
-    let walked = crate::trace::walk(image, record.start_pc, universe.max_len, FoldKind::Xor);
+    let stored = universe.traces.get(&record.start_pc);
+    let static_record = match stored {
+        Some(t) => t.record,
+        None => walk(image, record.start_pc, universe.max_len, FoldKind::Xor).record,
+    };
     let content_ok =
-        walked.record.is_some_and(|s| s.signature == record.signature && s.len == record.len);
+        static_record.is_some_and(|s| s.signature == record.signature && s.len == record.len);
     if !content_ok {
         cv.violations.push(Violation {
             kind: ViolationKind::Content,
             dynamic: *record,
-            static_record: walked.record,
+            static_record,
         });
         return;
     }
-    if !universe.contains(record.start_pc) {
+    if stored.is_none() {
         if image.has_indirect_jumps() {
             cv.indirect_escapes += 1;
         } else {
             cv.violations.push(Violation {
                 kind: ViolationKind::Closure,
                 dynamic: *record,
-                static_record: walked.record,
+                static_record,
             });
         }
         return;

@@ -237,18 +237,10 @@ pub fn successors(image: &ProgramImage, trace: &StaticTrace, opts: &EnumOptions)
 }
 
 /// Enumerates the full static trace universe: worklist closure from the
-/// entry point over the successor rules.
+/// entry point over the successor rules. Every trace is walked with the
+/// XOR fold the decode stage runs, so a stored trace is exactly what
+/// `walk(image, start, max_len, FoldKind::Xor)` returns.
 pub fn enumerate(image: &ProgramImage, max_len: u32, opts: &EnumOptions) -> Universe {
-    enumerate_with_fold(image, max_len, FoldKind::Xor, opts)
-}
-
-/// [`enumerate`] with an explicit signature fold function.
-pub fn enumerate_with_fold(
-    image: &ProgramImage,
-    max_len: u32,
-    fold: FoldKind,
-    opts: &EnumOptions,
-) -> Universe {
     let mut universe = Universe { max_len, traces: BTreeMap::new(), cut_edges: 0 };
     let mut worklist = vec![image.entry()];
     while let Some(start_pc) = worklist.pop() {
@@ -259,7 +251,7 @@ pub fn enumerate_with_fold(
             universe.cut_edges += 1;
             continue;
         }
-        let trace = walk(image, start_pc, max_len, fold);
+        let trace = walk(image, start_pc, max_len, FoldKind::Xor);
         let succs = successors(image, &trace, opts);
         universe.traces.insert(start_pc, trace);
         worklist.extend(succs);

@@ -10,15 +10,20 @@
 //!    workload at every configured trace length: each dynamic trace is
 //!    a member of its static universe with a matching signature.
 //! 3. The oracle has teeth: deliberately dropping fallthrough edges
-//!    from the enumeration (the injected-bug drill from the issue) is
-//!    caught as closure violations.
+//!    from the enumeration (the injected-bug drill) is caught as closure
+//!    violations.
+//! 4. Checking a start against the universe's stored walk decides
+//!    exactly what a fresh walk would: counts and violations equal an
+//!    always-walk reference over seed, generated and doctored inputs.
 
 #![allow(clippy::unwrap_used)] // test code: panicking on broken expectations is the point
 
 use itr::analyze::{
-    analyze_program, cross_validate, dynamic_traces, enumerate, AnalyzeConfig, AnalyzeReport,
-    EnumOptions, ProgramImage,
+    analyze_program, cross_validate, dynamic_traces, enumerate, walk, AnalyzeConfig, AnalyzeReport,
+    CrossValidation, EnumOptions, ProgramImage, Universe, Violation, ViolationKind,
 };
+use itr::core::{FoldKind, TraceRecord};
+use itr::isa::Program;
 use itr::stats::json::Value;
 use itr::workloads::suite::{self, WorkloadKind};
 
@@ -98,4 +103,81 @@ fn dropping_fallthrough_edges_is_caught_by_the_oracle() {
     let fixed = enumerate(&image, 16, &EnumOptions::default());
     let cv = cross_validate(&image, &fixed, &records);
     assert!(cv.passed(), "correct enumeration must pass: {cv:?}");
+}
+
+/// The cross-validation rule with every in-region start walked afresh.
+fn always_walk(
+    image: &ProgramImage,
+    universe: &Universe,
+    dynamic: &[TraceRecord],
+) -> CrossValidation {
+    let mut cv = CrossValidation::default();
+    for record in dynamic {
+        cv.checked += 1;
+        if !image.in_region(record.start_pc) {
+            cv.region_escapes += 1;
+            continue;
+        }
+        let walked = walk(image, record.start_pc, universe.max_len, FoldKind::Xor).record;
+        if !walked.is_some_and(|s| s.signature == record.signature && s.len == record.len) {
+            let v =
+                Violation { kind: ViolationKind::Content, dynamic: *record, static_record: walked };
+            cv.violations.push(v);
+            continue;
+        }
+        if !universe.contains(record.start_pc) {
+            if image.has_indirect_jumps() {
+                cv.indirect_escapes += 1;
+            } else {
+                let v = Violation {
+                    kind: ViolationKind::Closure,
+                    dynamic: *record,
+                    static_record: walked,
+                };
+                cv.violations.push(v);
+            }
+            continue;
+        }
+        cv.matched += 1;
+    }
+    cv
+}
+
+#[test]
+fn stored_walks_cross_validate_like_fresh_walks() {
+    use itr::fuzz::{gen, seed_corpus};
+    use itr::stats::SplitMix64;
+
+    let mut rng = SplitMix64::new(5);
+    let programs: Vec<Program> = seed_corpus(1, 500)
+        .iter()
+        .chain(&(0..24).map(|i| gen::generate(&mut rng, 16 + 4 * i)).collect::<Vec<_>>())
+        .map(|c| c.program())
+        .collect();
+    let crippled = EnumOptions { follow_fallthrough: false, ..EnumOptions::default() };
+    let (mut content, mut closure, mut escapes) = (0, 0, 0);
+    for program in &programs {
+        let image = ProgramImage::new(program);
+        for len in [4u32, 8, 16] {
+            let mut dynamic = dynamic_traces(program, 600, len);
+            let Some(&first) = dynamic.first() else { continue };
+            // A corrupted signature and a start far outside the region.
+            dynamic.push(TraceRecord { signature: first.signature ^ 0xDEAD_BEEF, ..first });
+            dynamic.push(TraceRecord { start_pc: image.region().1 + 0x1000, ..first });
+            for opts in [EnumOptions::default(), crippled] {
+                let universe = enumerate(&image, len, &opts);
+                let got = cross_validate(&image, &universe, &dynamic);
+                let want = always_walk(&image, &universe, &dynamic);
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "len {len}");
+                for v in &got.violations {
+                    match v.kind {
+                        ViolationKind::Content => content += 1,
+                        ViolationKind::Closure => closure += 1,
+                    }
+                }
+                escapes += got.region_escapes + got.indirect_escapes;
+            }
+        }
+    }
+    assert!(content > 0 && closure > 0 && escapes > 0, "every outcome is reached");
 }
