@@ -31,7 +31,7 @@
 use crate::case::FuzzCase;
 use crate::gen;
 use itr_analyze::{gap_report, GapObservations};
-use itr_isa::{Instruction, Opcode};
+use itr_isa::{Instruction, Opcode, Program};
 use itr_stats::SplitMix64;
 use std::collections::BTreeSet;
 
@@ -76,12 +76,23 @@ impl DirectedPlan {
 /// (bounded by `budget` instructions), folds in the campaign's
 /// aggregate `observed` edges, and diffs against the static universe
 /// and CFG.
+///
+/// Only aggregate edges whose source lies in the case's text are
+/// folded in: the CFG covers the text alone, so the gap report drops
+/// every other edge unread.
 pub fn plan(case: &FuzzCase, observed: &BTreeSet<(u64, u64)>, budget: u64) -> DirectedPlan {
     let program = case.program();
     let text_base = program.text_base();
+    let text_end = text_base + 4 * program.text().len() as u64;
     let mut obs = GapObservations::from_program(&program, budget, &GAP_LENS);
-    obs.edges.extend(observed.iter().copied());
-    let report = gap_report("case", &program, &GAP_LENS, &obs);
+    obs.edges.extend(observed.range((text_base, 0)..(text_end, 0)).copied());
+    plan_from(case, &program, &obs)
+}
+
+/// The directed plan for `case` (assembled as `program`) under `obs`.
+fn plan_from(case: &FuzzCase, program: &Program, obs: &GapObservations) -> DirectedPlan {
+    let text_base = program.text_base();
+    let report = gap_report("case", program, &GAP_LENS, obs);
 
     let index_of = |pc: u64| -> Option<usize> {
         if pc < text_base || !pc.is_multiple_of(4) {
@@ -260,6 +271,44 @@ mod tests {
             p.goals
         );
         assert!(!p.uncovered_edges.is_empty());
+    }
+
+    #[test]
+    fn ranged_edges_plan_like_the_whole_aggregate() {
+        let mut rng = SplitMix64::new(11);
+        let cases: Vec<FuzzCase> =
+            (0..12).map(|i| gen::generate(&mut rng, 24 + 8 * i)).chain([guarded_case()]).collect();
+        // An aggregate like the engine's: every case's own transfers,
+        // plus transfers out of low memory, the nop ribbon past the
+        // text, the data segment and the top of the address space.
+        let mut observed = BTreeSet::new();
+        for c in &cases {
+            observed.extend(GapObservations::from_program(&c.program(), 1200, &GAP_LENS).edges);
+        }
+        let base = itr_isa::TEXT_BASE;
+        observed.extend([
+            (0x40, base),
+            (base - 4, base + 8),
+            (base + 0x10_0000, base + 4),
+            (itr_isa::DATA_BASE + 8, base),
+            (u64::MAX, 0),
+        ]);
+        let mut actionable = 0;
+        for case in &cases {
+            let program = case.program();
+            let text_end = base + 4 * program.text().len() as u64;
+            observed.insert((text_end, base));
+            let mut whole = GapObservations::from_program(&program, 1200, &GAP_LENS);
+            whole.edges.extend(observed.iter().copied());
+            let want = plan_from(case, &program, &whole);
+            let got = plan(case, &observed, 1200);
+            assert_eq!(got.goals, want.goals);
+            assert_eq!(got.never_formed, want.never_formed);
+            assert_eq!(got.uncovered_edges, want.uncovered_edges);
+            assert_eq!(got.open_gaps, want.open_gaps);
+            actionable += usize::from(got.actionable());
+        }
+        assert!(actionable > cases.len() / 2, "only {actionable} plans have a move");
     }
 
     #[test]
