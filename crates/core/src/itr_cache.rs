@@ -145,17 +145,10 @@ impl ItrCache {
         &self.config
     }
 
-    /// Access statistics since construction (or the last [`reset_stats`]),
-    /// as a point-in-time snapshot.
-    ///
-    /// [`reset_stats`]: ItrCache::reset_stats
+    /// Access statistics since construction, as a point-in-time
+    /// snapshot.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Clears the statistics counters (the contents stay).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 
     /// Appends the `itr_cache` section to an `itr-stats` report.
@@ -400,6 +393,18 @@ mod tests {
 
     fn cache(entries: u32, assoc: Associativity) -> ItrCache {
         ItrCache::new(ItrCacheConfig::new(entries, assoc))
+    }
+
+    #[test]
+    fn counters_are_left_out_of_same_state() {
+        let mut c = cache(16, Associativity::Ways(2));
+        c.probe(0x100);
+        c.insert(0x100, 42, 5);
+        let mut other = c.clone();
+        other.stats = CacheStats { reads: 7, hits: 3, evictions: 1, ..CacheStats::default() };
+        assert!(c.same_state(&other) && other.same_state(&c), "counters differ only");
+        other.probe(0x100);
+        assert!(!c.same_state(&other), "a probe moves the LRU clock");
     }
 
     #[test]

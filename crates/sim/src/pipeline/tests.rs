@@ -794,7 +794,6 @@ fn same_state_sees_every_component() {
             p.stats.decoded += 1;
             p.commit_width.record(3);
         }),
-        ("ITR cache counters", |p| p.itr.as_mut().expect("unit").cache_mut().reset_stats()),
         ("ITR event log", |p| {
             p.itr_events.push((p.cycle, itr_core::ItrEvent::RetryInitiated { start_pc: 4 }))
         }),
