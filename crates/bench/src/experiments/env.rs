@@ -81,7 +81,6 @@ pub fn model_cfg(scale: &Scale) -> CampaignConfig {
         min_decode: 100,
         max_decode: 4_000,
         seed: scale.seed ^ 0x0E0F_A017,
-        threads: 0,
         ..CampaignConfig::default()
     }
 }

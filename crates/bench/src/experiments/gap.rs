@@ -12,7 +12,8 @@
 //!   conflicts (every trace start indexes one set, overflowing its
 //!   ways) and dangerous content-alias groups (permuted twin blocks
 //!   whose XOR fold collides), run through the fault campaign against a
-//!   layout-identical benign control. The *only* difference between the
+//!   layout-identical benign control, one shard per (adversary, fault
+//!   range) as `fig8-campaigns` shards. The *only* difference between the
 //!   benign and set-conflict programs is block padding — same
 //!   instruction stream, different set mapping — so the detection-
 //!   coverage delta isolates cache thrash;
@@ -24,10 +25,11 @@
 //! The emit job renders `gap.txt` / `gap.csv` in suite order; both are
 //! byte-identical across `--jobs` counts like every other artifact.
 
-use super::{emit_payload, get_bool, get_f64, get_str, get_u64, obj, Csv, Emitted, Scale};
+use super::injection::{planned_campaign, FAULTS_PER_SHARD};
+use super::{emit_payload, get_bool, get_str, get_u64, obj, Csv, Emitted, Scale};
 use itr_analyze::{gap_report, GapObservations};
 use itr_core::{Associativity, ItrCacheConfig, ItrConfig, ItrMode};
-use itr_faults::{run_campaign, CampaignConfig};
+use itr_faults::{shard_bounds, CampaignConfig};
 use itr_fuzz::{gap_race, FuzzConfig};
 use itr_harness::{JobSpec, Registry, ShardSpec};
 use itr_isa::asm::assemble;
@@ -158,30 +160,100 @@ fn overfull_sets(program: &Program, cache: &ItrCacheConfig) -> (u64, u64) {
     (overfull, worst)
 }
 
-/// One adversarial-campaign shard: assemble, measure the set pressure,
-/// run the fault campaign under the adversary-tuned cache.
-fn adversarial_value(scale: &Scale, index: u64, name: &str, source: &str) -> Value {
-    let program = assemble(source).unwrap_or_else(|e| panic!("{name}: {e}"));
-    let cache = adv_cache();
-    let (overfull, worst_set) = overfull_sets(&program, &cache);
+/// An adversary's name and source.
+type Adversary = (&'static str, fn() -> String);
+
+/// The adversaries in report order: the benign control first (the
+/// degradation baseline), then the two attacks.
+const ADVERSARIES: [Adversary; 3] = [
+    ("benign", || conflict_source(false)),
+    ("set-conflict", || conflict_source(true)),
+    ("content-alias", alias_source),
+];
+
+/// Assembles adversary `index` of [`ADVERSARIES`].
+fn adversary_program(index: usize) -> Program {
+    let (name, source) = ADVERSARIES[index];
+    assemble(&source()).unwrap_or_else(|e| panic!("{name}: {e}"))
+}
+
+/// One `gap-adversarial` shard: faults `[lo, hi)` of adversary `index`'s
+/// campaign under the adversary-tuned cache, on the plan all its ranges
+/// share.
+fn adversary_range(
+    scale: &Scale,
+    index: usize,
+    lo: u32,
+    hi: u32,
+    cancelled: &dyn Fn() -> bool,
+) -> Value {
     let cfg = CampaignConfig {
         faults: scale.faults,
         window_cycles: scale.window_cycles,
-        seed: scale.seed ^ 0x3000 ^ index,
-        threads: 1,
-        itr: ItrConfig { cache, mode: ItrMode::Passive, ..ItrConfig::paper_default() },
+        seed: scale.seed ^ 0x3000 ^ index as u64,
+        itr: ItrConfig { cache: adv_cache(), mode: ItrMode::Passive, ..ItrConfig::paper_default() },
         ..CampaignConfig::default()
     };
-    let result = run_campaign(&program, &cfg);
+    let name = format!("gap-adversarial/{}", ADVERSARIES[index].0);
+    let planned = planned_campaign(&name, &cfg, || adversary_program(index));
+    let shard = planned.plan.run_range(&planned.program, &planned.cfg, lo, hi, cancelled);
+    let detected = shard.records.iter().filter(|r| r.outcome.itr_detected()).count();
     obj(vec![
-        ("index", Value::UInt(index)),
-        ("name", Value::Str(name.to_string())),
-        ("text_instrs", Value::UInt(program.text().len() as u64)),
-        ("overfull_sets", Value::UInt(overfull)),
-        ("worst_set_traces", Value::UInt(worst_set)),
-        ("faults", Value::UInt(result.records.len() as u64)),
-        ("itr_detected", Value::Float(result.itr_detected_fraction())),
+        ("index", Value::UInt(index as u64)),
+        ("faults", Value::UInt(shard.records.len() as u64)),
+        ("detected", Value::UInt(detected as u64)),
     ])
+}
+
+/// One adversary's row of `gap.txt`: its set pressure and its campaign's
+/// outcome, summed over the campaign's fault-range shards.
+struct AdversaryRow {
+    name: &'static str,
+    text_instrs: u64,
+    /// ITR-cache sets that observed trace starts overflow, and the trace
+    /// starts in the most loaded set ([`overfull_sets`]).
+    overfull_sets: u64,
+    worst_set_traces: u64,
+    /// Faults injected and classified, and those detected through the
+    /// ITR cache.
+    faults: u64,
+    detected: u64,
+}
+
+impl AdversaryRow {
+    /// The ITR-detected fraction of the campaign's faults.
+    fn detected_fraction(&self) -> f64 {
+        self.detected as f64 / self.faults.max(1) as f64
+    }
+}
+
+/// Builds one [`AdversaryRow`] per adversary, in [`ADVERSARIES`] order:
+/// sums the `gap-adversarial` range-shard payloads and measures the set
+/// pressure (one short functional run per adversary).
+fn adversary_rows<'a>(shards: impl Iterator<Item = &'a Value>) -> Vec<AdversaryRow> {
+    let mut counts = [(0u64, 0u64); ADVERSARIES.len()];
+    for v in shards {
+        let (faults, detected) = &mut counts[get_u64(v, "index") as usize];
+        *faults += get_u64(v, "faults");
+        *detected += get_u64(v, "detected");
+    }
+    ADVERSARIES
+        .into_iter()
+        .zip(counts)
+        .enumerate()
+        .map(|(index, ((name, _), (faults, detected)))| {
+            let program = adversary_program(index);
+            let (overfull_sets, worst_set_traces) = overfull_sets(&program, &adv_cache());
+            AdversaryRow {
+                name,
+                text_instrs: program.text().len() as u64,
+                overfull_sets,
+                worst_set_traces,
+                faults,
+                detected,
+            }
+        })
+        .collect()
 }
 
 /// One pinned directed-vs-blind race ([`gap_race`], the `itr-fuzz
@@ -205,7 +277,7 @@ fn gap_ab_value(seed: u64, iters: u64) -> Value {
 
 /// Renders `gap.txt` / `gap.csv`; shard payloads merge back into suite
 /// order via the recorded indices.
-pub fn render_gap(suite: &[Value], adversarial: &[Value], ab: &[Value]) -> Emitted {
+fn render_gap(suite: &[Value], adversaries: &[AdversaryRow], ab: &[Value]) -> Emitted {
     let mut units: Vec<&Value> = suite
         .iter()
         .filter_map(|v| v.get("workloads").and_then(Value::as_array))
@@ -273,8 +345,6 @@ pub fn render_gap(suite: &[Value], adversarial: &[Value], ab: &[Value]) -> Emitt
     );
 
     // Adversarial alias/set-conflict campaigns vs the benign control.
-    let mut adv: Vec<&Value> = adversarial.iter().collect();
-    adv.sort_by_key(|v| get_u64(v, "index"));
     let _ = writeln!(
         text,
         "\n=== adversarial alias/set-conflict workloads (cache {}x{}-way) ===",
@@ -285,22 +355,22 @@ pub fn render_gap(suite: &[Value], adversarial: &[Value], ab: &[Value]) -> Emitt
         "{:<14} {:>6} {:>9} {:>9} {:>7} {:>9} {:>11}",
         "workload", "text", "overfull", "worst-set", "faults", "detected", "degradation"
     );
-    let benign = adv.first().map_or(0.0, |v| get_f64(v, "itr_detected"));
+    let benign = adversaries.first().map_or(0.0, AdversaryRow::detected_fraction);
     let mut max_degradation = 0.0f64;
-    for v in &adv {
-        let det = get_f64(v, "itr_detected");
+    for (index, row) in adversaries.iter().enumerate() {
+        let det = row.detected_fraction();
         let degradation = benign - det;
-        if get_u64(v, "index") > 0 {
+        if index > 0 {
             max_degradation = max_degradation.max(degradation);
         }
         let _ = writeln!(
             text,
             "{:<14} {:>6} {:>9} {:>9} {:>7} {:>8.1}% {:>10.1}%",
-            get_str(v, "name"),
-            get_u64(v, "text_instrs"),
-            get_u64(v, "overfull_sets"),
-            get_u64(v, "worst_set_traces"),
-            get_u64(v, "faults"),
+            row.name,
+            row.text_instrs,
+            row.overfull_sets,
+            row.worst_set_traces,
+            row.faults,
             det * 100.0,
             degradation * 100.0,
         );
@@ -403,22 +473,21 @@ pub fn register(reg: &mut Registry, scale: &Scale, out: &Path) {
 
     let s = scale.clone();
     reg.add(JobSpec::new("gap-adversarial", &[], move |_| {
-        type AdversarySpec = (&'static str, fn() -> String);
-        let specs: [AdversarySpec; 3] = [
-            ("benign", || conflict_source(false)),
-            ("set-conflict", || conflict_source(true)),
-            ("content-alias", alias_source),
-        ];
-        specs
-            .into_iter()
-            .enumerate()
-            .map(|(i, (name, source))| {
+        let ranges = shard_bounds(s.faults, s.faults.div_ceil(FAULTS_PER_SHARD));
+        let mut shards = Vec::new();
+        for index in 0..ADVERSARIES.len() {
+            for (ri, &(lo, hi)) in ranges.iter().enumerate() {
                 let s = s.clone();
-                ShardSpec::new(i as u32, (i as u64, specs.len() as u64), move |_| {
-                    adversarial_value(&s, i as u64, name, &source())
-                })
-            })
-            .collect()
+                let shard = (index * ranges.len() + ri) as u32;
+                let base = index as u64 * s.faults as u64;
+                shards.push(ShardSpec::new(
+                    shard,
+                    (base + lo as u64, base + hi as u64),
+                    move |ctx| adversary_range(&s, index, lo, hi, &|| ctx.cancelled()),
+                ));
+            }
+        }
+        shards
     }));
 
     reg.add(JobSpec::new("gap-ab", &[], move |_| {
@@ -439,9 +508,9 @@ pub fn register(reg: &mut Registry, scale: &Scale, out: &Path) {
         &["gap-suite", "gap-adversarial", "gap-ab"],
         move |_, board| {
             let suite: Vec<Value> = board.expect("gap-suite").data().cloned().collect();
-            let adversarial: Vec<Value> = board.expect("gap-adversarial").data().cloned().collect();
+            let adversaries = adversary_rows(board.expect("gap-adversarial").data());
             let ab: Vec<Value> = board.expect("gap-ab").data().cloned().collect();
-            emit_payload(&dir, &render_gap(&suite, &adversarial, &ab))
+            emit_payload(&dir, &render_gap(&suite, &adversaries, &ab))
         },
     ));
 }

@@ -28,7 +28,7 @@ pub const BYFIELD_PROGRAM_INSTRS: u64 = 100_000;
 
 /// A campaign ready to shard: program, configuration and plan.
 pub struct Planned {
-    /// The benchmark's generated mimic program.
+    /// The campaign's program.
     pub program: Program,
     /// Campaign parameters.
     pub cfg: CampaignConfig,
@@ -39,31 +39,44 @@ pub struct Planned {
 static PLANS: OnceLock<Mutex<HashMap<String, Arc<Planned>>>> = OnceLock::new();
 
 /// Builds (or fetches from the in-process cache) the plan for one
-/// campaign. Keyed by every parameter that shapes the fault list, so two
-/// experiments over the same benchmark at different windows don't
-/// collide.
+/// campaign over the program named `program`; `build` makes the program
+/// on a miss. All fault-range shards of one campaign share the plan. The
+/// key is the program's name plus every parameter that shapes the plan
+/// (fault list, golden stream, and the ITR configuration its clean run
+/// is built under), so two experiments over the same program at
+/// different windows or caches don't collide.
 pub fn planned_campaign(
-    profile: SpecProfile,
-    program_seed: u64,
-    program_instrs: u64,
+    program: &str,
     cfg: &CampaignConfig,
+    build: impl FnOnce() -> Program,
 ) -> Arc<Planned> {
     let key = format!(
-        "{}:{program_seed:x}:{program_instrs}:{:x}:{}:{}:{}:{}",
-        profile.name, cfg.seed, cfg.faults, cfg.window_cycles, cfg.min_decode, cfg.max_decode
+        "{program}:{:x}:{}:{}:{}:{}:{:?}",
+        cfg.seed, cfg.faults, cfg.window_cycles, cfg.min_decode, cfg.max_decode, cfg.itr
     );
     let cache = PLANS.get_or_init(|| Mutex::new(HashMap::new()));
     if let Some(hit) = cache.lock().expect("plan cache poisoned").get(&key) {
         return Arc::clone(hit);
     }
     // Build outside the lock: plans are expensive and shards for other
-    // benchmarks shouldn't serialize behind this one. A racing duplicate
+    // programs shouldn't serialize behind this one. A racing duplicate
     // build is possible and harmless (identical plans; last one wins).
-    let program = generate_mimic_sized(profile, program_seed, program_instrs);
+    let program = build();
     let plan = CampaignPlan::new(&program, cfg);
     let planned = Arc::new(Planned { program, cfg: cfg.clone(), plan });
     cache.lock().expect("plan cache poisoned").insert(key, Arc::clone(&planned));
     planned
+}
+
+/// [`planned_campaign`] over the generated mimic of `profile`.
+pub fn planned_mimic(
+    profile: SpecProfile,
+    program_seed: u64,
+    program_instrs: u64,
+    cfg: &CampaignConfig,
+) -> Arc<Planned> {
+    let name = format!("{}:{program_seed:x}:{program_instrs}", profile.name);
+    planned_campaign(&name, cfg, || generate_mimic_sized(profile, program_seed, program_instrs))
 }
 
 /// The Figure 8 campaign configuration.
@@ -74,7 +87,6 @@ pub fn fig8_cfg(base_seed: u64, faults: u32, window: u64, program_instrs: u64) -
         min_decode: 200,
         max_decode: program_instrs,
         seed: base_seed ^ 0xF8,
-        threads: 0,
         ..CampaignConfig::default()
     }
 }
@@ -92,7 +104,6 @@ pub fn byfield_cfg(
         min_decode: 200,
         max_decode: program_instrs,
         seed: base_seed ^ 0xF1E1D,
-        threads: 0,
         ..CampaignConfig::default()
     }
 }
@@ -266,7 +277,7 @@ pub fn register(reg: &mut Registry, scale: &Scale, out: &Path) {
                 let global_hi = bi as u64 * s.faults as u64 + hi as u64;
                 shards.push(ShardSpec::new(index, (global_lo, global_hi), move |ctx| {
                     let cfg = fig8_cfg(s.seed, s.faults, s.window_cycles, s.program_instrs);
-                    let planned = planned_campaign(profile, s.seed, s.program_instrs, &cfg);
+                    let planned = planned_mimic(profile, s.seed, s.program_instrs, &cfg);
                     let shard =
                         planned
                             .plan
@@ -317,7 +328,7 @@ pub fn register(reg: &mut Registry, scale: &Scale, out: &Path) {
                 ShardSpec::new(ri as u32, (lo as u64, hi as u64), move |ctx| {
                     let cfg =
                         byfield_cfg(s.seed, s.faults, s.window_cycles, BYFIELD_PROGRAM_INSTRS);
-                    let planned = planned_campaign(profile, s.seed, BYFIELD_PROGRAM_INSTRS, &cfg);
+                    let planned = planned_mimic(profile, s.seed, BYFIELD_PROGRAM_INSTRS, &cfg);
                     let shard =
                         planned
                             .plan

@@ -23,7 +23,8 @@
 //! fuzz-campaign (seed-derived shards)         ──► fuzz
 //! fuzz-service (one shard per worker)         ──► fuzz-service-report
 //! analyze-suite (workload shards)             ──► analyze
-//! gap-suite, gap-adversarial, gap-ab          ──► gap
+//! gap-suite, gap-ab,
+//! gap-adversarial (adversary × fault-range)   ──► gap
 //! sweep (one shard per workload)              ──► sweep-pareto
 //! env-interleave, env-faultmodels,
 //! env-workloads (hostile environments)        ──► env-report

@@ -79,7 +79,6 @@ pub fn recover_cfg(scale: &Scale) -> CampaignConfig {
         min_decode: 10,
         max_decode: 300,
         seed: scale.seed ^ 0x4EC0_7E4A,
-        threads: 0,
         ..CampaignConfig::default()
     }
 }

@@ -10,7 +10,7 @@
 //! [`CampaignPlan::run_range_windows`]: itr_faults::Plan::run_range_windows
 
 use super::{emit_payload, get_arr, get_u64, obj, Csv, Emitted, Scale};
-use crate::experiments::injection::{planned_campaign, tally, OutcomeCounts, FAULTS_PER_SHARD};
+use crate::experiments::injection::{planned_mimic, tally, OutcomeCounts, FAULTS_PER_SHARD};
 use itr_faults::{shard_bounds, CampaignConfig, Outcome};
 use itr_harness::{JobSpec, Registry, ShardSpec};
 use itr_stats::json::Value;
@@ -33,7 +33,6 @@ pub fn window_cfg(base_seed: u64, faults: u32, window: u64, program_instrs: u64)
         min_decode: 200,
         max_decode: program_instrs,
         seed: base_seed ^ 0x71D0,
-        threads: 0,
         ..CampaignConfig::default()
     }
 }
@@ -122,7 +121,7 @@ pub fn register(reg: &mut Registry, scale: &Scale, out: &Path) {
                     // is window-independent by construction.
                     let top = *WINDOWS.last().expect("non-empty window sweep");
                     let cfg = window_cfg(s.seed, s.faults, top, WINDOW_PROGRAM_INSTRS);
-                    let planned = planned_campaign(profile, s.seed, WINDOW_PROGRAM_INSTRS, &cfg);
+                    let planned = planned_mimic(profile, s.seed, WINDOW_PROGRAM_INSTRS, &cfg);
                     let shards = planned.plan.run_range_windows(
                         &planned.program,
                         &planned.cfg,

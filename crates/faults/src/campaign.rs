@@ -1,5 +1,5 @@
-//! The fault campaign: golden reference, the sampled plan, faulty runs,
-//! parallel fan-out.
+//! The fault campaign: golden reference, the sampled plan, faulty runs
+//! over contiguous fault ranges.
 
 use crate::classify::{classify, Observation, Outcome};
 use crate::lockstep::{observe_passive, PrefixSet};
@@ -7,7 +7,7 @@ use itr_core::{ItrConfig, ItrMode, TraceBuilder, MAX_TRACE_LEN};
 use itr_isa::Program;
 use itr_sim::{CommitRecord, DecodeFault, Execution, PipelineConfig};
 use itr_stats::{Report, SplitMix64, Unit};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -26,7 +26,9 @@ pub struct CampaignConfig {
     pub max_decode: u64,
     /// RNG seed (printed with results for reproducibility).
     pub seed: u64,
-    /// Worker threads (0 = one per available CPU).
+    /// Read by nothing in the `itr-*` crates: campaigns run as fault-range
+    /// shards on the caller's pool ([`Plan::run_range`]). Kept only
+    /// because the benchmark package's struct literals still name it.
     pub threads: usize,
     /// ITR configuration for the monitored pipeline.
     pub itr: ItrConfig,
@@ -102,45 +104,6 @@ pub struct FaultRecord<F = DecodeFault> {
     pub fault: F,
     /// Classified outcome.
     pub outcome: Outcome,
-}
-
-/// Aggregated results of an SEU campaign.
-#[derive(Debug, Clone, Default)]
-pub struct CampaignResult {
-    /// Every fault with its outcome.
-    pub records: Vec<FaultRecord>,
-    /// Outcome counts.
-    pub counts: BTreeMap<Outcome, u32>,
-    /// The campaign's aggregated `itr-stats` report: every faulty run's
-    /// export merged, plus a `campaign` section with per-outcome
-    /// counters. Identical for any shard decomposition or thread count.
-    pub report: Report,
-}
-
-impl CampaignResult {
-    /// Fraction of faults detected through the ITR cache (the paper
-    /// reports 95.4% on average).
-    pub fn itr_detected_fraction(&self) -> f64 {
-        self.records.iter().filter(|r| r.outcome.itr_detected()).count() as f64
-            / self.records.len().max(1) as f64
-    }
-
-    /// Folds per-shard results in shard order into the aggregate. The
-    /// outcome is identical for any shard decomposition of the same
-    /// fault list ([`Report::merge`] is commutative over disjoint runs;
-    /// records concatenate in fault order because shards are contiguous
-    /// ranges).
-    pub fn from_shards<I: IntoIterator<Item = CampaignShard>>(shards: I) -> CampaignResult {
-        let mut result = CampaignResult::default();
-        for shard in shards {
-            result.records.extend(shard.records);
-            result.report.merge(&shard.report);
-        }
-        for r in &result.records {
-            *result.counts.entry(r.outcome).or_insert(0) += 1;
-        }
-        result
-    }
 }
 
 /// The per-trace clean-signature map: the fault-free signature of the
@@ -396,29 +359,6 @@ impl<F: Fault + Clone> Plan<F> {
     }
 }
 
-/// Runs a full SEU campaign over `program`.
-///
-/// Faults are sampled uniformly over `(decode index, signal bit)` pairs;
-/// each faulty run is compared against a shared golden reference and
-/// classified. The fault list splits into contiguous range shards
-/// ([`shard_bounds`]) that fan out over [`itr_harness::run_sharded`];
-/// aggregation is deterministic in the thread count.
-pub fn run_campaign(program: &Program, cfg: &CampaignConfig) -> CampaignResult {
-    let plan = CampaignPlan::new(program, cfg);
-    // Fixed-size range shards: the decomposition is a function of the
-    // fault count alone, never of `cfg.threads`, so the aggregate (and
-    // its serialized report) is identical under any worker count.
-    let n = plan.faults().len() as u32;
-    let bounds = shard_bounds(n, n.div_ceil(8));
-    let plan_ref = &plan;
-    let tasks: Vec<_> = bounds
-        .into_iter()
-        .map(|(lo, hi)| move || plan_ref.run_range(program, cfg, lo, hi, &|| false))
-        .collect();
-    let shards = itr_harness::run_sharded(cfg.threads, tasks);
-    CampaignResult::from_shards(shards)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,18 +373,24 @@ mod tests {
             min_decode: 20,
             max_decode: 2_000,
             seed: 1,
-            threads: 2,
             ..CampaignConfig::default()
         }
+    }
+
+    /// The whole campaign as one `[0, faults)` range.
+    fn run_whole(p: &Program, cfg: &CampaignConfig) -> CampaignShard {
+        CampaignPlan::new(p, cfg).run_range(p, cfg, 0, cfg.faults, &|| false)
     }
 
     #[test]
     fn campaign_classifies_every_fault() {
         let p = assemble(kernels::SUM_LOOP.source).unwrap();
-        let result = run_campaign(&p, &small_campaign(40));
-        assert_eq!(result.records.len(), 40);
-        let total: u32 = result.counts.values().sum();
-        assert_eq!(total, 40);
+        let shard = run_whole(&p, &small_campaign(40));
+        assert_eq!(shard.records.len(), 40);
+        assert_eq!(shard.report.counter("campaign", "injected"), Some(40));
+        let classified: u64 =
+            Outcome::ALL.iter().map(|o| shard.report.counter("campaign", o.label()).unwrap()).sum();
+        assert_eq!(classified, 40);
     }
 
     #[test]
@@ -452,13 +398,12 @@ mod tests {
         // A hot loop re-executes its traces constantly, so the paper's
         // headline (most faults detected through the ITR cache) must show.
         let p = assemble(kernels::SUM_LOOP.source).unwrap();
-        let result = run_campaign(&p, &small_campaign(60));
-        let detected = result.itr_detected_fraction();
+        let shard = run_whole(&p, &small_campaign(60));
+        let detected = shard.records.iter().filter(|r| r.outcome.itr_detected()).count();
         assert!(
-            detected > 0.5,
-            "only {:.0}% ITR-detected in a tight loop; counts: {:?}",
-            detected * 100.0,
-            result.counts
+            detected * 2 > shard.records.len(),
+            "only {detected} of {} ITR-detected in a tight loop",
+            shard.records.len()
         );
     }
 
@@ -466,33 +411,33 @@ mod tests {
     fn campaign_is_deterministic_for_a_seed() {
         let p = assemble(kernels::FIB.source).unwrap();
         let cfg = small_campaign(20);
-        let a = run_campaign(&p, &cfg);
-        let b = run_campaign(&p, &cfg);
+        let a = run_whole(&p, &cfg);
+        let b = run_whole(&p, &cfg);
         assert_eq!(a.records, b.records);
     }
 
     #[test]
-    fn campaign_identical_across_thread_counts() {
-        // Aggregation must be a pure function of (program, seed, faults):
-        // one worker and eight workers have to produce byte-identical
-        // serialized reports and the same record sequence.
+    fn campaign_identical_across_shard_decompositions() {
+        // Records and the merged report must be a pure function of
+        // (program, seed, faults): one `[0, n)` range and the same list
+        // cut into shards and merged in order agree, also with more shards
+        // than faults.
         let p = assemble(kernels::FIB.source).unwrap();
-        let serial = run_campaign(&p, &CampaignConfig { threads: 1, ..small_campaign(20) });
-        let parallel = run_campaign(&p, &CampaignConfig { threads: 8, ..small_campaign(20) });
-        assert_eq!(serial.records, parallel.records);
-        assert_eq!(serial.counts, parallel.counts);
-        assert_eq!(serial.report.to_json(), parallel.report.to_json());
-        assert_eq!(serial.report.counter("campaign", "injected"), Some(20));
-    }
-
-    #[test]
-    fn more_threads_than_faults_loses_nothing() {
-        // Regression: the old chunking produced empty chunks (and idle
-        // panicking-prone workers) when faults < threads.
-        let p = assemble(kernels::SUM_LOOP.source).unwrap();
-        let result = run_campaign(&p, &CampaignConfig { threads: 8, ..small_campaign(3) });
-        assert_eq!(result.records.len(), 3);
-        assert_eq!(result.counts.values().sum::<u32>(), 3);
+        let cfg = small_campaign(20);
+        let whole = run_whole(&p, &cfg);
+        assert_eq!(whole.report.counter("campaign", "injected"), Some(20));
+        for shards in [8, 32] {
+            let plan = CampaignPlan::new(&p, &cfg);
+            let mut records = Vec::new();
+            let mut report = Report::new();
+            for (lo, hi) in shard_bounds(cfg.faults, shards) {
+                let shard = plan.run_range(&p, &cfg, lo, hi, &|| false);
+                records.extend(shard.records);
+                report.merge(&shard.report);
+            }
+            assert_eq!(records, whole.records, "{shards} shards");
+            assert_eq!(report.to_json(), whole.report.to_json(), "{shards} shards");
+        }
     }
 
     #[test]
@@ -546,8 +491,8 @@ mod tests {
         // Take a fault classified as recoverable SDC in the passive run
         // and confirm active-mode ITR actually recovers it end-to-end.
         let p = assemble(kernels::SUM_LOOP.source).unwrap();
-        let result = run_campaign(&p, &small_campaign(80));
-        let candidate = result
+        let shard = run_whole(&p, &small_campaign(80));
+        let candidate = shard
             .records
             .iter()
             .find(|r| r.outcome == Outcome::ItrSdcR)

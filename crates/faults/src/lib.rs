@@ -50,8 +50,8 @@ mod lockstep;
 mod models;
 
 pub use campaign::{
-    clean_signatures, observe_fault, run_campaign, shard_bounds, CampaignConfig, CampaignPlan,
-    CampaignResult, CampaignShard, Fault, FaultRecord, Plan,
+    clean_signatures, observe_fault, shard_bounds, CampaignConfig, CampaignPlan, CampaignShard,
+    Fault, FaultRecord, Plan,
 };
 pub use classify::{classify, Observation, Outcome};
 pub use lockstep::Lockstep;

@@ -352,7 +352,7 @@ mod tests {
     use crate::{classify, clean_signatures, observe_fault, Outcome};
     use itr_isa::asm::assemble;
     use itr_sim::Execution;
-    use itr_workloads::kernels;
+    use itr_workloads::{generate_mimic_sized, kernels, profiles};
 
     fn cfg() -> CampaignConfig {
         CampaignConfig {
@@ -443,6 +443,43 @@ mod tests {
         // The primary SEU alone already mismatches in a hot loop; the
         // burst can only add further perturbation, never hide it.
         assert!(outcomes.iter().any(|o| o.itr_detected()), "{outcomes:?}");
+    }
+
+    #[test]
+    fn multi_bit_redirect_of_a_non_branch_keeps_trace_order() {
+        // Bits 0 and 11 are the opcode's LSB and `IS_BRANCH`: this
+        // instance turns a non-control instruction into a mispredicting
+        // branch. Its rollback must restore the ITR state, or the
+        // squashed traces stay in the ITR ROB and a later trace end
+        // commits out of order (a panic in `ItrUnit`).
+        let p = generate_mimic_sized(profiles::by_name("gzip").unwrap(), 1, 60_000);
+        let model = FaultModel::MultiBitRandom { nth_decode: 202, bits: vec![47, 11, 0, 22] };
+        let window = 100_000;
+        let exec = Execution::record(&p, model.first_strike() + window * 4 + 10_000);
+        let (obs, _) = observe_fault(&p, &model, &exec.records, cfg().itr, window);
+        // The corrupted trace mismatches its clean signature, and a retry
+        // would recover it.
+        assert_eq!(classify(&obs, &clean_signatures(&exec)), Outcome::ItrSdcR);
+    }
+
+    #[test]
+    fn seeded_draws_of_every_kind_run_on_mimics_without_panic() {
+        for (bench, seed) in [("gzip", 1), ("vortex", 2), ("swim", 3)] {
+            let p = generate_mimic_sized(profiles::by_name(bench).unwrap(), seed, 20_000);
+            let c = CampaignConfig {
+                faults: 8,
+                window_cycles: 10_000,
+                min_decode: 100,
+                max_decode: 15_000,
+                seed,
+                ..CampaignConfig::default()
+            };
+            for kind in ModelKind::ALL {
+                let plan = ModelPlan::new(&p, kind, &c);
+                let shard = plan.run_range(&p, &c, 0, c.faults, &|| false);
+                assert_eq!(shard.records.len(), c.faults as usize, "{bench} {}", kind.label());
+            }
+        }
     }
 
     #[test]

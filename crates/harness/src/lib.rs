@@ -43,7 +43,7 @@ pub use job::{
 };
 pub use journal::{Entry, Journal};
 pub use manifest::{collect_artifacts, write_manifest, ManifestEntry, ShardCounts};
-pub use pool::{run_sharded, Pool};
+pub use pool::Pool;
 pub use runner::{run, RunOptions, RunSummary};
 
 /// FNV-1a over a canonical parameter string — the configuration

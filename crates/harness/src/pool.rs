@@ -1,5 +1,5 @@
-//! The work-stealing thread pool behind the scheduler, plus a scoped
-//! helper for in-crate sharded fan-out (used by `faults::campaign`).
+//! The work-stealing thread pool behind the scheduler: the one pool every
+//! experiment shard, fault-range campaign shards included, runs on.
 //!
 //! Each worker owns a deque: it pushes/pops its own work at the front and
 //! steals from the *back* of sibling deques when idle, so long shards
@@ -131,42 +131,6 @@ fn worker_loop(shared: &Shared, slot: usize, epoch: usize) {
     }
 }
 
-/// Runs `tasks` across a scoped worker set and returns their outputs in
-/// task order, independent of scheduling. Idle workers claim the next
-/// unstarted task, so a slow shard never serializes the rest behind it.
-/// `threads == 0` uses the available parallelism.
-pub fn run_sharded<T, F>(threads: usize, tasks: Vec<F>) -> Vec<T>
-where
-    F: FnOnce() -> T + Send,
-    T: Send,
-{
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
-    } else {
-        threads
-    };
-    let n = tasks.len();
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let tasks: Vec<Mutex<Option<F>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n).max(1) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::SeqCst);
-                if i >= n {
-                    break;
-                }
-                let task = tasks[i].lock().expect("task slot poisoned").take().expect("claimed");
-                *slots[i].lock().expect("result slot poisoned") = Some(task());
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("result slot poisoned").expect("task ran"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,28 +198,5 @@ mod tests {
         drop(tx);
         assert_eq!(rx.iter().count(), 8);
         blocked.store(true, Ordering::SeqCst); // release the leaked thread
-    }
-
-    #[test]
-    fn run_sharded_returns_outputs_in_task_order() {
-        let tasks: Vec<_> = (0..17u64)
-            .map(|i| {
-                move || {
-                    // Uneven durations exercise the claim loop.
-                    std::thread::sleep(Duration::from_millis((17 - i) % 5));
-                    i * i
-                }
-            })
-            .collect();
-        let out = run_sharded(4, tasks);
-        assert_eq!(out, (0..17u64).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn run_sharded_handles_more_threads_than_tasks() {
-        let out = run_sharded(16, vec![|| 1u32, || 2]);
-        assert_eq!(out, vec![1, 2]);
-        let empty: Vec<u32> = run_sharded(4, Vec::<fn() -> u32>::new());
-        assert!(empty.is_empty());
     }
 }

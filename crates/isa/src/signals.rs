@@ -164,9 +164,12 @@ pub const TOTAL_SIGNAL_BITS: u32 = 64;
 
 /// The decode unit's output for one instruction.
 ///
-/// All downstream pipeline behaviour in `itr-sim` is derived from this
-/// record — not from the original instruction word — so a fault injected
-/// here corrupts execution exactly the way a decode-unit upset would.
+/// `itr-sim`'s pipeline executes this record, not the original
+/// instruction word, so a fault injected here corrupts execution the way
+/// a decode-unit upset would. Two reads past decode use the fetched word
+/// instead, as predecode hardware beside the decoder would: a direct
+/// jump's 26-bit target, which no signal carries, and the BTB training
+/// of a taken `Jr`/`Jalr`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct DecodeSignals {
     /// Canonical 8-bit opcode identifier ([`Opcode::id`]).

@@ -182,6 +182,7 @@ impl Pipeline {
                     self.fe.gshare.train(u.pc, u.ghr_snapshot, taken);
                 }
             }
+            // By the true opcode: the predecode view (see `Uop::inst`).
             if matches!(u.inst.op, Opcode::Jr | Opcode::Jalr) && u.taken == Some(true) {
                 self.fe.btb.update(u.pc, u.next_pc);
             }

@@ -90,6 +90,7 @@ impl Pipeline {
             let input = ExecInput {
                 sig: &u.sig,
                 pc: u.pc,
+                // The predecode view (see `Uop::inst`).
                 raw_jump_target: u.inst.direct_target(u.pc),
                 src1: src(u.srcs[0]),
                 src2: src(u.srcs[1]),

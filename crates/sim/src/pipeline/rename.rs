@@ -11,7 +11,7 @@ use super::window::{MemClass, Uop};
 use super::Pipeline;
 use crate::config::RenameFault;
 use crate::semantics::operand_plan;
-use itr_isa::DecodeSignals;
+use itr_isa::{DecodeSignals, SignalFlags};
 use std::collections::VecDeque;
 
 /// One destination allocation, with what it displaced (for rollback and
@@ -163,9 +163,11 @@ impl Pipeline {
             });
 
             let seq = self.win.next_seq();
-            // Snapshot ITR state after any control-flow-affecting
-            // instruction dispatches, for misprediction rollback.
-            let may_redirect = f.inst.op.ends_trace();
+            // Snapshot ITR state after any instruction that can redirect
+            // dispatches, for misprediction rollback. Execute redirects
+            // on the (possibly faulty) signals' `IS_BRANCH`, never on the
+            // true instruction, so the snapshot follows the signals too.
+            let may_redirect = sig.flags.contains(SignalFlags::IS_BRANCH);
             let itr_snap =
                 if may_redirect { self.itr.as_ref().map(|u| u.snapshot()) } else { None };
             self.win.dispatch(Uop {

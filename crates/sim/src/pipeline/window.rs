@@ -38,6 +38,12 @@ use std::ops::{Index, IndexMut};
 pub(in crate::pipeline) struct Uop {
     pub seq: u64,
     pub pc: u64,
+    /// The fetched instruction: the fetch-side predecode view, never
+    /// struck by a decode fault. Everything past decode reads `sig`, with
+    /// two exceptions that model predecode hardware beside the decoder:
+    /// issue takes a direct jump's 26-bit target from it (the target is
+    /// not one of Table 2's signals), and commit trains the BTB on a
+    /// taken `Jr`/`Jalr` by its true opcode.
     pub inst: Instruction,
     pub sig: DecodeSignals,
     /// Physical source tags.

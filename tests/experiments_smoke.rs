@@ -5,7 +5,7 @@
 #![allow(clippy::unwrap_used)] // test code: panicking on broken expectations is the point
 
 use itr::core::{Associativity, CoverageModel, ItrCacheConfig, TraceRecord};
-use itr::faults::{run_campaign, CampaignConfig};
+use itr::faults::{CampaignConfig, CampaignPlan};
 use itr::isa::asm::assemble;
 use itr::power::{
     energy_per_access_nj, AreaComparison, EnergyRow, ITR_CACHE_1024X2, POWER4_ICACHE,
@@ -89,17 +89,14 @@ fn fault_injection_mostly_detected() {
         min_decode: 100,
         max_decode: 30_000,
         seed: 2,
-        threads: 2,
         ..CampaignConfig::default()
     };
-    let result = run_campaign(&program, &cfg);
-    assert_eq!(result.records.len(), 30);
-    assert!(
-        result.itr_detected_fraction() > 0.6,
-        "ITR-detected fraction {:.2}, counts {:?}",
-        result.itr_detected_fraction(),
-        result.counts
-    );
+    let plan = CampaignPlan::new(&program, &cfg);
+    let shard = plan.run_range(&program, &cfg, 0, cfg.faults, &|| false);
+    assert_eq!(shard.records.len(), 30);
+    let detected = shard.records.iter().filter(|r| r.outcome.itr_detected()).count();
+    let fraction = detected as f64 / shard.records.len() as f64;
+    assert!(fraction > 0.6, "ITR-detected fraction {fraction:.2}, records {:?}", shard.records);
 }
 
 /// §5 claims: ITR cache ≈ 1/7 of the I-unit's area; per-access energies

@@ -37,8 +37,8 @@ fn cfg(faults: u32, min_decode: u64, max_decode: u64) -> CampaignConfig {
         min_decode,
         max_decode,
         seed: 0xF02C,
-        threads: 1,
         itr: passive(),
+        ..CampaignConfig::default()
     }
 }
 

@@ -53,8 +53,8 @@ fn config(faults: u32, min_decode: u64, max_decode: u64) -> CampaignConfig {
         min_decode,
         max_decode,
         seed: SEED,
-        threads: 1,
         itr: ItrConfig { mode: ItrMode::Passive, ..ItrConfig::paper_default() },
+        ..CampaignConfig::default()
     }
 }
 

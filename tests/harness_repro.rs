@@ -81,7 +81,7 @@ fn quick_run_journals_and_resumes_without_recomputation() {
 #[test]
 fn harness_artifacts_match_the_standalone_render_path() {
     use itr_bench::experiments::injection::{fig8_cfg, render_fig8, tally, Fig8Unit};
-    use itr_faults::run_campaign;
+    use itr_faults::CampaignPlan;
     use itr_workloads::{generate_mimic_sized, profiles};
 
     let scale = tiny_scale();
@@ -90,16 +90,17 @@ fn harness_artifacts_match_the_standalone_render_path() {
         .expect("run");
     assert_eq!(summary.quarantined, 0, "{:?}", summary.quarantines);
 
-    // Recompute Figure 8 without the harness — serial campaigns per
-    // benchmark through the same render function — and compare the
+    // Recompute Figure 8 without the harness — one unsharded campaign
+    // per benchmark through the same render function — and compare the
     // artifact text up to the `[wrote …]` line that names the CSV.
     let units: Vec<Fig8Unit> = profiles::coverage_figure_set()
         .into_iter()
         .map(|profile| {
             let program = generate_mimic_sized(profile, scale.seed, scale.program_instrs);
             let cfg = fig8_cfg(scale.seed, scale.faults, scale.window_cycles, scale.program_instrs);
-            let result = run_campaign(&program, &cfg);
-            Fig8Unit { name: profile.name.to_string(), counts: tally(&result.records) }
+            let plan = CampaignPlan::new(&program, &cfg);
+            let shard = plan.run_range(&program, &cfg, 0, cfg.faults, &|| false);
+            Fig8Unit { name: profile.name.to_string(), counts: tally(&shard.records) }
         })
         .collect();
     let expected = render_fig8(&units, scale.faults, scale.window_cycles);

@@ -128,7 +128,6 @@ fn one_pass_golden_reference_equals_two_passes() {
         window_cycles: 1_000,
         min_decode: 100,
         max_decode: 4_000,
-        threads: 1,
         ..CampaignConfig::default()
     };
     // The plans' golden budget: the longest faulty observation.
