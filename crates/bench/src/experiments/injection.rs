@@ -284,8 +284,6 @@ pub fn register(reg: &mut Registry, scale: &Scale, out: &Path) {
                             .run_range(&planned.program, &planned.cfg, lo, hi, &|| ctx.cancelled());
                     obj(vec![
                         ("bench", Value::Str(profile.name.to_string())),
-                        ("lo", Value::UInt(lo as u64)),
-                        ("hi", Value::UInt(hi as u64)),
                         ("counts", counts_value(&tally(&shard.records))),
                     ])
                 }));
@@ -334,16 +332,12 @@ pub fn register(reg: &mut Registry, scale: &Scale, out: &Path) {
                             .plan
                             .run_range(&planned.program, &planned.cfg, lo, hi, &|| ctx.cancelled());
                     let fields = tally_by_field(&shard.records);
-                    obj(vec![
-                        ("lo", Value::UInt(lo as u64)),
-                        ("hi", Value::UInt(hi as u64)),
-                        (
-                            "fields",
-                            Value::Object(
-                                fields.iter().map(|(f, c)| (f.clone(), counts_value(c))).collect(),
-                            ),
+                    obj(vec![(
+                        "fields",
+                        Value::Object(
+                            fields.iter().map(|(f, c)| (f.clone(), counts_value(c))).collect(),
                         ),
-                    ])
+                    )])
                 })
             })
             .collect()

@@ -130,33 +130,29 @@ pub fn register(reg: &mut Registry, scale: &Scale, out: &Path) {
                         hi,
                         &|| ctx.cancelled(),
                     );
-                    obj(vec![
-                        ("lo", Value::UInt(lo as u64)),
-                        ("hi", Value::UInt(hi as u64)),
-                        (
-                            "windows",
-                            Value::Array(
-                                WINDOWS
-                                    .iter()
-                                    .zip(&shards)
-                                    .map(|(&window, shard)| {
-                                        obj(vec![
-                                            ("window", Value::UInt(window)),
-                                            (
-                                                "counts",
-                                                Value::Array(
-                                                    tally(&shard.records)
-                                                        .iter()
-                                                        .map(|&c| Value::UInt(c))
-                                                        .collect(),
-                                                ),
+                    obj(vec![(
+                        "windows",
+                        Value::Array(
+                            WINDOWS
+                                .iter()
+                                .zip(&shards)
+                                .map(|(&window, shard)| {
+                                    obj(vec![
+                                        ("window", Value::UInt(window)),
+                                        (
+                                            "counts",
+                                            Value::Array(
+                                                tally(&shard.records)
+                                                    .iter()
+                                                    .map(|&c| Value::UInt(c))
+                                                    .collect(),
                                             ),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
+                                        ),
+                                    ])
+                                })
+                                .collect(),
                         ),
-                    ])
+                    )])
                 })
             })
             .collect()

@@ -282,7 +282,7 @@ impl<F: Fault + Clone> Plan<F> {
 
     /// Faulty runs so far that stopped early because they rejoined the
     /// clean run: their state, commit count included, equalled the
-    /// fault-free run's at a chunk boundary once their fault could strike
+    /// fault-free run's at a grid boundary once their fault could strike
     /// no more, and the rest of every window was derived from the clean
     /// run. Observations are the same either way; this only says how much
     /// simulation was skipped.

@@ -32,7 +32,7 @@
 //! from snapshots of one fault-free run instead of re-simulating each
 //! fault's prefix, and stops a run once it rejoins that clean run: when
 //! its fault can strike no more ([`Fault::strikes_end`]) and its state
-//! equals the clean run's at a 10,000-cycle boundary
+//! equals the clean run's at a 2,000-cycle grid boundary
 //! ([`itr_sim::Pipeline::same_state`]), the rest of every window is
 //! derived from the clean run ([`Plan::rejoined_runs`] counts such runs).
 //! A forked or cut run observes exactly what a fresh one simulated in

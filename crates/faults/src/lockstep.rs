@@ -2,19 +2,21 @@
 //! passive observations here and `itr-recover`'s active recovery runs —
 //! and the fault-free prefix snapshots passive runs fork from.
 //!
-//! A passive observation runs the faulty pipeline in 10,000-cycle chunks
-//! until the fault's first strike has decoded, then observes it for one
-//! or more windows. Chunk boundaries are absolute multiples of the chunk,
-//! so where the observation window opens depends only on the cycle the
-//! strike lands in — not on where the run started. Before its strike a
+//! A passive observation runs the faulty pipeline until the fault's first
+//! strike has decoded, then observes it for one or more windows. Two
+//! absolute grids pace it. Windows open on the 10,000-cycle chunk grid:
+//! at the first chunk boundary where the strike has decoded, so where a
+//! window opens depends only on the cycle the strike lands in, not on
+//! where the run started. The run steps on the finer 2,000-cycle grid,
+//! where the plan's clean run keeps its states. Before its strike a
 //! faulty run is bit-identical to the fault-free run, which is what
-//! [`PrefixSet`] exploits: one clean run stores a snapshot at the
-//! boundaries faults fork from, and each fault clones its boundary,
-//! arms itself ([`Pipeline::arm`]) and runs on from there, producing
-//! exactly the observation a fresh run would. The same clean run goes on
-//! past the last strike, so a faulty run whose state has become the clean
-//! run's again stops there and takes the rest of its windows from it
-//! ([`Lockstep::observe`]).
+//! [`PrefixSet`] exploits: one clean run stores a snapshot at the grid
+//! boundaries faults fork from, and each fault clones its boundary, arms
+//! itself ([`Pipeline::arm`]) and runs on from there, producing exactly
+//! the observation a fresh run would. The same clean run goes on past the
+//! last strike, so a faulty run whose state has become the clean run's
+//! again stops there, before or after its window opens, and takes the
+//! rest of its windows from it ([`Lockstep::observe`]).
 
 use crate::campaign::Fault;
 use crate::classify::Observation;
@@ -25,16 +27,28 @@ use itr_stats::Report;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Cycles between the pre-strike loop's checks for the strike.
+/// Cycles between the boundaries where observation windows open: the
+/// first multiple of the chunk at which a fault's first strike has
+/// decoded. The pre-strike safety valve is tested on this grid too, so
+/// every observation is the same whatever grid runs step on.
 const CHUNK: u64 = 10_000;
+
+/// Cycles between the boundaries runs step to: where the plan's clean
+/// run keeps states, faults fork from, and faulty runs are compared with
+/// the clean run. Divides [`CHUNK`].
+const STEP: u64 = 2_000;
+
+/// Grid boundaries after each strike's decode at which the clean run
+/// keeps a state for rejoin checks before the strike's window opens.
+const EARLY_CHECKS: u32 = 2;
 
 /// Pre-strike safety valve: a run still short of its strike past this
 /// cycle is observed as it stands.
 const MAX_PREFIX_CYCLES: u64 = 50_000_000;
 
-/// The first chunk boundary after `cycle`.
-fn next_boundary(cycle: u64) -> u64 {
-    (cycle / CHUNK + 1) * CHUNK
+/// The first grid boundary after `cycle`.
+fn next_step(cycle: u64) -> u64 {
+    (cycle / STEP + 1) * STEP
 }
 
 /// `itr` in the passive mode every observation run uses.
@@ -117,33 +131,23 @@ impl<'g> Lockstep<'g> {
         })
     }
 
-    /// Runs chunk by chunk until decode `first_strike` has happened, the
-    /// program ends first (the fault never materializes), or the safety
-    /// valve trips. Returns the cycle the observation window opens at.
-    fn run_past(&mut self, first_strike: u64) -> u64 {
-        loop {
-            let exit = self.run(next_boundary(self.state.pipe.cycle()));
-            let cycle = self.state.pipe.cycle();
-            if self.state.pipe.stats().decoded > first_strike
-                || exit != RunExit::CycleLimit
-                || cycle > MAX_PREFIX_CYCLES
-            {
-                return cycle;
-            }
-        }
-    }
-
     /// Runs past `first_strike`, then observes the run at each of the
     /// strictly ascending `windows` (cycles after the window opens),
     /// resuming the same run from one boundary to the next.
     ///
+    /// The window opens at the first chunk boundary where decode
+    /// `first_strike` has happened, at the program's end if that comes
+    /// first, or at the first chunk boundary past the safety valve. The
+    /// run steps from grid boundary to grid boundary;
     /// [`Pipeline::run_with`] does not latch [`RunExit::CycleLimit`], so
     /// each boundary sees exactly the cycles a dedicated single-window
-    /// run would. With `rejoin`, the run is compared with the clean run
-    /// at the window-open boundary and every later chunk boundary; once
-    /// it is in the clean run's state, every remaining window is
-    /// assembled from the clean run instead of simulated
-    /// ([`Lockstep::rejoined`]).
+    /// run would. With `rejoin`, once the fault can strike no more the
+    /// run is compared with the clean run at every grid boundary where
+    /// the clean run kept a state; once it is in the clean run's state,
+    /// every remaining window is assembled from the clean run instead of
+    /// simulated ([`Lockstep::rejoined`]). A run cut before its window
+    /// opens would have opened it at the next chunk boundary, since its
+    /// strike has decoded.
     pub(crate) fn observe(
         mut self,
         first_strike: u64,
@@ -151,7 +155,26 @@ impl<'g> Lockstep<'g> {
         rejoin: Option<Rejoin<'_>>,
     ) -> Vec<(Observation, Report)> {
         assert!(windows.windows(2).all(|w| w[0] < w[1]), "windows must be strictly ascending");
-        let opened = self.run_past(first_strike);
+        let opened = loop {
+            let exit = self.run(next_step(self.state.pipe.cycle()));
+            let cycle = self.state.pipe.cycle();
+            if exit != RunExit::CycleLimit {
+                break cycle;
+            }
+            if self.state.pipe.stats().decoded > first_strike {
+                let opened = cycle.next_multiple_of(CHUNK);
+                if opened == cycle {
+                    break opened;
+                }
+                if let Some(observed) =
+                    rejoin.as_ref().and_then(|r| self.rejoined(r, opened, windows))
+                {
+                    return observed;
+                }
+            } else if cycle.is_multiple_of(CHUNK) && cycle > MAX_PREFIX_CYCLES {
+                break cycle;
+            }
+        };
         let mut observed = Vec::with_capacity(windows.len());
         for (k, &window) in windows.iter().enumerate() {
             let end = opened + window;
@@ -162,7 +185,7 @@ impl<'g> Lockstep<'g> {
                     observed.extend(rest);
                     return observed;
                 }
-                let exit = self.run(next_boundary(self.state.pipe.cycle()).min(end));
+                let exit = self.run(next_step(self.state.pipe.cycle()).min(end));
                 if exit != RunExit::CycleLimit || self.state.pipe.cycle() >= end {
                     break exit;
                 }
@@ -176,7 +199,7 @@ impl<'g> Lockstep<'g> {
     /// has rejoined the clean run here, else `None`.
     ///
     /// The run has rejoined when its fault can strike no more, it sits at
-    /// a chunk boundary the clean run kept a state for, and its commit
+    /// a grid boundary the clean run kept a state for, and its commit
     /// count and state ([`Pipeline::same_state`]) equal that state's.
     /// From here on it commits, reports and exits exactly as the clean
     /// run does, so each window's report is this run's report plus the
@@ -336,9 +359,12 @@ pub(crate) struct Rejoin<'a> {
 /// Built by one clean passive run, extended past the last strike until
 /// the last window of the build's `windows` closes. It keeps:
 ///
-/// - a snapshot at every chunk boundary (after cycle 0) some fault forks
+/// - a snapshot at every grid boundary (after cycle 0) some fault forks
 ///   from: the last boundary whose decoded count is at most its first
 ///   strike;
+/// - a snapshot at each of the first [`EARLY_CHECKS`] grid boundaries
+///   after a strike has decoded, but none at or past its window-open
+///   chunk boundary, for rejoin checks before the window opens;
 /// - a snapshot at every chunk boundary where some fault's window is
 ///   open (from its window-open boundary to its longest window's end),
 ///   for the rejoin comparison;
@@ -385,9 +411,12 @@ impl PrefixSet {
         }
         let longest = windows.last().copied().unwrap_or(0);
         let mut run = Lockstep::new(Pipeline::new(program, passive_config(itr)), golden);
-        // Strikes whose window has opened, window ends still ahead, and
-        // the cycle up to which boundaries are kept for rejoin checks.
-        let mut opened = 0;
+        // Strikes decoded and strikes whose window has opened, the grid
+        // boundaries still to keep for recently decoded strikes, window
+        // ends still ahead, and the cycle up to which chunk boundaries
+        // are kept for rejoin checks.
+        let (mut decoded_strikes, mut opened) = (0, 0);
+        let mut early_checks = 0;
         let mut ends = BTreeSet::new();
         let mut checks_until = 0;
         // The last boundary's snapshot, kept once it is known whether a
@@ -397,19 +426,33 @@ impl PrefixSet {
             let cycle = run.state.pipe.cycle();
             let decoded = run.state.pipe.stats().decoded;
             run.state.pipe.take_itr_events();
-            if cycle > 0 && cycle.is_multiple_of(CHUNK) {
+            if cycle > 0 && cycle.is_multiple_of(STEP) {
                 // The previous boundary is the fork point of every strike
                 // in `[its decoded, decoded)`.
                 set.keep(boundary.take(), &strikes, |s| s < decoded);
-                // A strike decoded by now opens its window here.
-                let open = strikes.partition_point(|&s| s < decoded);
-                if open > opened {
-                    opened = open;
-                    ends.extend(windows.iter().map(|w| cycle + w));
-                    checks_until = cycle + longest;
+                let now_decoded = strikes.partition_point(|&s| s < decoded);
+                if now_decoded > decoded_strikes && !windows.is_empty() {
+                    early_checks = EARLY_CHECKS;
                 }
-                if opened < strikes.len() || cycle < checks_until {
-                    boundary = Some((decoded, run.state.clone(), cycle < checks_until));
+                decoded_strikes = now_decoded;
+                let checked = if cycle.is_multiple_of(CHUNK) {
+                    // A strike decoded by now opens its window here.
+                    early_checks = 0;
+                    if decoded_strikes > opened {
+                        opened = decoded_strikes;
+                        ends.extend(windows.iter().map(|w| cycle + w));
+                        checks_until = cycle + longest;
+                    }
+                    cycle < checks_until
+                } else if early_checks > 0 {
+                    early_checks -= 1;
+                    true
+                } else {
+                    false
+                };
+                // Once every strike has decoded, none forks from here.
+                if checked || decoded_strikes < strikes.len() {
+                    boundary = Some((decoded, run.state.clone(), checked));
                 }
             }
             if ends.first() == Some(&cycle) {
@@ -421,7 +464,7 @@ impl PrefixSet {
                 return set;
             }
             let next_end = ends.first().copied().unwrap_or(u64::MAX);
-            let exit = run.run(next_boundary(cycle).min(next_end));
+            let exit = run.run(next_step(cycle).min(next_end));
             let tainted = run.state.pipe.cycle() > MAX_PREFIX_CYCLES
                 || run.state.diverged_at.is_some()
                 || run.state.pipe.itr_events().iter().any(is_mismatch);
@@ -523,7 +566,10 @@ mod tests {
             let fault = DecodeFault { nth_decode: nth, bit: (k as u32 * 17) % 64 };
             let cfg = PipelineConfig { faults: vec![fault], ..passive_config(itr) };
             let mut run = Lockstep::new(Pipeline::new(&p, cfg), &golden);
-            run.run_past(fault.nth_decode);
+            // Past the strike, to the chunk boundary its window opens at.
+            while run.run(run.pipeline().cycle() + CHUNK) == RunExit::CycleLimit
+                && run.pipeline().stats().decoded <= fault.nth_decode
+            {}
             run.run(run.pipeline().cycle() + 5_000);
             let direct = run.pipeline().stats_report();
             let parsed = Report::from_json(&run.pipeline().stats_json()).unwrap();
@@ -540,12 +586,12 @@ mod tests {
         let golden = Execution::record(&p, 200_000).records;
         let itr = ItrConfig::paper_default();
         let all = PrefixSet::build(&p, itr, &golden, 0..100_000, &[]);
-        assert!(all.len() >= 3, "a 100k-instruction mimic spans three boundaries");
+        assert!(all.len() >= 15, "a 100k-instruction mimic spans fifteen grid boundaries");
         for w in all.snapshots.windows(2) {
             assert!(w[0].0 < w[1].0 && w[0].1.pipe.cycle() < w[1].1.pipe.cycle());
         }
         for (decoded, snapshot) in &all.snapshots {
-            assert_eq!(snapshot.pipe.cycle() % CHUNK, 0);
+            assert_eq!(snapshot.pipe.cycle() % STEP, 0);
             assert_eq!(*decoded, snapshot.pipe.stats().decoded);
             assert!(snapshot.pipe.itr_events().is_empty(), "logs are not stored");
         }
@@ -572,12 +618,22 @@ mod tests {
         let windows = [2_000, 15_000];
         let set = PrefixSet::build(&p, itr, &golden, [strike], &windows);
         let fork = set.fork_point(itr, strike).unwrap().pipe.cycle();
-        // The window opens at the first boundary after the strike decodes;
-        // clean states are kept at every boundary while a window is open.
-        let opened = fork + CHUNK;
-        for cycle in [opened, opened + CHUNK] {
+        // The strike decodes before the next grid boundary; clean states
+        // are kept at the first two boundaries after it, none between
+        // those and the first chunk boundary, where the window opens, and
+        // at every chunk boundary while a window is open.
+        let decoded = fork + STEP;
+        let opened = decoded.next_multiple_of(CHUNK);
+        assert!(decoded + 2 * STEP < opened, "the strike decodes early in its chunk");
+        for cycle in [decoded, decoded + STEP, opened, opened + CHUNK] {
             let state = set.state_at(cycle).unwrap();
             assert!(state.pipe.itr_events().is_empty(), "logs are not stored");
+        }
+        for cycle in (decoded + 2 * STEP..opened).step_by(STEP as usize) {
+            assert!(set.state_at(cycle).is_none(), "no state kept at {cycle}");
+        }
+        for cycle in (opened + STEP..opened + CHUNK).step_by(STEP as usize) {
+            assert!(set.state_at(cycle).is_none(), "only chunk boundaries once open: {cycle}");
         }
         assert!(set.state_at(opened + 2 * CHUNK).is_none(), "the windows have closed");
         let short = PrefixSet::build(&p, itr, &golden, [strike], &windows[..1]);

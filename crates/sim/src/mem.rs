@@ -1,6 +1,7 @@
 //! Sparse byte-addressable memory.
 
 use itr_isa::Program;
+use std::sync::Arc;
 
 const PAGE_BITS: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_BITS;
@@ -18,10 +19,16 @@ fn offset(addr: u64) -> usize {
 /// faulty wild load cannot exhaust memory); writes allocate on demand.
 /// An access that stays inside one page looks the page up once, by
 /// binary search over the resident pages, so the store is hash-free.
+///
+/// Pages are shared until written: a clone shares every page with the
+/// memory it was cloned from, and the first write to a shared page
+/// copies that page alone. Forked pipelines and kept snapshots therefore
+/// hold only the pages they wrote, and comparing two memories skips
+/// every page they still share.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Memory {
     /// Resident pages, sorted by page number.
-    pages: Vec<(u64, Box<Page>)>,
+    pages: Vec<(u64, Arc<Page>)>,
 }
 
 impl Memory {
@@ -79,13 +86,14 @@ impl Memory {
         self.find(addr).ok().map(|i| &*self.pages[i].1)
     }
 
-    /// The page holding `addr`, allocated on demand.
+    /// The page holding `addr`, allocated on demand and copied first if
+    /// another memory shares it.
     fn page_mut(&mut self, addr: u64) -> &mut Page {
         let i = self.find(addr).unwrap_or_else(|i| {
-            self.pages.insert(i, (addr >> PAGE_BITS, Box::new([0; PAGE_SIZE])));
+            self.pages.insert(i, (addr >> PAGE_BITS, Arc::new([0; PAGE_SIZE])));
             i
         });
-        &mut self.pages[i].1
+        Arc::make_mut(&mut self.pages[i].1)
     }
 
     /// Reads one byte (zero if unmapped).
@@ -186,6 +194,22 @@ mod tests {
             assert_eq!(m.read_u32(a + 8), i as u32 + 1);
         }
         assert!(m.pages.windows(2).all(|w| w[0].0 < w[1].0), "page index sorted");
+
+        // A clone shares every page until it writes one.
+        let shared = |a: &Memory, b: &Memory| {
+            a.pages.iter().zip(&b.pages).filter(|(x, y)| Arc::ptr_eq(&x.1, &y.1)).count()
+        };
+        let mut copy = m.clone();
+        assert_eq!(shared(&m, &copy), addrs.len());
+        assert_eq!(copy, m, "shared pages compare equal");
+        copy.write_u32(0x1000 + 8, 0xFFFF);
+        assert_eq!(m.read_u32(0x1000 + 8), 2, "the parent's bytes are unchanged");
+        assert_eq!(copy.read_u32(0x1000 + 8), 0xFFFF);
+        assert_eq!(shared(&m, &copy), addrs.len() - 1, "only the written page is copied");
+        assert_ne!(copy, m);
+        copy.write_u32(0x1000 + 8, 2);
+        assert_eq!(shared(&m, &copy), addrs.len() - 1);
+        assert_eq!(copy, m, "equal unshared pages compare equal");
     }
 
     #[test]

@@ -17,7 +17,8 @@ use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Dynamic size of the mimic: its fault-free run spans three 10k-cycle
-/// boundaries, so faults fork from several snapshots.
+/// chunk boundaries and fifteen 2k-cycle grid boundaries, so faults fork
+/// from several snapshots.
 const INSTRS: u64 = 100_000;
 const WINDOW: u64 = 5_000;
 
@@ -154,11 +155,14 @@ fn forked_model_campaigns_equal_fresh_runs_for_every_kind() {
 fn forks_at_boundary_edges_equal_fresh_runs() {
     let p = mimic();
     let at = decoded_at(&p, 20_000);
+    let step = decoded_at(&p, 22_000);
     let last = decoded_at(&p, 30_000);
-    assert!(at > 0 && last > at, "the mimic runs past two boundaries");
+    assert!(at > 0 && step > at && last > step, "the mimic runs past two chunk boundaries");
     // A strike at exactly a boundary's decoded count forks from that
-    // boundary; one decode later forks from it too.
-    for strike in [at, at + 1, last] {
+    // boundary; one decode later forks from it too. 22,000 is a grid
+    // boundary inside a chunk: the run forks there but its window opens
+    // at 30,000.
+    for strike in [at, at + 1, step, step + 1, last] {
         let seu = cfg(3, strike, strike + 1);
         check_plan(&p, &CampaignPlan::new(&p, &seu), &seu);
         let models = cfg(2, strike, strike + 1);
