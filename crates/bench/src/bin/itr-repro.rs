@@ -4,7 +4,7 @@
 //! The only entry point to the experiments: every table and figure
 //! registers as a job in the `itr-harness` DAG, and `--only JOB[,JOB]`
 //! produces any subset of them (plus their dependencies). Fault
-//! campaigns and workload sweeps shard across a work-stealing pool, and
+//! campaigns and workload sweeps shard across a worker pool, and
 //! each completed shard is journaled to `results/journal.jsonl` so an
 //! interrupted run picks up with `--resume` and zero recomputation.
 //! Artifacts are byte-identical across `--jobs` and across resumes.

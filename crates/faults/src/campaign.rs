@@ -5,7 +5,7 @@ use crate::classify::{classify, Observation, Outcome};
 use crate::lockstep::{observe_passive, PrefixSet};
 use itr_core::{ItrConfig, ItrMode, TraceBuilder, MAX_TRACE_LEN};
 use itr_isa::Program;
-use itr_sim::{CommitRecord, DecodeFault, Execution, PipelineConfig};
+use itr_sim::{CommitRecord, DecodeFault, Execution, Injection};
 use itr_stats::{Report, SplitMix64, Unit};
 use std::collections::HashMap;
 use std::fmt;
@@ -56,8 +56,8 @@ pub trait Fault: fmt::Debug {
     /// observer runs past before opening the window.
     fn first_strike(&self) -> u64;
 
-    /// Expands the fault into the pipeline's fault-injection hooks.
-    fn inject_into(&self, cfg: &mut PipelineConfig);
+    /// Adds the fault's strikes to a run's fault plan.
+    fn inject_into(&self, injection: &mut Injection);
 
     /// The decode count from which the fault strikes no more, or `None`
     /// when no decode count bounds it. A passive run is compared with
@@ -74,8 +74,8 @@ impl Fault for DecodeFault {
         self.nth_decode
     }
 
-    fn inject_into(&self, cfg: &mut PipelineConfig) {
-        cfg.faults.push(*self);
+    fn inject_into(&self, injection: &mut Injection) {
+        injection.decode.push((*self).into());
     }
 
     fn strikes_end(&self) -> Option<u64> {
@@ -88,8 +88,8 @@ impl<F: Fault + ?Sized> Fault for &F {
         (**self).first_strike()
     }
 
-    fn inject_into(&self, cfg: &mut PipelineConfig) {
-        (**self).inject_into(cfg);
+    fn inject_into(&self, injection: &mut Injection) {
+        (**self).inject_into(injection);
     }
 
     fn strikes_end(&self) -> Option<u64> {
@@ -363,7 +363,7 @@ impl<F: Fault + Clone> Plan<F> {
 mod tests {
     use super::*;
     use itr_isa::asm::assemble;
-    use itr_sim::{Pipeline, RunExit};
+    use itr_sim::{Pipeline, PipelineConfig, RunExit};
     use itr_workloads::kernels;
 
     fn small_campaign(faults: u32) -> CampaignConfig {
@@ -497,8 +497,8 @@ mod tests {
             .iter()
             .find(|r| r.outcome == Outcome::ItrSdcR)
             .expect("a recoverable SDC exists in 80 faults");
-        let cfg = PipelineConfig { faults: vec![candidate.fault], ..PipelineConfig::with_itr() };
-        let mut pipe = Pipeline::new(&p, cfg);
+        let mut pipe = Pipeline::new(&p, PipelineConfig::with_itr());
+        pipe.arm(candidate.fault.into());
         let exit = pipe.run(5_000_000);
         assert_eq!(exit, RunExit::Halted);
         assert_eq!(pipe.output(), kernels::SUM_LOOP.expected_output);

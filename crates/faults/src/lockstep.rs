@@ -22,7 +22,7 @@ use crate::campaign::Fault;
 use crate::classify::Observation;
 use itr_core::{ItrConfig, ItrEvent, ItrMode};
 use itr_isa::Program;
-use itr_sim::{CommitRecord, Pipeline, PipelineConfig, RunExit};
+use itr_sim::{CommitRecord, Injection, Pipeline, PipelineConfig, RunExit};
 use itr_stats::Report;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -301,20 +301,15 @@ pub(crate) fn observe_passive(
     let first_strike = fault.first_strike();
     let from = clean.and_then(|c| c.fork_point(itr, first_strike));
     let rejoin = clean.and_then(|c| c.rejoin(itr, fault.strikes_end()));
-    let inject = |c: &mut PipelineConfig| fault.inject_into(c);
-    let run = match from {
-        // The snapshot was compared against the same golden stream.
-        Some(snapshot) => {
-            let mut state = snapshot.clone();
-            state.pipe.arm(inject);
-            Lockstep { state, golden }
-        }
-        None => {
-            let mut cfg = passive_config(itr);
-            inject(&mut cfg);
-            Lockstep::new(Pipeline::new(program, cfg), golden)
-        }
+    // A fork starts from a snapshot compared against the same golden
+    // stream, a fresh run from cycle 0; both then arm the fault.
+    let mut run = match from {
+        Some(snapshot) => Lockstep { state: snapshot.clone(), golden },
+        None => Lockstep::new(Pipeline::new(program, passive_config(itr)), golden),
     };
+    let mut injection = Injection::default();
+    fault.inject_into(&mut injection);
+    run.state.pipe.arm(injection);
     run.observe(first_strike, windows, rejoin)
 }
 
@@ -564,8 +559,8 @@ mod tests {
         let mut merged_parsed = Report::new();
         for (k, nth) in [500u64, 30_000, 61_234, 97_000].into_iter().enumerate() {
             let fault = DecodeFault { nth_decode: nth, bit: (k as u32 * 17) % 64 };
-            let cfg = PipelineConfig { faults: vec![fault], ..passive_config(itr) };
-            let mut run = Lockstep::new(Pipeline::new(&p, cfg), &golden);
+            let mut run = Lockstep::new(Pipeline::new(&p, passive_config(itr)), &golden);
+            run.pipeline_mut().arm(fault.into());
             // Past the strike, to the chunk boundary its window opens at.
             while run.run(run.pipeline().cycle() + CHUNK) == RunExit::CycleLimit
                 && run.pipeline().stats().decoded <= fault.nth_decode

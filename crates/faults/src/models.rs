@@ -8,8 +8,8 @@
 //! duty cycle), and *burst* noise clustered around an upset — including
 //! during the ITR retry itself, which stresses the recovery controller.
 //!
-//! Each [`FaultModel`] expands to the `itr-sim` fault-injection hooks
-//! ([`DecodeFault`], [`SignalFault`], [`BurstFault`]) and runs through
+//! Each [`FaultModel`] expands into a run's `itr-sim` fault plan
+//! ([`Injection`]: decode-signal faults and a burst) and runs through
 //! the same campaign [`Plan`] and outcome taxonomy as the SEU campaign
 //! ([`ModelPlan`]), so Figure-8-style outcome profiles are directly
 //! comparable across models.
@@ -28,7 +28,7 @@
 
 use crate::campaign::{CampaignConfig, Fault, Plan};
 use itr_isa::Program;
-use itr_sim::{BurstFault, DecodeFault, PipelineConfig, SignalFault, SignalOp};
+use itr_sim::{BurstFault, DecodeFault, Injection, SignalFault, SignalOp};
 use itr_stats::SplitMix64;
 
 /// How long a fault model keeps perturbing the machine.
@@ -200,47 +200,6 @@ impl FaultModel {
         }
     }
 
-    /// Expands the model into the pipeline's fault-injection hooks.
-    pub fn inject_into(&self, cfg: &mut PipelineConfig) {
-        match self {
-            FaultModel::Seu(f) => cfg.faults.push(*f),
-            FaultModel::MultiBitAdjacent { nth_decode, bit, width } => {
-                for i in 0..*width {
-                    cfg.faults.push(DecodeFault { nth_decode: *nth_decode, bit: bit + i });
-                }
-            }
-            FaultModel::MultiBitRandom { nth_decode, bits } => {
-                for &bit in bits {
-                    cfg.faults.push(DecodeFault { nth_decode: *nth_decode, bit });
-                }
-            }
-            FaultModel::StuckAt { from_decode, until_decode, bit, value } => {
-                cfg.signal_faults.push(SignalFault {
-                    from_decode: *from_decode,
-                    until_decode: *until_decode,
-                    bit: *bit,
-                    op: if *value { SignalOp::Stuck1 } else { SignalOp::Stuck0 },
-                    period: 0,
-                    duty: 0,
-                });
-            }
-            FaultModel::Intermittent { from_decode, until_decode, bit, period, duty } => {
-                cfg.signal_faults.push(SignalFault {
-                    from_decode: *from_decode,
-                    until_decode: *until_decode,
-                    bit: *bit,
-                    op: SignalOp::Flip,
-                    period: *period,
-                    duty: *duty,
-                });
-            }
-            FaultModel::BurstOnRetry { primary, bit, len } => {
-                cfg.faults.push(*primary);
-                cfg.burst_fault = Some(BurstFault { bit: *bit, len: *len });
-            }
-        }
-    }
-
     /// Samples one instance of `kind` with the strike point in
     /// `[min_decode, max_decode)`. Deterministic in the RNG state.
     pub fn sample(
@@ -303,8 +262,30 @@ impl Fault for FaultModel {
         FaultModel::first_strike(self)
     }
 
-    fn inject_into(&self, cfg: &mut PipelineConfig) {
-        FaultModel::inject_into(self, cfg);
+    fn inject_into(&self, injection: &mut Injection) {
+        let seu = |nth_decode, bit| SignalFault::from(DecodeFault { nth_decode, bit });
+        let decode = &mut injection.decode;
+        match *self {
+            FaultModel::Seu(f) => decode.push(f.into()),
+            FaultModel::MultiBitAdjacent { nth_decode, bit, width } => {
+                decode.extend((bit..bit + width).map(|b| seu(nth_decode, b)));
+            }
+            FaultModel::MultiBitRandom { nth_decode, ref bits } => {
+                decode.extend(bits.iter().map(|&b| seu(nth_decode, b)));
+            }
+            FaultModel::StuckAt { from_decode, until_decode, bit, value } => {
+                let op = if value { SignalOp::Stuck1 } else { SignalOp::Stuck0 };
+                decode.push(SignalFault { from_decode, until_decode, bit, op, period: 0, duty: 0 });
+            }
+            FaultModel::Intermittent { from_decode, until_decode, bit, period, duty } => {
+                let op = SignalOp::Flip;
+                decode.push(SignalFault { from_decode, until_decode, bit, op, period, duty });
+            }
+            FaultModel::BurstOnRetry { primary, bit, len } => {
+                decode.push(primary.into());
+                injection.burst = Some(BurstFault { bit, len });
+            }
+        }
     }
 
     /// One decode past the last struck one. A stuck-at fault models a

@@ -14,10 +14,12 @@
 
 use crate::case::FuzzCase;
 use crate::oracle::{self, Finding, OracleConfig, OracleKind};
+use itr_isa::{BitOutOfRange, DecodeSignals};
 use itr_sim::DecodeFault;
 use itr_stats::json::Value;
 use itr_stats::SplitMix64;
 use std::collections::{BTreeMap, HashSet};
+use std::fmt;
 
 /// Schema tag of the persisted finding format.
 pub const FINDING_SCHEMA: &str = "itr-fuzz-finding/v1";
@@ -250,6 +252,41 @@ impl Corpus {
     }
 }
 
+/// Why [`RegressionCase::from_json`] rejected a document.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FindingError {
+    /// A field is missing or malformed.
+    Malformed(String),
+    /// `config.fault_count` does not fit in 32 bits.
+    FaultCount(u64),
+    /// `fault.bit` lies outside the decode-signal vector.
+    Bit(BitOutOfRange),
+}
+
+impl fmt::Display for FindingError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FindingError::Malformed(what) => f.write_str(what),
+            FindingError::FaultCount(n) => write!(f, "fault_count {n} does not fit in 32 bits"),
+            FindingError::Bit(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for FindingError {}
+
+impl From<String> for FindingError {
+    fn from(what: String) -> FindingError {
+        FindingError::Malformed(what)
+    }
+}
+
+impl From<&str> for FindingError {
+    fn from(what: &str) -> FindingError {
+        FindingError::Malformed(what.to_string())
+    }
+}
+
 /// A persisted finding: the case, the oracle that fired, and enough
 /// context to replay it byte-for-byte.
 #[derive(Debug, Clone)]
@@ -315,12 +352,13 @@ impl RegressionCase {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed field.
-    pub fn from_json(text: &str) -> Result<RegressionCase, String> {
+    /// Returns the first malformed field, or a fault count or signal
+    /// bit out of its range.
+    pub fn from_json(text: &str) -> Result<RegressionCase, FindingError> {
         let v = Value::parse(text).map_err(|e| format!("malformed JSON: {e:?}"))?;
         match v.get("schema").and_then(Value::as_str) {
             Some(FINDING_SCHEMA) => {}
-            other => return Err(format!("unsupported finding schema {other:?}")),
+            other => return Err(format!("unsupported finding schema {other:?}").into()),
         }
         let kind = v
             .get("oracle")
@@ -329,15 +367,15 @@ impl RegressionCase {
             .ok_or("missing or unknown oracle label")?;
         let detail = v.get("detail").and_then(Value::as_str).unwrap_or("").to_string();
         let cfg = v.get("config").ok_or("missing config")?;
+        let fault_count =
+            cfg.get("fault_count").and_then(Value::as_u64).ok_or("missing fault_count")?;
         let config = OracleConfig {
             max_instrs: cfg
                 .get("max_instrs")
                 .and_then(Value::as_u64)
                 .ok_or("missing max_instrs")?,
-            fault_count: cfg
-                .get("fault_count")
-                .and_then(Value::as_u64)
-                .ok_or("missing fault_count")? as u32,
+            fault_count: u32::try_from(fault_count)
+                .map_err(|_| FindingError::FaultCount(fault_count))?,
             window_cycles: cfg
                 .get("window_cycles")
                 .and_then(Value::as_u64)
@@ -350,7 +388,10 @@ impl RegressionCase {
                     .get("nth_decode")
                     .and_then(Value::as_u64)
                     .ok_or("missing nth_decode")?,
-                bit: f.get("bit").and_then(Value::as_u64).ok_or("missing bit")? as u32,
+                bit: DecodeSignals::checked_bit(
+                    f.get("bit").and_then(Value::as_u64).ok_or("missing bit")?,
+                )
+                .map_err(FindingError::Bit)?,
             }),
         };
         let case = FuzzCase::from_value(v.get("case").ok_or("missing case")?)?;
@@ -457,6 +498,20 @@ mod tests {
         assert_eq!(back.fault, Some(DecodeFault { nth_decode: 9, bit: 17 }));
         assert_eq!(back.case, rc.case);
         assert_eq!(back.config.max_instrs, rc.config.max_instrs);
+
+        // Out-of-range numbers are rejected, never truncated.
+        let json = rc.to_json();
+        let bad = |from: &str, to: &str| {
+            assert!(json.contains(from), "{from} in {json}");
+            RegressionCase::from_json(&json.replace(from, to)).unwrap_err()
+        };
+        assert_eq!(bad("\"bit\":17", "\"bit\":64"), FindingError::Bit(BitOutOfRange(64)));
+        let wide = (1u64 << 32) + 17;
+        let wide_bit = format!("\"bit\":{wide}");
+        assert_eq!(bad("\"bit\":17", &wide_bit), FindingError::Bit(BitOutOfRange(wide)));
+        let fault_count = format!("\"fault_count\":{}", rc.config.fault_count);
+        let wide_count = format!("\"fault_count\":{}", 1u64 << 32);
+        assert_eq!(bad(&fault_count, &wide_count), FindingError::FaultCount(1 << 32));
     }
 
     #[test]

@@ -64,7 +64,9 @@ pub mod snapshot;
 pub mod sync;
 
 pub use case::{FuzzCase, CASE_SCHEMA};
-pub use corpus::{seed_corpus, Corpus, CorpusEntry, CorpusStats, RegressionCase, FINDING_SCHEMA};
+pub use corpus::{
+    seed_corpus, Corpus, CorpusEntry, CorpusStats, FindingError, RegressionCase, FINDING_SCHEMA,
+};
 pub use coverage::{CoverageMap, MAP_SIZE};
 pub use diag::{first_divergence, Divergence};
 pub use directed::{directed_mutate, BranchGoal, DirectedPlan, GAP_LENS};

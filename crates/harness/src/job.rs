@@ -4,7 +4,7 @@
 //! depends on; once those complete, its `build` closure is invoked with
 //! the [`Blackboard`] of finished results and returns the job's
 //! [`ShardSpec`]s — the independent units the scheduler fans out across
-//! the work-stealing pool, *interleaved with shards of every other ready
+//! the worker pool, *interleaved with shards of every other ready
 //! job*. Shard decomposition must depend only on the experiment's scale
 //! parameters (never on thread count), so that a journal written by one
 //! run resumes correctly under any `--jobs` value.

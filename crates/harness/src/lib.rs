@@ -8,7 +8,7 @@
 //! * [`Registry`] / [`JobSpec`] — each figure/table registers as a job
 //!   with explicit dependencies; jobs split into [`ShardSpec`]s, the
 //!   independent units of scheduling;
-//! * [`pool`] — a work-stealing thread pool; shards of *all* ready jobs
+//! * [`pool`] — a thread pool over one shared queue; shards of *all* ready jobs
 //!   interleave, so one slow campaign never idles the machine;
 //! * [`journal`] — an append-only `journal.jsonl` (`itr-harness/v2`)
 //!   recording each completed shard's seed range and JSON payload; an

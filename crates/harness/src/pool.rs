@@ -1,38 +1,40 @@
-//! The work-stealing thread pool behind the scheduler: the one pool every
-//! experiment shard, fault-range campaign shards included, runs on.
+//! The thread pool behind the scheduler: the one pool every experiment
+//! shard, fault-range campaign shards included, runs on.
 //!
-//! Each worker owns a deque: it pushes/pops its own work at the front and
-//! steals from the *back* of sibling deques when idle, so long shards
-//! naturally spread across workers regardless of which job produced them.
-//! The runner injects new shards round-robin. Workers are detached
-//! threads: a worker stuck inside a hung shard can be *abandoned* by the
-//! watchdog — its queue index is re-spawned with a fresh thread (bumping
-//! the slot's epoch so the stuck thread retires itself if it ever
-//! returns) and the run keeps going.
+//! Workers take tasks from one shared FIFO queue in submission order; the
+//! runner is the only submitter, so there is nothing to balance beyond
+//! that queue. Workers are detached threads: a worker stuck inside a hung
+//! shard can be *abandoned* by the watchdog — its slot is re-spawned with
+//! a fresh thread (bumping the slot's epoch so the stuck thread retires
+//! itself if it ever returns) and the run keeps going.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 /// A unit of pool work. The argument is the executing worker's index, so
 /// the runner can tell the watchdog which thread to abandon on timeout.
 pub type Task = Box<dyn FnOnce(usize) + Send>;
 
+/// The shared queue and whether the pool is shutting down.
+#[derive(Default)]
+struct Queue {
+    tasks: VecDeque<Task>,
+    shutdown: bool,
+}
+
 struct Shared {
-    queues: Vec<Mutex<VecDeque<Task>>>,
+    queue: Mutex<Queue>,
+    /// Signalled when a task is queued or the pool shuts down.
+    wake: Condvar,
     /// Per-slot epoch; a worker exits once its spawn epoch goes stale
     /// (the watchdog re-spawned its slot after abandoning it).
     epochs: Vec<AtomicUsize>,
-    shutdown: AtomicBool,
-    idle: Mutex<()>,
-    wake: Condvar,
 }
 
-/// The work-stealing pool.
+/// The worker pool.
 pub struct Pool {
     shared: Arc<Shared>,
-    next: AtomicUsize,
 }
 
 impl Pool {
@@ -40,13 +42,11 @@ impl Pool {
     pub fn new(threads: usize) -> Pool {
         let threads = threads.max(1);
         let shared = Arc::new(Shared {
-            queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            epochs: (0..threads).map(|_| AtomicUsize::new(0)).collect(),
-            shutdown: AtomicBool::new(false),
-            idle: Mutex::new(()),
+            queue: Mutex::new(Queue::default()),
             wake: Condvar::new(),
+            epochs: (0..threads).map(|_| AtomicUsize::new(0)).collect(),
         });
-        let pool = Pool { shared, next: AtomicUsize::new(0) };
+        let pool = Pool { shared };
         for w in 0..threads {
             pool.spawn_worker(w, 0);
         }
@@ -55,30 +55,29 @@ impl Pool {
 
     /// Number of worker slots.
     pub fn workers(&self) -> usize {
-        self.shared.queues.len()
+        self.shared.epochs.len()
     }
 
-    /// Enqueues a task (round-robin across worker deques).
+    /// Enqueues a task at the back of the shared queue.
     pub fn submit(&self, task: Task) {
-        let w = self.next.fetch_add(1, Ordering::Relaxed) % self.shared.queues.len();
-        self.shared.queues[w].lock().expect("queue poisoned").push_back(task);
-        self.shared.wake.notify_all();
+        self.shared.queue.lock().expect("queue poisoned").tasks.push_back(task);
+        self.shared.wake.notify_one();
     }
 
     /// Replaces the worker in `slot` with a fresh thread. The previous
     /// occupant — presumed stuck inside an abandoned shard — sees the
-    /// bumped epoch and exits instead of double-draining the queue if it
-    /// ever comes back.
+    /// bumped epoch and exits instead of taking more work if it ever
+    /// comes back.
     pub fn respawn(&self, slot: usize) {
         let epoch = self.shared.epochs[slot].fetch_add(1, Ordering::SeqCst) + 1;
         self.spawn_worker(slot, epoch);
     }
 
-    /// Asks workers to exit once the queues drain. Abandoned threads
+    /// Asks workers to exit once the queue drains. Abandoned threads
     /// (still inside a hung shard) are leaked by design; they hold no
     /// locks and die with the process.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.queue.lock().expect("queue poisoned").shutdown = true;
         self.shared.wake.notify_all();
     }
 
@@ -98,35 +97,22 @@ impl Drop for Pool {
 }
 
 fn worker_loop(shared: &Shared, slot: usize, epoch: usize) {
-    let n = shared.queues.len();
+    let mut queue = shared.queue.lock().expect("queue poisoned");
     loop {
         if shared.epochs[slot].load(Ordering::SeqCst) != epoch {
-            return; // superseded by a respawn
+            // Superseded by a respawn: hand on any wakeup this worker
+            // took, so a queued task still finds a worker.
+            shared.wake.notify_one();
+            return;
         }
-        // Own work first (front), then steal from siblings (back). The
-        // own-queue guard must drop before stealing: holding it while
-        // locking a sibling's queue deadlocks two workers stealing from
-        // each other at once.
-        let own = shared.queues[slot].lock().expect("queue poisoned").pop_front();
-        let task = own.or_else(|| {
-            (1..n).find_map(|d| {
-                shared.queues[(slot + d) % n].lock().expect("queue poisoned").pop_back()
-            })
-        });
-        match task {
-            Some(task) => task(slot),
-            None => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                let guard = shared.idle.lock().expect("idle poisoned");
-                // Re-check under the lock, then sleep briefly; the timeout
-                // also bounds how long a stale-epoch worker lingers.
-                let _unused = shared
-                    .wake
-                    .wait_timeout(guard, Duration::from_millis(25))
-                    .expect("idle poisoned");
-            }
+        if let Some(task) = queue.tasks.pop_front() {
+            drop(queue);
+            task(slot);
+            queue = shared.queue.lock().expect("queue poisoned");
+        } else if queue.shutdown {
+            return;
+        } else {
+            queue = shared.wake.wait(queue).expect("queue poisoned");
         }
     }
 }
@@ -134,7 +120,9 @@ fn worker_loop(shared: &Shared, slot: usize, epoch: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
     use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
     fn pool_runs_every_task_across_workers() {
@@ -151,10 +139,9 @@ mod tests {
     }
 
     #[test]
-    fn idle_workers_steal_queued_work() {
-        // One worker slot gets all tasks (round-robin over 1 deque when
-        // submitted before others wake), but with 4 workers every task
-        // still completes promptly because siblings steal.
+    fn idle_workers_share_queued_work() {
+        // Every task goes into the one queue, and every idle worker takes
+        // from it.
         let pool = Pool::new(4);
         let (tx, rx) = mpsc::channel();
         let workers_seen = Arc::new(Mutex::new(std::collections::HashSet::new()));
@@ -170,13 +157,15 @@ mod tests {
         drop(tx);
         assert_eq!(rx.iter().count(), 64);
         // With 64 × 2ms tasks and 4 workers, more than one worker must
-        // have participated (stealing or round-robin injection).
+        // have participated.
         assert!(workers_seen.lock().expect("seen").len() > 1);
     }
 
     #[test]
     fn respawn_replaces_a_stuck_worker() {
-        let pool = Pool::new(2);
+        // One slot: once its worker is stuck, only the respawned one can
+        // run new work.
+        let pool = Pool::new(1);
         let (tx, rx) = mpsc::channel();
         let blocked = Arc::new(AtomicBool::new(false));
         let b = Arc::clone(&blocked);
@@ -190,13 +179,14 @@ mod tests {
         }));
         let stuck_slot = slot_rx.recv().expect("stuck task started");
         pool.respawn(stuck_slot);
-        // New work lands on the respawned slot's queue and still runs.
         for i in 0..8u32 {
             let tx = tx.clone();
-            pool.submit(Box::new(move |_| tx.send(i).expect("send")));
+            pool.submit(Box::new(move |w| tx.send((i, w)).expect("send")));
         }
         drop(tx);
-        assert_eq!(rx.iter().count(), 8);
+        let ran: Vec<(u32, usize)> = rx.iter().collect();
+        assert_eq!(ran.len(), 8);
+        assert!(ran.iter().all(|&(_, w)| w == stuck_slot), "the respawned slot runs new work");
         blocked.store(true, Ordering::SeqCst); // release the leaked thread
     }
 }

@@ -1,4 +1,4 @@
-//! The orchestrator: runs a [`Registry`] over the work-stealing pool with
+//! The orchestrator: runs a [`Registry`] over the worker pool with
 //! journaling, per-shard watchdogs and deterministic result merging.
 //!
 //! Scheduling is DAG-driven: a job's shards are built (from the

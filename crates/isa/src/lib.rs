@@ -58,7 +58,9 @@ pub use program::{
     BuildError, Program, ProgramBuilder, SegmentKind, DATA_BASE, STACK_TOP, TEXT_BASE,
 };
 pub use reg::Reg;
-pub use signals::{DecodeSignals, SignalField, SignalFlags, SIGNAL_FIELDS, TOTAL_SIGNAL_BITS};
+pub use signals::{
+    BitOutOfRange, DecodeSignals, SignalField, SignalFlags, SIGNAL_FIELDS, TOTAL_SIGNAL_BITS,
+};
 
 /// Size of one instruction word in bytes.
 pub const INSTRUCTION_BYTES: u64 = 4;

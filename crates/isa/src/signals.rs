@@ -162,6 +162,19 @@ pub const SIGNAL_FIELDS: [SignalField; 11] = [
 /// Total width of the decode-signal vector: 64 bits, as in Table 2.
 pub const TOTAL_SIGNAL_BITS: u32 = 64;
 
+/// A signal bit index, read from outside input, that is not below
+/// [`TOTAL_SIGNAL_BITS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BitOutOfRange(pub u64);
+
+impl fmt::Display for BitOutOfRange {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "signal bit {} is out of range (0..{TOTAL_SIGNAL_BITS})", self.0)
+    }
+}
+
+impl std::error::Error for BitOutOfRange {}
+
 /// The decode unit's output for one instruction.
 ///
 /// `itr-sim`'s pipeline executes this record, not the original
@@ -318,6 +331,15 @@ impl DecodeSignals {
         DecodeSignals::unpack(self.pack() ^ (1u64 << bit))
     }
 
+    /// `bit`, read from outside input, as an index into the packed vector.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BitOutOfRange`] when `bit` is [`TOTAL_SIGNAL_BITS`] or more.
+    pub fn checked_bit(bit: u64) -> Result<u32, BitOutOfRange> {
+        u32::try_from(bit).ok().filter(|&b| b < TOTAL_SIGNAL_BITS).ok_or(BitOutOfRange(bit))
+    }
+
     /// Name of the Table-2 field containing `bit`.
     pub fn field_of_bit(bit: u32) -> &'static str {
         SIGNAL_FIELDS
@@ -400,6 +422,10 @@ mod tests {
             let flipped = s.with_bit_flipped(bit);
             assert_eq!((flipped.pack() ^ s.pack()).count_ones(), 1);
             assert_eq!(flipped.pack() ^ s.pack(), 1u64 << bit);
+            assert_eq!(DecodeSignals::checked_bit(u64::from(bit)), Ok(bit));
+        }
+        for bit in [64, (1 << 32) + 17, u64::MAX] {
+            assert_eq!(DecodeSignals::checked_bit(bit), Err(BitOutOfRange(bit)), "never truncated");
         }
     }
 

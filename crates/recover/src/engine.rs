@@ -52,10 +52,11 @@
 
 use crate::outcome::ActualOutcome;
 use itr_core::{ItrConfig, ItrMode};
-use itr_faults::{FaultModel, Lockstep, Outcome};
+use itr_faults::{Fault, FaultModel, Lockstep, Outcome};
 use itr_isa::Program;
 use itr_sim::{
-    snapshot_at, CommitRecord, Execution, FuncSim, Pipeline, PipelineConfig, RunExit, StopReason,
+    snapshot_at, CommitRecord, Execution, FuncSim, Injection, Pipeline, PipelineConfig, RunExit,
+    StopReason,
 };
 
 /// Commits a faulty run may make beyond the golden length before the
@@ -157,16 +158,14 @@ pub struct RecoveryRun {
     pub prefix_clean: Option<bool>,
 }
 
-fn active_config(model: &FaultModel, cfg: &RecoverConfig) -> PipelineConfig {
-    let mut pcfg = PipelineConfig {
+fn active_config(cfg: &RecoverConfig) -> PipelineConfig {
+    PipelineConfig {
         itr: Some(ItrConfig { mode: ItrMode::Active, ..cfg.itr }),
         checkpoint_min_gap: cfg.checkpoint_min_gap,
         checkpoint_line_age: cfg.checkpoint_line_age,
         spc_check: true,
         ..PipelineConfig::default()
-    };
-    model.inject_into(&mut pcfg);
-    pcfg
+    }
 }
 
 /// Runs `model` under full active-mode recovery and classifies the true
@@ -207,8 +206,11 @@ fn drive(
     cfg: &RecoverConfig,
     switch_cycles: Option<u64>,
 ) -> RecoveryRun {
-    let mut faulty =
-        Lockstep::new(Pipeline::new(program, active_config(model, cfg)), &golden.records);
+    let mut pipe = Pipeline::new(program, active_config(cfg));
+    let mut injection = Injection::default();
+    model.inject_into(&mut injection);
+    pipe.arm(injection);
+    let mut faulty = Lockstep::new(pipe, &golden.records);
     let cap = golden.records.len() + RECORD_SLACK;
     let exit = loop {
         let cycle = faulty.pipeline().cycle();

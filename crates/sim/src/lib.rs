@@ -24,7 +24,9 @@
 //!   style: rename map + physical register file, issue queue, ROB, store
 //!   queue, BTB + gshare + RAS frontend) with the ITR unit of
 //!   [`itr_core`] embedded per Figure 5 of the paper,
-//! * [`DecodeFault`] — the single-event-upset injection hook of §4.
+//! * [`Injection`] — a run's fault plan ([`Pipeline::arm`]), apart from
+//!   the machine's [`PipelineConfig`]: the §4 single-event upset
+//!   ([`DecodeFault`]) and every other planned strike.
 //!
 //! # Example: run a program functionally
 //!
@@ -51,6 +53,7 @@ mod cache;
 mod config;
 mod execution;
 mod func;
+mod injection;
 mod mem;
 mod pipeline;
 pub mod semantics;
@@ -59,11 +62,12 @@ mod snapshot;
 pub use arch::{ArchState, CommitRecord, FCC_REG, NUM_ARCH_REGS};
 pub use branch::{Btb, Gshare, ReturnStack};
 pub use cache::{CacheGeometry, TimingCache};
-pub use config::{
-    BurstFault, DecodeFault, PipelineConfig, RenameFault, SchedulerFault, SignalFault, SignalOp,
-};
+pub use config::PipelineConfig;
 pub use execution::Execution;
 pub use func::{FuncSim, StopReason, TraceStream};
+pub use injection::{
+    BurstFault, DecodeFault, Injection, RenameFault, SchedulerFault, SignalFault, SignalOp,
+};
 pub use mem::Memory;
 pub use pipeline::{CheckpointRecord, Pipeline, PipelineStats, RunExit, SpcViolation};
 pub use snapshot::{snapshot_at, SimSnapshot};

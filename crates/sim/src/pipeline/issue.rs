@@ -9,7 +9,7 @@
 use super::lsq::OverlayLoader;
 use super::window::Uop;
 use super::Pipeline;
-use crate::config::SchedulerFault;
+use crate::injection::SchedulerFault;
 use crate::semantics::{execute, ExecInput};
 
 impl Pipeline {
@@ -40,7 +40,7 @@ impl Pipeline {
 
         // Scheduler fault: at the chosen issue index the select logic
         // wrongly grabs the oldest not-ready instruction instead.
-        if let Some(SchedulerFault { nth_issue }) = self.cfg.scheduler_fault {
+        if let Some(SchedulerFault { nth_issue }) = self.injection.scheduler {
             let issued_so_far = self.stats.issued;
             let in_window = issued_so_far <= nth_issue
                 && nth_issue < issued_so_far + candidates.len().max(1) as u64;

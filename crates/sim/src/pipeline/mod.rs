@@ -10,9 +10,9 @@
 //! generation, ITR ROB, ITR cache, commit interlock, retry recovery — are
 //! provided by [`itr_core::ItrUnit`] and wired in at dispatch and commit.
 //!
-//! Faults are injected by flipping one bit of one instruction's decode
-//! signals ([`DecodeFault`]); every downstream stage consumes the signal
-//! vector, so the fault propagates exactly as a decode-unit upset would.
+//! Decode-signal faults ([`Pipeline::arm`]) perturb instructions' decode
+//! signals; every downstream stage consumes the signal vector, so the
+//! fault propagates exactly as a decode-unit upset would.
 //!
 //! # Stage modules
 //!
@@ -55,7 +55,8 @@ pub use stats::PipelineStats;
 
 use crate::arch::CommitRecord;
 use crate::cache::TimingCache;
-use crate::config::{DecodeFault, PipelineConfig, SignalFault};
+use crate::config::PipelineConfig;
+use crate::injection::Injection;
 use crate::mem::Memory;
 use frontend::Frontend;
 use itr_core::{CoarseCheckpointer, ItrEvent, ItrUnit, SequentialPcChecker, Watchdog};
@@ -150,16 +151,14 @@ pub struct Pipeline {
     pub(in crate::pipeline) redundant_verify: Option<(u64, u64)>,
     pub(in crate::pipeline) verified_miss: Option<u64>,
 
-    // Fault injection.
-    pub(in crate::pipeline) faults: Vec<DecodeFault>,
-    pub(in crate::pipeline) signal_faults: Vec<SignalFault>,
+    /// The run's fault plan ([`Pipeline::arm`]).
+    pub(in crate::pipeline) injection: Injection,
     /// Instructions decoded when the run's first ITR mismatch surfaced —
     /// the first decode index a planned burst fault strikes. Recorded
     /// whether or not a burst is planned, so a fault-free pipeline armed
     /// with a burst later ([`Pipeline::arm`]) arms it exactly where a
     /// fresh faulty run would have.
     pub(in crate::pipeline) first_mismatch_decode: Option<u64>,
-    pub(in crate::pipeline) swap_done: bool,
 
     // Program interface.
     pub(in crate::pipeline) output: String,
@@ -224,10 +223,8 @@ impl Pipeline {
             wdog: Watchdog::new(cfg.watchdog_cycles),
             redundant_verify: None,
             verified_miss: None,
-            faults: cfg.faults.clone(),
-            signal_faults: cfg.signal_faults.clone(),
+            injection: Injection::default(),
             first_mismatch_decode: None,
-            swap_done: false,
             output: String::new(),
             exit: None,
             stats: PipelineStats::default(),
@@ -296,68 +293,28 @@ impl Pipeline {
         std::mem::take(&mut self.itr_events)
     }
 
-    /// Arms planned faults on a pipeline that has not reached them yet —
-    /// typically a clone of a fault-free run. `inject` edits the
-    /// pipeline's configuration the way it would edit a fresh
-    /// [`PipelineConfig`]; from here on the run is exactly the run
-    /// [`Pipeline::new`] would have produced with the edited
-    /// configuration, because before its first strike a faulty run is
-    /// bit-identical to the fault-free one. Only the fault-injection
-    /// fields may change.
+    /// Arms `injection` as the run's fault plan, replacing any earlier
+    /// one: the one way to inject, on a fresh pipeline or on one that has
+    /// not reached the plan's strikes yet (typically a fork of a
+    /// fault-free run, which is bit-identical to the faulty run until its
+    /// first strike, so the run goes on exactly as a fresh armed one).
     ///
     /// # Panics
     ///
-    /// Panics if an armed fault would already have struck: its decode
+    /// Panics if a planned fault would already have struck: its decode
     /// (or rename/issue) index has been passed, or a burst fault's
     /// arming mismatch has already surfaced and been passed.
-    pub fn arm(&mut self, inject: impl FnOnce(&mut PipelineConfig)) {
-        inject(&mut self.cfg);
-        let cfg = &self.cfg;
-        let decoded = self.stats.decoded;
-        let first_strike = cfg
-            .faults
-            .iter()
-            .map(|f| f.nth_decode)
-            .chain(cfg.signal_faults.iter().map(|f| f.from_decode))
-            .chain(cfg.swap_fault)
-            .chain(cfg.rename_fault.map(|f| f.nth_rename))
-            .chain(cfg.burst_fault.and(self.first_mismatch_decode))
-            .min();
-        if let Some(strike) = first_strike {
-            assert!(
-                decoded <= strike,
-                "cannot arm a fault striking decode {strike}: {decoded} already decoded"
-            );
-        }
-        if let Some(f) = cfg.scheduler_fault {
-            let issued = self.stats.issued;
-            assert!(
-                issued <= f.nth_issue,
-                "cannot arm a scheduler fault at issue {}: {issued} already issued",
-                f.nth_issue
-            );
-        }
-        self.faults = cfg.faults.clone();
-        self.signal_faults = cfg.signal_faults.clone();
+    pub fn arm(&mut self, injection: Injection) {
+        injection.assert_ahead(self.stats.decoded, self.stats.issued, self.first_mismatch_decode);
+        self.injection = injection;
     }
 
     /// `true` while an armed fault can still strike: a decode, rename,
     /// issue or swap index it strikes lies ahead, or a burst fault has
     /// not yet struck all its decodes after the run's first mismatch.
     pub fn strikes_pending(&self) -> bool {
-        let decoded = self.stats.decoded;
-        let cfg = &self.cfg;
-        self.faults.iter().any(|f| f.nth_decode >= decoded)
-            || self
-                .signal_faults
-                .iter()
-                .any(|f| f.from_decode < f.until_decode && f.until_decode > decoded)
-            || cfg.swap_fault.is_some_and(|n| !self.swap_done && n >= decoded)
-            || cfg.rename_fault.is_some_and(|f| f.nth_rename >= decoded)
-            || cfg.scheduler_fault.is_some_and(|f| f.nth_issue >= self.stats.issued)
-            || cfg.burst_fault.is_some_and(|b| {
-                self.first_mismatch_decode.is_none_or(|from| from.saturating_add(b.len) > decoded)
-            })
+        let s = &self.stats;
+        self.injection.strikes_pending(s.decoded, s.issued, self.first_mismatch_decode)
     }
 
     /// `true` when `other` will run exactly as `self` does from here on:
@@ -374,8 +331,8 @@ impl Pipeline {
     /// (checkpoint spacing reads it). Left out are the other pipeline
     /// counters and histograms, the ITR, cache and checkpointer counters,
     /// the event logs ([`Pipeline::itr_events`],
-    /// [`Pipeline::spc_violations`]), the scratch buffers, and the fault
-    /// configuration once its strikes have all passed. A pipeline with a strike still pending
+    /// [`Pipeline::spc_violations`]), the scratch buffers, and the spent
+    /// [`Injection`]: a pipeline with a strike still pending
     /// ([`Pipeline::strikes_pending`]) equals nothing.
     pub fn same_state(&self, other: &Pipeline) -> bool {
         !self.strikes_pending()
@@ -398,21 +355,8 @@ impl Pipeline {
                 (Some(a), Some(b)) => a.same_state(b),
                 (a, b) => a.is_none() && b.is_none(),
             }
-            && self.fault_free_config() == other.fault_free_config()
+            && self.cfg == other.cfg
             && self.mem == other.mem
-    }
-
-    /// The configuration without its fault-injection fields.
-    fn fault_free_config(&self) -> PipelineConfig {
-        PipelineConfig {
-            faults: Vec::new(),
-            signal_faults: Vec::new(),
-            burst_fault: None,
-            swap_fault: None,
-            scheduler_fault: None,
-            rename_fault: None,
-            ..self.cfg.clone()
-        }
     }
 
     /// Sequential-PC check violations observed at retirement.

@@ -1,15 +1,15 @@
 //! Decode/rename/dispatch stage: drain the fetch queue into the window.
 //!
-//! Decode derives the Table-2 signal vector (the point where
-//! [`DecodeFault`]s strike), rename maps architectural to physical
+//! Decode derives the Table-2 signal vector (where the [`Injection`]'s
+//! decode-signal faults strike), rename maps architectural to physical
 //! registers through [`RenameState`], and dispatch allocates the ROB/IQ
 //! entries and taps the ITR unit (§2.1/§2.2 of the paper).
 //!
-//! [`DecodeFault`]: crate::config::DecodeFault
+//! [`Injection`]: crate::Injection
 
 use super::window::{MemClass, Uop};
 use super::Pipeline;
-use crate::config::RenameFault;
+use crate::injection::RenameFault;
 use crate::semantics::operand_plan;
 use itr_isa::{DecodeSignals, SignalFlags};
 use std::collections::VecDeque;
@@ -84,28 +84,19 @@ impl Pipeline {
             }
             // Fetch-reorder fault: swap the next two instruction words
             // (their PCs and predictions keep their slots).
-            if let Some(nth) = self.cfg.swap_fault {
-                if !self.swap_done && self.stats.decoded == nth && self.fe.queue.len() >= 2 {
-                    let inst0 = self.fe.queue[0].inst;
-                    self.fe.queue[0].inst = self.fe.queue[1].inst;
-                    self.fe.queue[1].inst = inst0;
-                    self.swap_done = true;
-                }
+            if self.injection.swap == Some(self.stats.decoded) && self.fe.queue.len() >= 2 {
+                self.injection.swap.take();
+                let inst0 = self.fe.queue[0].inst;
+                self.fe.queue[0].inst = self.fe.queue[1].inst;
+                self.fe.queue[1].inst = inst0;
             }
             let f = self.fe.queue.pop_front().expect("checked non-empty");
 
-            // Decode: derive the signal vector, injecting any planned
-            // upsets striking this instruction.
+            // Decode: derive the signal vector; each planned decode-signal
+            // fault striking this decode perturbs it, in push order.
             let decoded_so_far = self.stats.decoded;
             let mut sig = DecodeSignals::from_instruction(&f.inst);
-            for fault in &self.faults {
-                if decoded_so_far == fault.nth_decode {
-                    sig = sig.with_bit_flipped(fault.bit);
-                }
-            }
-            // Multi-cycle faults (stuck-at / intermittent / repeated
-            // flips) perturb the packed vector of every struck decode.
-            for fault in &self.signal_faults {
+            for fault in &self.injection.decode {
                 if fault.strikes(decoded_so_far) {
                     let packed = sig.pack();
                     let struck = fault.apply(packed);
@@ -116,7 +107,7 @@ impl Pipeline {
             }
             // An armed burst fault strikes the next `len` decodes after
             // the run's first ITR mismatch.
-            if let (Some(burst), Some(from)) = (self.cfg.burst_fault, self.first_mismatch_decode) {
+            if let (Some(burst), Some(from)) = (self.injection.burst, self.first_mismatch_decode) {
                 if decoded_so_far >= from && decoded_so_far < from.saturating_add(burst.len) {
                     sig = sig.with_bit_flipped(burst.bit % 64);
                 }
@@ -128,7 +119,7 @@ impl Pipeline {
             let plan = operand_plan(&sig);
             let rename_idx = decoded_so_far;
             let perturb = |arch: u16, operand: u8| -> u16 {
-                match self.cfg.rename_fault {
+                match self.injection.rename {
                     Some(RenameFault { nth_rename, operand: o, bit })
                         if nth_rename == rename_idx && o == operand =>
                     {

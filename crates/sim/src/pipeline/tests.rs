@@ -1,8 +1,9 @@
 //! End-to-end pipeline tests: architecture, recovery, and fault studies.
 
 use super::{Pipeline, RunExit, SpcViolation};
-use crate::config::{DecodeFault, PipelineConfig};
+use crate::config::PipelineConfig;
 use crate::func::{FuncSim, StopReason};
+use crate::injection::{DecodeFault, Injection, RenameFault, SchedulerFault};
 use itr_isa::asm::assemble;
 
 const SUM_LOOP: &str = r#"
@@ -19,8 +20,13 @@ const SUM_LOOP: &str = r#"
 "#;
 
 fn run_pipeline(src: &str, cfg: PipelineConfig) -> (Pipeline, RunExit) {
+    run_faulty(src, cfg, Injection::default())
+}
+
+fn run_faulty(src: &str, cfg: PipelineConfig, injection: Injection) -> (Pipeline, RunExit) {
     let p = assemble(src).expect("assembles");
     let mut pipe = Pipeline::new(&p, cfg);
+    pipe.arm(injection);
     let exit = pipe.run(2_000_000);
     (pipe, exit)
 }
@@ -142,12 +148,8 @@ fn deadlock_fault_is_caught_by_watchdog() {
     // Flip num_rsrc of a loop-body add to 3: phantom operand. num_rsrc
     // field lsb = 58; add has num_rsrc=2 (0b10); flipping bit 58 gives
     // 0b11 = 3.
-    let cfg = PipelineConfig {
-        faults: vec![DecodeFault { nth_decode: 2, bit: 58 }],
-        watchdog_cycles: 2_000,
-        ..PipelineConfig::default()
-    };
-    let (_, exit) = run_pipeline(SUM_LOOP, cfg);
+    let cfg = PipelineConfig { watchdog_cycles: 2_000, ..PipelineConfig::default() };
+    let (_, exit) = run_faulty(SUM_LOOP, cfg, DecodeFault { nth_decode: 2, bit: 58 }.into());
     assert_eq!(exit, RunExit::Deadlock);
 }
 
@@ -156,11 +158,8 @@ fn itr_retry_recovers_from_transient_fault() {
     // Inject into a mid-loop instruction after the loop trace has been
     // cached; ITR detects the mismatch at commit and the retry flush
     // re-executes cleanly, so the program output is unaffected.
-    let cfg = PipelineConfig {
-        faults: vec![DecodeFault { nth_decode: 50, bit: 25 }], // rsrc1 bit
-        ..PipelineConfig::with_itr()
-    };
-    let (pipe, exit) = run_pipeline(SUM_LOOP, cfg);
+    let fault = DecodeFault { nth_decode: 50, bit: 25 }; // rsrc1 bit
+    let (pipe, exit) = run_faulty(SUM_LOOP, PipelineConfig::with_itr(), fault.into());
     assert_eq!(exit, RunExit::Halted);
     assert_eq!(pipe.output(), "5050", "recovery preserved the result");
     let unit = pipe.itr().unwrap();
@@ -172,11 +171,8 @@ fn itr_retry_recovers_from_transient_fault() {
 #[test]
 fn unprotected_pipeline_corrupts_on_the_same_fault() {
     // The same fault without ITR: the wrong-source add corrupts r9.
-    let cfg = PipelineConfig {
-        faults: vec![DecodeFault { nth_decode: 50, bit: 25 }],
-        ..PipelineConfig::default()
-    };
-    let (pipe, exit) = run_pipeline(SUM_LOOP, cfg);
+    let fault = DecodeFault { nth_decode: 50, bit: 25 };
+    let (pipe, exit) = run_faulty(SUM_LOOP, PipelineConfig::default(), fault.into());
     assert_eq!(exit, RunExit::Halted);
     assert_ne!(pipe.output(), "5050", "fault silently corrupted data");
 }
@@ -224,18 +220,16 @@ fn redundant_fetch_catches_faults_on_first_instance_traces() {
     // first trace: plain ITR can only detect this later (the faulty
     // signature enters the cache); the §3 fallback catches it before
     // commit and recovers.
-    let faults = vec![DecodeFault { nth_decode: 0, bit: 35 }]; // rdst bit
-    let plain = PipelineConfig { faults: faults.clone(), ..PipelineConfig::with_itr() };
-    let (pipe, exit) = run_pipeline(SUM_LOOP, plain);
+    let fault = DecodeFault { nth_decode: 0, bit: 35 }; // rdst bit
+    let (pipe, exit) = run_faulty(SUM_LOOP, PipelineConfig::with_itr(), fault.into());
     assert_eq!(exit, RunExit::Halted);
     assert_ne!(pipe.output(), "5050", "plain ITR misses the cold-trace fault");
 
     let fallback = PipelineConfig {
-        faults,
         itr: Some(ItrConfig { redundant_fetch_on_miss: true, ..ItrConfig::paper_default() }),
         ..PipelineConfig::default()
     };
-    let (pipe, exit) = run_pipeline(SUM_LOOP, fallback);
+    let (pipe, exit) = run_faulty(SUM_LOOP, fallback, fault.into());
     assert_eq!(exit, RunExit::Halted);
     assert_eq!(pipe.output(), "5050", "fallback recovers the cold-trace fault");
     assert!(pipe.stats().redundant_detects >= 1);
@@ -250,20 +244,20 @@ fn same_bit_double_fault_evades_xor_but_not_rotate_xor() {
     // #53/#54; bit 30 = rsrc2, which corrupts the add but is masked
     // on the addi): the XOR fold cancels (§2.1's documented
     // limitation), the rotate-XOR fold does not.
-    let faults =
-        vec![DecodeFault { nth_decode: 53, bit: 30 }, DecodeFault { nth_decode: 54, bit: 30 }];
-    let xor_cfg = PipelineConfig { faults: faults.clone(), ..PipelineConfig::with_itr() };
-    let (pipe, exit) = run_pipeline(SUM_LOOP, xor_cfg);
+    let faults = Injection {
+        decode: [53, 54].map(|nth_decode| DecodeFault { nth_decode, bit: 30 }.into()).into(),
+        ..Injection::default()
+    };
+    let (pipe, exit) = run_faulty(SUM_LOOP, PipelineConfig::with_itr(), faults.clone());
     assert_eq!(exit, RunExit::Halted);
     assert_eq!(pipe.itr().unwrap().stats().mismatches, 0, "XOR is blind");
     assert_ne!(pipe.output(), "5050", "yet the double fault corrupts");
 
     let rot_cfg = PipelineConfig {
-        faults,
         itr: Some(ItrConfig { fold: FoldKind::RotateXor, ..ItrConfig::paper_default() }),
         ..PipelineConfig::default()
     };
-    let (pipe, exit) = run_pipeline(SUM_LOOP, rot_cfg);
+    let (pipe, exit) = run_faulty(SUM_LOOP, rot_cfg, faults);
     assert_eq!(exit, RunExit::Halted);
     assert_eq!(pipe.output(), "5050", "rotate-XOR detects and recovers");
     assert!(pipe.itr().unwrap().stats().mismatches >= 1);
@@ -274,18 +268,16 @@ fn fetch_reorder_fault_evades_xor_but_not_rotate_xor() {
     use itr_core::{FoldKind, ItrConfig};
     // Swap two adjacent non-branch instructions inside the cached hot
     // loop trace: same signal multiset, different order.
-    let swap_at = 53u64; // iteration 17's add/addi pair (same trace)
-    let xor_cfg = PipelineConfig { swap_fault: Some(swap_at), ..PipelineConfig::with_itr() };
-    let (pipe, exit) = run_pipeline(SUM_LOOP, xor_cfg);
+    let swap = Injection { swap: Some(53), ..Injection::default() }; // iteration 17's add/addi pair (same trace)
+    let (pipe, exit) = run_faulty(SUM_LOOP, PipelineConfig::with_itr(), swap.clone());
     assert_eq!(exit, RunExit::Halted);
     assert_eq!(pipe.itr().unwrap().stats().mismatches, 0, "XOR cannot see a within-trace swap");
 
     let rot_cfg = PipelineConfig {
-        swap_fault: Some(swap_at),
         itr: Some(ItrConfig { fold: FoldKind::RotateXor, ..ItrConfig::paper_default() }),
         ..PipelineConfig::default()
     };
-    let (pipe, exit) = run_pipeline(SUM_LOOP, rot_cfg);
+    let (pipe, exit) = run_faulty(SUM_LOOP, rot_cfg, swap);
     assert_eq!(exit, RunExit::Halted);
     assert_eq!(pipe.output(), "5050", "rotate-XOR detects and the retry recovers");
     assert!(pipe.itr().unwrap().stats().mismatches >= 1);
@@ -318,11 +310,10 @@ fn tiny_resources_stall_but_never_break() {
 fn tiny_itr_rob_with_recovery_still_works() {
     use itr_core::ItrConfig;
     let cfg = PipelineConfig {
-        faults: vec![DecodeFault { nth_decode: 50, bit: 25 }],
         itr: Some(ItrConfig { rob_entries: 2, ..ItrConfig::paper_default() }),
         ..PipelineConfig::default()
     };
-    let (pipe, exit) = run_pipeline(SUM_LOOP, cfg);
+    let (pipe, exit) = run_faulty(SUM_LOOP, cfg, DecodeFault { nth_decode: 50, bit: 25 }.into());
     assert_eq!(exit, RunExit::Halted);
     assert_eq!(pipe.output(), "5050");
     assert_eq!(pipe.itr().unwrap().stats().recoveries, 1);
@@ -367,13 +358,10 @@ fn undersized_lsq_with_itr_is_rejected() {
 
 #[test]
 fn scheduler_fault_corrupts_without_tac() {
-    use crate::config::SchedulerFault;
     // The mis-selected instruction reads a stale physical register.
-    let cfg = PipelineConfig {
-        scheduler_fault: Some(SchedulerFault { nth_issue: 60 }),
-        ..PipelineConfig::with_itr()
-    };
-    let (pipe, exit) = run_pipeline(SUM_LOOP, cfg);
+    let fault =
+        Injection { scheduler: Some(SchedulerFault { nth_issue: 60 }), ..Injection::default() };
+    let (pipe, exit) = run_faulty(SUM_LOOP, PipelineConfig::with_itr(), fault);
     assert_eq!(exit, RunExit::Halted);
     assert_ne!(pipe.output(), "5050", "stale read corrupts the sum");
     assert_eq!(
@@ -385,13 +373,10 @@ fn scheduler_fault_corrupts_without_tac() {
 
 #[test]
 fn tac_check_detects_and_recovers_scheduler_fault() {
-    use crate::config::SchedulerFault;
-    let cfg = PipelineConfig {
-        scheduler_fault: Some(SchedulerFault { nth_issue: 60 }),
-        tac_check: true,
-        ..PipelineConfig::with_itr()
-    };
-    let (pipe, exit) = run_pipeline(SUM_LOOP, cfg);
+    let cfg = PipelineConfig { tac_check: true, ..PipelineConfig::with_itr() };
+    let fault =
+        Injection { scheduler: Some(SchedulerFault { nth_issue: 60 }), ..Injection::default() };
+    let (pipe, exit) = run_faulty(SUM_LOOP, cfg, fault);
     assert_eq!(exit, RunExit::Halted);
     assert_eq!(pipe.output(), "5050", "TAC recovery preserves the result");
     assert_eq!(pipe.stats().tac_violations, 1);
@@ -451,11 +436,10 @@ fn long_itr_read_latency_stalls_commit_but_stays_correct() {
 fn recovery_works_with_delayed_reads() {
     use itr_core::ItrConfig;
     let cfg = PipelineConfig {
-        faults: vec![DecodeFault { nth_decode: 50, bit: 25 }],
         itr: Some(ItrConfig { cache_read_latency: 3, ..ItrConfig::paper_default() }),
         ..PipelineConfig::default()
     };
-    let (pipe, exit) = run_pipeline(SUM_LOOP, cfg);
+    let (pipe, exit) = run_faulty(SUM_LOOP, cfg, DecodeFault { nth_decode: 50, bit: 25 }.into());
     assert_eq!(exit, RunExit::Halted);
     assert_eq!(pipe.output(), "5050");
     assert_eq!(pipe.itr().unwrap().stats().recoveries, 1);
@@ -476,12 +460,11 @@ fn rotate_xor_runs_cleanly_fault_free() {
 
 #[test]
 fn rename_fault_is_invisible_to_plain_itr() {
-    use crate::config::RenameFault;
     // Strike the rename map index of a hot-loop source operand: the
     // decode signals are clean, so the plain signature cannot see it.
     let fault = RenameFault { nth_rename: 50, operand: 0, bit: 1 };
-    let cfg = PipelineConfig { rename_fault: Some(fault), ..PipelineConfig::with_itr() };
-    let (pipe, exit) = run_pipeline(SUM_LOOP, cfg);
+    let fault = Injection { rename: Some(fault), ..Injection::default() };
+    let (pipe, exit) = run_faulty(SUM_LOOP, PipelineConfig::with_itr(), fault);
     assert_eq!(exit, RunExit::Halted);
     assert_ne!(pipe.output(), "5050", "rename fault corrupts the result");
     assert_eq!(pipe.itr().unwrap().stats().mismatches, 0, "plain ITR is blind to it");
@@ -489,14 +472,10 @@ fn rename_fault_is_invisible_to_plain_itr() {
 
 #[test]
 fn rename_protection_detects_and_recovers_rename_faults() {
-    use crate::config::RenameFault;
     let fault = RenameFault { nth_rename: 50, operand: 0, bit: 1 };
-    let cfg = PipelineConfig {
-        rename_fault: Some(fault),
-        rename_protection: true,
-        ..PipelineConfig::with_itr()
-    };
-    let (pipe, exit) = run_pipeline(SUM_LOOP, cfg);
+    let fault = Injection { rename: Some(fault), ..Injection::default() };
+    let cfg = PipelineConfig { rename_protection: true, ..PipelineConfig::with_itr() };
+    let (pipe, exit) = run_faulty(SUM_LOOP, cfg, fault);
     assert_eq!(exit, RunExit::Halted);
     assert_eq!(pipe.output(), "5050", "extended signature recovers the fault");
     let s = pipe.itr().unwrap().stats();
@@ -658,8 +637,8 @@ fn clone_mid_run_continues_exactly_like_the_original() {
 fn armed_fork_equals_a_fresh_faulty_run() {
     let p = assemble(SUM_LOOP).unwrap();
     let fault = DecodeFault { nth_decode: 40, bit: 35 };
-    let mut fresh =
-        Pipeline::new(&p, PipelineConfig { faults: vec![fault], ..PipelineConfig::with_itr() });
+    let mut fresh = Pipeline::new(&p, PipelineConfig::with_itr());
+    fresh.arm(fault.into());
     let (fresh_exit, fresh_records) = finish(&mut fresh);
 
     let mut clean = Pipeline::new(&p, PipelineConfig::with_itr());
@@ -667,7 +646,7 @@ fn armed_fork_equals_a_fresh_faulty_run() {
         clean.run(clean.cycle() + 1);
     }
     let mut fork = clean.clone();
-    fork.arm(|cfg| cfg.faults.push(fault));
+    fork.arm(fault.into());
     let mut records = Vec::new();
     let mut replay = Pipeline::new(&p, PipelineConfig::with_itr());
     replay.run_with(clean.cycle(), |r| {
@@ -691,15 +670,15 @@ fn arming_past_the_strike_panics() {
     while pipe.stats().decoded <= 40 {
         pipe.run(pipe.cycle() + 1);
     }
-    pipe.arm(|cfg| cfg.faults.push(DecodeFault { nth_decode: 40, bit: 3 }));
+    pipe.arm(DecodeFault { nth_decode: 40, bit: 3 }.into());
 }
 
 #[test]
 fn take_itr_events_empties_the_log() {
     let p = assemble(SUM_LOOP).unwrap();
     let fault = DecodeFault { nth_decode: 40, bit: 35 };
-    let mut pipe =
-        Pipeline::new(&p, PipelineConfig { faults: vec![fault], ..PipelineConfig::with_itr() });
+    let mut pipe = Pipeline::new(&p, PipelineConfig::with_itr());
+    pipe.arm(fault.into());
     pipe.run(2_000_000);
     let n = pipe.itr_events().len();
     assert!(n > 0);
@@ -781,6 +760,7 @@ fn same_state_sees_every_component() {
         }),
         ("watchdog", |p| p.wdog.pet(p.cycle + 7)),
         ("output", |p| p.output.push('x')),
+        ("machine configuration", |p| p.cfg.watchdog_cycles += 1),
     ];
     for (what, change) in changed {
         let mut other = base.clone();
@@ -804,8 +784,8 @@ fn same_state_sees_every_component() {
         }),
         ("spent fault configuration", |p| {
             let decoded = p.stats.decoded;
-            p.arm(|_| {});
-            p.faults.push(DecodeFault { nth_decode: decoded - 1, bit: 3 });
+            p.injection = DecodeFault { nth_decode: decoded - 1, bit: 3 }.into();
+            p.injection.swap = Some(decoded - 1);
         }),
     ];
     for (what, change) in unchanged {
@@ -815,7 +795,7 @@ fn same_state_sees_every_component() {
     }
     let mut pending = base.clone();
     let decoded = pending.stats().decoded;
-    pending.arm(|c| c.faults.push(DecodeFault { nth_decode: decoded + 5, bit: 3 }));
+    pending.arm(DecodeFault { nth_decode: decoded + 5, bit: 3 }.into());
     assert!(pending.strikes_pending());
     assert!(!base.same_state(&pending), "a pending strike is a difference");
 }

@@ -16,7 +16,9 @@
 //! Run with: `cargo run --example check_regimen`
 
 use itr::isa::asm::assemble;
-use itr::sim::{DecodeFault, Pipeline, PipelineConfig, RenameFault, RunExit, SchedulerFault};
+use itr::sim::{
+    DecodeFault, Injection, Pipeline, PipelineConfig, RenameFault, RunExit, SchedulerFault,
+};
 use itr::workloads::kernels;
 
 fn banner(title: &str) {
@@ -28,16 +30,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let program = assemble(kernel.source)?;
     let expected = kernel.expected_output;
 
-    // The fully-armed configuration: ITR with rename folding + TAC.
-    let armed = || PipelineConfig {
-        rename_protection: true,
-        tac_check: true,
-        ..PipelineConfig::with_itr()
+    // The fully-armed configuration: ITR with rename folding + TAC,
+    // on a fresh pipeline armed with one fault.
+    let cfg =
+        PipelineConfig { rename_protection: true, tac_check: true, ..PipelineConfig::with_itr() };
+    let armed = |injection: Injection| {
+        let mut cpu = Pipeline::new(&program, cfg.clone());
+        cpu.arm(injection);
+        cpu
     };
 
     banner("1. decode-unit fault → ITR signature");
-    let cfg = PipelineConfig { faults: vec![DecodeFault { nth_decode: 50, bit: 25 }], ..armed() };
-    let mut cpu = Pipeline::new(&program, cfg);
+    let mut cpu = armed(DecodeFault { nth_decode: 50, bit: 25 }.into());
     assert_eq!(cpu.run(5_000_000), RunExit::Halted);
     assert_eq!(cpu.output(), expected);
     let s = cpu.itr().expect("on").stats();
@@ -47,11 +51,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     banner("2. rename-unit fault → ITR + rename-index folding");
-    let cfg = PipelineConfig {
-        rename_fault: Some(RenameFault { nth_rename: 50, operand: 0, bit: 1 }),
-        ..armed()
-    };
-    let mut cpu = Pipeline::new(&program, cfg);
+    let rename = RenameFault { nth_rename: 50, operand: 0, bit: 1 };
+    let mut cpu = armed(Injection { rename: Some(rename), ..Injection::default() });
     assert_eq!(cpu.run(5_000_000), RunExit::Halted);
     assert_eq!(cpu.output(), expected);
     let s = cpu.itr().expect("on").stats();
@@ -61,8 +62,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     banner("3. scheduler fault → TAC issue-order assertion");
-    let cfg = PipelineConfig { scheduler_fault: Some(SchedulerFault { nth_issue: 60 }), ..armed() };
-    let mut cpu = Pipeline::new(&program, cfg);
+    let scheduler = SchedulerFault { nth_issue: 60 };
+    let mut cpu = armed(Injection { scheduler: Some(scheduler), ..Injection::default() });
     assert_eq!(cpu.run(5_000_000), RunExit::Halted);
     assert_eq!(cpu.output(), expected);
     println!(
@@ -74,8 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     banner("4. phantom-operand fault → ITR retry rescues the deadlock");
     // num_rsrc flipped to 3: the instruction waits forever; the ITR retry
     // at the commit interlock flushes and re-executes cleanly.
-    let cfg = PipelineConfig { faults: vec![DecodeFault { nth_decode: 53, bit: 58 }], ..armed() };
-    let mut cpu = Pipeline::new(&program, cfg);
+    let mut cpu = armed(DecodeFault { nth_decode: 53, bit: 58 }.into());
     assert_eq!(cpu.run(5_000_000), RunExit::Halted, "no deadlock with the regimen");
     assert_eq!(cpu.output(), expected);
     let s = cpu.itr().expect("on").stats();

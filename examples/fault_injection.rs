@@ -29,16 +29,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- unprotected run ---
-    let cfg = PipelineConfig { faults: vec![fault], ..PipelineConfig::default() };
-    let mut plain = Pipeline::new(&program, cfg);
+    let mut plain = Pipeline::new(&program, PipelineConfig::default());
+    plain.arm(fault.into());
     let exit = plain.run(1_000_000);
     println!("unprotected pipeline: exit={exit:?} output={:?}", plain.output());
     println!("  expected output    : {:?}", kernel.expected_output);
     assert_ne!(plain.output(), kernel.expected_output, "silent data corruption");
 
     // --- ITR-protected run ---
-    let cfg = PipelineConfig { faults: vec![fault], ..PipelineConfig::with_itr() };
-    let mut protected = Pipeline::new(&program, cfg);
+    let mut protected = Pipeline::new(&program, PipelineConfig::with_itr());
+    protected.arm(fault.into());
     let exit = protected.run(1_000_000);
     println!("\nITR-protected pipeline: exit={exit:?} output={:?}", protected.output());
     assert_eq!(exit, RunExit::Halted);

@@ -161,7 +161,7 @@ fn cmd_inject(args: &[String]) -> CliResult {
     let program = load(path)?;
     let fault = DecodeFault {
         nth_decode: opt(args, "--nth").ok_or("--nth required")?,
-        bit: opt(args, "--bit").ok_or("--bit required")? as u32,
+        bit: itr::isa::DecodeSignals::checked_bit(opt(args, "--bit").ok_or("--bit required")?)?,
     };
     println!(
         "injecting bit {} ({}) of decode #{}",
@@ -169,10 +169,10 @@ fn cmd_inject(args: &[String]) -> CliResult {
         itr::isa::DecodeSignals::field_of_bit(fault.bit),
         fault.nth_decode
     );
-    let base =
+    let cfg =
         if flag(args, "--no-itr") { PipelineConfig::default() } else { PipelineConfig::with_itr() };
-    let cfg = PipelineConfig { faults: vec![fault], ..base };
     let mut pipe = Pipeline::new(&program, cfg);
+    pipe.arm(fault.into());
     let exit = pipe.run(opt(args, "--max-cycles").unwrap_or(10_000_000));
     println!("output: {:?}", pipe.output());
     println!("exit  : {exit:?}");

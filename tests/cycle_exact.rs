@@ -27,8 +27,8 @@
 
 use itr::core::{FoldKind, ItrConfig};
 use itr::sim::{
-    BurstFault, CommitRecord, DecodeFault, Pipeline, PipelineConfig, PipelineStats, RenameFault,
-    RunExit, SchedulerFault, SignalFault, SignalOp,
+    BurstFault, CommitRecord, DecodeFault, Injection, Pipeline, PipelineConfig, PipelineStats,
+    RenameFault, RunExit, SchedulerFault, SignalFault, SignalOp,
 };
 use itr::stats::json::Value;
 use itr::workloads::suite::{by_name, everything};
@@ -83,8 +83,13 @@ impl Fnv {
 
 /// One pinned run: the case's JSON value, plus the run's statistics and
 /// exit for the path assertions.
-fn measure(program: &itr::isa::Program, cfg: PipelineConfig) -> (Value, PipelineStats, RunExit) {
+fn measure(
+    program: &itr::isa::Program,
+    cfg: PipelineConfig,
+    injection: Injection,
+) -> (Value, PipelineStats, RunExit) {
     let mut pipe = Pipeline::new(program, cfg);
+    pipe.arm(injection);
     let mut commits = Fnv::new();
     let mut count = 0u64;
     let exit = pipe.run_with(CYCLE_BUDGET, |r| {
@@ -110,10 +115,8 @@ fn measure(program: &itr::isa::Program, cfg: PipelineConfig) -> (Value, Pipeline
 /// The path a fault case must reach to pin what it is named for.
 type Reached = fn(&PipelineStats, RunExit) -> bool;
 
-fn with_fault(nth_decode: u64, bit: u32) -> PipelineConfig {
-    let mut cfg = PipelineConfig::with_itr();
-    cfg.faults.push(DecodeFault { nth_decode, bit });
-    cfg
+fn seu(nth_decode: u64, bit: u32) -> Injection {
+    DecodeFault { nth_decode, bit }.into()
 }
 
 fn with_itr(base: PipelineConfig, edit: impl FnOnce(&mut ItrConfig)) -> PipelineConfig {
@@ -122,28 +125,31 @@ fn with_itr(base: PipelineConfig, edit: impl FnOnce(&mut ItrConfig)) -> Pipeline
     cfg
 }
 
-/// The fault matrix on [`FAULT_WORKLOAD`].
-fn fault_cases() -> Vec<(&'static str, PipelineConfig, Reached)> {
+/// The fault matrix on [`FAULT_WORKLOAD`]: per case, the machine and the
+/// fault plan armed on it.
+fn fault_cases() -> Vec<(&'static str, PipelineConfig, Injection, Reached)> {
     let retried: Reached = |s, _| s.retry_flushes > 0;
     let machine_check: Reached = |_, e| matches!(e, RunExit::MachineCheck { .. });
     let committed: Reached = |s, _| s.committed > 0;
+    let itr = PipelineConfig::with_itr;
 
-    let sched = PipelineConfig {
-        scheduler_fault: Some(SchedulerFault { nth_issue: 1000 }),
-        ..PipelineConfig::default()
+    let sched =
+        Injection { scheduler: Some(SchedulerFault { nth_issue: 1000 }), ..Injection::default() };
+    let rename_protected = PipelineConfig { rename_protection: true, ..itr() };
+    let rename = Injection {
+        rename: Some(RenameFault { nth_rename: 1000, operand: 0, bit: 2 }),
+        ..Injection::default()
     };
-    let mut rename = PipelineConfig::with_itr();
-    rename.rename_protection = true;
-    rename.rename_fault = Some(RenameFault { nth_rename: 1000, operand: 0, bit: 2 });
-    let mut swap = with_itr(PipelineConfig::with_itr(), |c| c.fold = FoldKind::RotateXor);
-    swap.swap_fault = Some(300);
-    let mut burst = with_fault(300, 35);
-    burst.burst_fault = Some(BurstFault { bit: 20, len: 100 });
-    let mut multi = with_fault(1000, 3);
-    multi.faults.extend([20, 47].map(|bit| DecodeFault { nth_decode: 1000, bit }));
-    let mut signal = PipelineConfig::with_itr();
+    let rotate_xor = with_itr(itr(), |c| c.fold = FoldKind::RotateXor);
+    let swap = Injection { swap: Some(300), ..Injection::default() };
+    let burst = Injection { burst: Some(BurstFault { bit: 20, len: 100 }), ..seu(300, 35) };
+    let mut multi = seu(1000, 3);
+    multi
+        .decode
+        .extend([20, 47].map(|bit| SignalFault::from(DecodeFault { nth_decode: 1000, bit })));
+    let mut signal = Injection::default();
     for (bit, op) in [(3, SignalOp::Flip), (35, SignalOp::Stuck1), (47, SignalOp::Stuck0)] {
-        signal.signal_faults.push(SignalFault {
+        signal.decode.push(SignalFault {
             from_decode: 300,
             until_decode: 340,
             bit,
@@ -154,25 +160,30 @@ fn fault_cases() -> Vec<(&'static str, PipelineConfig, Reached)> {
     }
 
     vec![
-        ("itr_retry", with_fault(1000, 35), retried),
-        ("itr_machine_check", with_fault(65, 35), machine_check),
-        ("scheduler_fault", sched.clone(), committed),
-        ("scheduler_fault_tac", PipelineConfig { tac_check: true, ..sched }, |s, _| {
-            s.tac_violations > 0
-        }),
-        ("rename_fault_protected", rename, retried),
-        ("swap_fault", swap, retried),
-        ("burst_fault", burst, |s, e| {
+        ("itr_retry", itr(), seu(1000, 35), retried),
+        ("itr_machine_check", itr(), seu(65, 35), machine_check),
+        ("scheduler_fault", PipelineConfig::default(), sched.clone(), committed),
+        (
+            "scheduler_fault_tac",
+            PipelineConfig { tac_check: true, ..PipelineConfig::default() },
+            sched,
+            |s, _| s.tac_violations > 0,
+        ),
+        ("rename_fault_protected", rename_protected, rename, retried),
+        ("swap_fault", rotate_xor, swap, retried),
+        ("burst_fault", itr(), burst, |s, e| {
             s.retry_flushes > 1 && matches!(e, RunExit::MachineCheck { .. })
         }),
         (
             "itr_cache_read_latency_3",
-            with_itr(with_fault(1000, 35), |c| c.cache_read_latency = 3),
+            with_itr(itr(), |c| c.cache_read_latency = 3),
+            seu(1000, 35),
             retried,
         ),
         (
             "redundant_fetch_on_miss",
-            with_itr(with_fault(65, 35), |c| c.redundant_fetch_on_miss = true),
+            with_itr(itr(), |c| c.redundant_fetch_on_miss = true),
+            seu(65, 35),
             |s, _| s.redundant_detects > 0,
         ),
         (
@@ -183,20 +194,17 @@ fn fault_cases() -> Vec<(&'static str, PipelineConfig, Reached)> {
                 iq_entries: 4,
                 ..PipelineConfig::default()
             },
+            Injection::default(),
             committed,
         ),
         (
             "small_window_itr_retry",
-            PipelineConfig {
-                lsq_entries: 16,
-                rob_entries: 16,
-                iq_entries: 8,
-                ..with_fault(1000, 35)
-            },
+            PipelineConfig { lsq_entries: 16, rob_entries: 16, iq_entries: 8, ..itr() },
+            seu(1000, 35),
             retried,
         ),
-        ("multi_bit_decode_fault", multi, retried),
-        ("multi_bit_signal_fault", signal, retried),
+        ("multi_bit_decode_fault", itr(), multi, retried),
+        ("multi_bit_signal_fault", itr(), signal, retried),
     ]
 }
 
@@ -208,7 +216,7 @@ fn measure_all() -> Vec<(String, Value)> {
         for (label, cfg) in
             [("plain", PipelineConfig::default()), ("itr", PipelineConfig::with_itr())]
         {
-            let (value, stats, _) = measure(&w.program, cfg);
+            let (value, stats, _) = measure(&w.program, cfg, Injection::default());
             mispredicts += stats.mispredicts;
             out.push((format!("{}/{label}", w.name), value));
         }
@@ -216,8 +224,8 @@ fn measure_all() -> Vec<(String, Value)> {
     assert!(mispredicts > 0, "the suite never repaired a misprediction");
 
     let w = by_name(FAULT_WORKLOAD, MIMIC_SEED, MIMIC_INSTRS).unwrap();
-    for (name, cfg, reached) in fault_cases() {
-        let (value, stats, exit) = measure(&w.program, cfg);
+    for (name, cfg, injection, reached) in fault_cases() {
+        let (value, stats, exit) = measure(&w.program, cfg, injection);
         assert!(reached(&stats, exit), "{name} does not reach the path it pins ({exit:?})");
         out.push((format!("{FAULT_WORKLOAD}/{name}"), value));
     }

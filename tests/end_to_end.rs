@@ -99,13 +99,13 @@ fn transient_faults_recover_with_itr_and_corrupt_without() {
     // register.
     let fault = DecodeFault { nth_decode: 40, bit: 35 };
 
-    let cfg = PipelineConfig { faults: vec![fault], ..PipelineConfig::default() };
-    let mut plain = Pipeline::new(&program, cfg);
+    let mut plain = Pipeline::new(&program, PipelineConfig::default());
+    plain.arm(fault.into());
     plain.run(5_000_000);
     assert_ne!(plain.output(), kernels::FIB.expected_output, "unprotected SDC");
 
-    let cfg = PipelineConfig { faults: vec![fault], ..PipelineConfig::with_itr() };
-    let mut protected = Pipeline::new(&program, cfg);
+    let mut protected = Pipeline::new(&program, PipelineConfig::with_itr());
+    protected.arm(fault.into());
     let exit = protected.run(5_000_000);
     assert_eq!(exit, RunExit::Halted);
     assert_eq!(protected.output(), kernels::FIB.expected_output);
