@@ -2,6 +2,7 @@
 
 use crate::config::ItrCacheConfig;
 use itr_stats::{Report, Unit as StatUnit};
+use std::collections::VecDeque;
 
 /// One signature line.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -117,6 +118,12 @@ pub struct ItrCache {
     /// Valid lines never referenced since insertion (maintained
     /// incrementally so the §2.3 checkpointing query is O(1)).
     unreferenced: u64,
+    /// The age window [`ItrCache::track_young_lines`] set; 0 when the
+    /// cache does not track young lines.
+    young_age: u64,
+    /// `(tick, line index)` of the inserts of the last `young_age` ticks,
+    /// oldest first. Empty while `young_age` is 0.
+    recent_inserts: VecDeque<(u64, u32)>,
 }
 
 impl ItrCache {
@@ -128,11 +135,27 @@ impl ItrCache {
             stats: CacheStats::default(),
             tick: 0,
             unreferenced: 0,
+            young_age: 0,
+            recent_inserts: VecDeque::new(),
+        }
+    }
+
+    /// Keeps a log of the inserts of the last `max_age` cache events, so
+    /// that [`ItrCache::unreferenced_young_count`] for any age up to
+    /// `max_age` counts back from the newest inserts instead of scanning
+    /// every line. An age above the line count is left to the scan, which
+    /// is then no dearer. Call it before the first insert; a cache that
+    /// never does keeps no log.
+    pub fn track_young_lines(&mut self, max_age: u64) {
+        debug_assert_eq!(self.stats.writes, 0, "young lines are tracked from the first insert");
+        if max_age <= self.lines.len() as u64 {
+            self.young_age = max_age;
         }
     }
 
     /// `true` when `other` holds the same lines, LRU clock and
-    /// configuration; the counters are left out.
+    /// configuration; the counters and the insert log (which the lines
+    /// and clock determine) are left out.
     pub fn same_state(&self, other: &ItrCache) -> bool {
         self.config == other.config
             && self.tick == other.tick
@@ -243,10 +266,31 @@ impl ItrCache {
     ///
     /// An unreferenced line's `last_use` is its insertion tick (only a
     /// probe hit updates `last_use`, and that also marks it referenced),
-    /// so age falls out of the existing LRU state. O(lines).
+    /// so age falls out of the existing LRU state. With young lines
+    /// tracked for at least `max_age` ([`ItrCache::track_young_lines`])
+    /// the count walks back over the inserts of the last `max_age`
+    /// events, O(`max_age`); otherwise it scans every line, O(lines).
     ///
     /// [`unreferenced_count`]: ItrCache::unreferenced_count
     pub fn unreferenced_young_count(&self, max_age: u64) -> u64 {
+        if max_age > self.young_age {
+            return self.scan_young(max_age);
+        }
+        let young = self
+            .recent_inserts
+            .iter()
+            .rev()
+            .take_while(|&&(tick, _)| self.tick - tick < max_age)
+            .filter(|&&(tick, at)| {
+                let l = &self.lines[at as usize];
+                l.valid && !l.referenced && l.last_use == tick
+            })
+            .count() as u64;
+        debug_assert_eq!(young, self.scan_young(max_age));
+        young
+    }
+
+    fn scan_young(&self, max_age: u64) -> u64 {
         self.lines
             .iter()
             .filter(|l| l.valid && !l.referenced && self.tick - l.last_use < max_age)
@@ -262,6 +306,7 @@ impl ItrCache {
         let tick = self.tick;
         let checked_pref = self.config.checked_bit_replacement && self.config.ways() > 1;
         let range = self.set_range(start_pc);
+        let base = range.start;
         let set = &mut self.lines[range];
 
         // Same-tag overwrite (retry/parity-repair path) or invalid way.
@@ -319,6 +364,12 @@ impl ItrCache {
             len_at_insert: len,
             last_use: tick,
         };
+        if self.young_age > 0 {
+            self.recent_inserts.push_back((tick, (base + victim) as u32));
+            while self.recent_inserts.front().is_some_and(|&(t, _)| tick - t >= self.young_age) {
+                self.recent_inserts.pop_front();
+            }
+        }
         evicted
     }
 
@@ -560,5 +611,48 @@ mod tests {
         c.insert(0x200, 2, 1);
         assert_eq!(c.unreferenced_young_count(4), 1);
         assert_eq!(c.unreferenced_young_count(u64::MAX), c.unreferenced_count());
+    }
+
+    #[test]
+    fn tracked_young_count_equals_the_scan() {
+        // Probes, inserts (same-tag overwrites, evictions) and flushes in
+        // a 2-way cache small enough to evict, with the log kept for an
+        // age of 8: every count up to that age walks the log, and equals
+        // the scan (which `unreferenced_young_count` also asserts in
+        // debug builds).
+        let mut tracked = cache(8, Associativity::Ways(2));
+        tracked.track_young_lines(8);
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        for step in 0..4_000 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let pc = 0x400 + 4 * (rng % 24);
+            match rng >> 60 {
+                0..=6 => {
+                    let _ = tracked.probe(pc);
+                }
+                7..=13 => {
+                    let _ = tracked.insert(pc, rng, 3);
+                }
+                14 => tracked.invalidate(pc),
+                _ if step % 50 == 0 => {
+                    let _ = tracked.invalidate_all();
+                }
+                _ => {}
+            }
+            assert!(tracked.recent_inserts.len() <= 8, "the log holds one age window");
+            for age in 0..=8 {
+                assert_eq!(tracked.unreferenced_young_count(age), tracked.scan_young(age));
+            }
+        }
+        // A cache that does not track keeps no log, and an age past the
+        // line count is not tracked.
+        let mut plain = cache(8, Associativity::Ways(2));
+        plain.insert(0x400, 1, 1);
+        assert!(plain.recent_inserts.is_empty());
+        let mut wide = cache(8, Associativity::Ways(2));
+        wide.track_young_lines(9);
+        assert_eq!(wide.young_age, 0);
     }
 }

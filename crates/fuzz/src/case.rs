@@ -140,7 +140,8 @@ impl FuzzCase {
             Some(CASE_SCHEMA) => {}
             other => return Err(format!("unsupported case schema {other:?}")),
         }
-        let entry = v.get("entry").and_then(Value::as_u64).ok_or("missing entry")? as u32;
+        let entry = v.get("entry").and_then(Value::as_u64).ok_or("missing entry")?;
+        let entry = u32::try_from(entry).map_err(|_| format!("entry {entry} is out of range"))?;
         let words = v
             .get("text")
             .and_then(Value::as_array)
@@ -200,6 +201,14 @@ mod tests {
         let back = FuzzCase::from_value(&Value::parse(&text).unwrap()).unwrap();
         assert_eq!(back, case);
         assert_eq!(back.fingerprint(), case.fingerprint());
+
+        // An entry past `u32::MAX` is an error, not a truncated entry.
+        let mut v = case.to_value();
+        let Value::Object(fields) = &mut v else { unreachable!("a case is an object") };
+        let entry = fields.iter_mut().find(|(key, _)| key == "entry").expect("an entry field");
+        entry.1 = Value::UInt((1 << 32) + u64::from(case.entry));
+        let err = FuzzCase::from_value(&v).unwrap_err();
+        assert!(err.contains("entry 4294967296 is out of range"), "{err}");
     }
 
     #[test]

@@ -60,14 +60,17 @@ impl SyncRecord {
     /// # Errors
     ///
     /// Returns a description of the first malformed field, unsupported
-    /// schema, or fingerprint mismatch.
+    /// schema, or fingerprint mismatch. A missing `depth` is malformed:
+    /// [`SyncRecord::to_line`] always writes one, so a line without it
+    /// did not come from an exporter. So is a `depth` past `u32::MAX`.
     pub fn from_line(line: &str) -> Result<SyncRecord, String> {
         let v = Value::parse(line).map_err(|e| format!("malformed JSON: {e:?}"))?;
         match v.get("schema").and_then(Value::as_str) {
             Some(SYNC_SCHEMA) => {}
             other => return Err(format!("unsupported sync schema {other:?}")),
         }
-        let depth = v.get("depth").and_then(Value::as_u64).unwrap_or(0) as u32;
+        let depth = v.get("depth").and_then(Value::as_u64).ok_or("missing depth")?;
+        let depth = u32::try_from(depth).map_err(|_| format!("depth {depth} is out of range"))?;
         let case = FuzzCase::from_value(v.get("case").ok_or("missing case")?)?;
         let want = v.get("fingerprint").and_then(Value::as_str).ok_or("missing fingerprint")?;
         let got = format!("{:#018x}", case.fingerprint());
@@ -179,6 +182,17 @@ mod tests {
         }
         let recs = records(&[4, 5]);
         assert_eq!(parse(&render(&recs)).unwrap(), recs);
+
+        // A depth past `u32::MAX` and a missing depth are errors, not a
+        // truncated depth or depth 0.
+        let rec = &records(&[1])[0];
+        let line = rec.to_line();
+        let depth = format!("\"depth\":{}", rec.depth);
+        assert!(line.contains(&depth), "{line}");
+        let err = SyncRecord::from_line(&line.replace(&depth, "\"depth\":4294967297")).unwrap_err();
+        assert!(err.contains("depth 4294967297 is out of range"), "{err}");
+        let err = SyncRecord::from_line(&line.replace(&format!("{depth},"), "")).unwrap_err();
+        assert!(err.contains("missing depth"), "{err}");
     }
 
     #[test]

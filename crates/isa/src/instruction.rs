@@ -1,6 +1,6 @@
 //! Decoded instruction record and convenience constructors.
 
-use crate::opcode::{Opcode, Syntax};
+use crate::opcode::Opcode;
 use std::fmt;
 
 /// A decoded `rISA` instruction.
@@ -89,16 +89,7 @@ impl Instruction {
     /// jumps are absolute within the current 256 MiB segment.
     #[inline]
     pub fn direct_target(&self, pc: u64) -> Option<u64> {
-        match self.op.props().syntax {
-            Syntax::Branch2 | Syntax::Branch1 | Syntax::FpBranch => {
-                Some((pc as i64 + 4 + (self.imm as i64) * 4) as u64)
-            }
-            Syntax::Jump => {
-                let seg = pc & 0xFFFF_FFFF_F000_0000;
-                Some(seg | ((self.imm as u64 & 0x03FF_FFFF) << 2))
-            }
-            _ => None,
-        }
+        self.op.direct_target(self.imm, pc)
     }
 }
 

@@ -80,6 +80,7 @@ pub enum LatClass {
 
 impl LatClass {
     /// Pipeline latency in cycles for this class.
+    #[inline]
     pub fn cycles(self) -> u64 {
         match self {
             LatClass::L1 => 1,
@@ -90,6 +91,7 @@ impl LatClass {
     }
 
     /// 2-bit encoding used inside [`DecodeSignals`](crate::DecodeSignals).
+    #[inline]
     pub fn encode(self) -> u8 {
         match self {
             LatClass::L1 => 0,
@@ -100,6 +102,7 @@ impl LatClass {
     }
 
     /// Inverse of [`LatClass::encode`] (only the low 2 bits are observed).
+    #[inline]
     pub fn from_bits(bits: u8) -> LatClass {
         match bits & 0b11 {
             0 => LatClass::L1,
@@ -287,6 +290,28 @@ impl Opcode {
     pub fn is_cond_branch(self) -> bool {
         let f = self.props().flags;
         f.contains(SignalFlags::IS_BRANCH) && !f.contains(SignalFlags::IS_UNCOND)
+    }
+
+    /// Target of a direct branch or jump of this opcode at `pc`, whose
+    /// instruction has immediate `imm` ([`Instruction::imm`]); `None`
+    /// for every other opcode.
+    ///
+    /// Conditional branches are PC-relative (`pc + 4 + imm*4`); J-format
+    /// jumps are absolute within the current 256 MiB segment.
+    ///
+    /// [`Instruction::imm`]: crate::Instruction::imm
+    #[inline]
+    pub fn direct_target(self, imm: i32, pc: u64) -> Option<u64> {
+        match self.props().syntax {
+            Syntax::Branch2 | Syntax::Branch1 | Syntax::FpBranch => {
+                Some((pc as i64 + 4 + (imm as i64) * 4) as u64)
+            }
+            Syntax::Jump => {
+                let seg = pc & 0xFFFF_FFFF_F000_0000;
+                Some(seg | ((imm as u64 & 0x03FF_FFFF) << 2))
+            }
+            _ => None,
+        }
     }
 
     /// `true` for loads.

@@ -304,6 +304,7 @@ impl DecodeSignals {
     }
 
     /// Inverse of [`DecodeSignals::pack`].
+    #[inline]
     pub fn unpack(bits: u64) -> DecodeSignals {
         DecodeSignals {
             opcode: (bits & 0xFF) as u8,
@@ -326,6 +327,7 @@ impl DecodeSignals {
     /// # Panics
     ///
     /// Panics if `bit >= 64`.
+    #[inline]
     pub fn with_bit_flipped(&self, bit: u32) -> DecodeSignals {
         assert!(bit < TOTAL_SIGNAL_BITS, "bit index out of range");
         DecodeSignals::unpack(self.pack() ^ (1u64 << bit))
@@ -351,12 +353,14 @@ impl DecodeSignals {
 
     /// The opcode named by the `opcode` field, if the 8-bit value is a
     /// defined operation (it may not be after a fault).
+    #[inline]
     pub fn opcode_enum(&self) -> Option<Opcode> {
         Opcode::from_id(self.opcode)
     }
 
     /// Sign- or zero-extends the immediate per the (possibly faulty) signed
     /// flag.
+    #[inline]
     pub fn imm_extended(&self) -> i64 {
         if self.flags.contains(SignalFlags::IS_SIGNED)
             || self.flags.contains(SignalFlags::IS_BRANCH)
@@ -368,6 +372,7 @@ impl DecodeSignals {
     }
 
     /// Latency class decoded from the 2-bit `lat` field.
+    #[inline]
     pub fn lat_class(&self) -> LatClass {
         LatClass::from_bits(self.lat)
     }

@@ -45,6 +45,9 @@ struct TagLine {
 #[derive(Debug, Clone)]
 pub struct TimingCache {
     geometry: CacheGeometry,
+    /// `geometry.sets()`, computed once: an access divides by it only
+    /// when it is not a power of two.
+    sets: u64,
     lines: Vec<TagLine>,
     tick: u64,
     accesses: u64,
@@ -64,6 +67,7 @@ impl TimingCache {
         let entries = (geometry.sets() * geometry.ways) as usize;
         TimingCache {
             geometry,
+            sets: u64::from(geometry.sets()),
             lines: vec![TagLine::default(); entries],
             tick: 0,
             accesses: 0,
@@ -90,8 +94,8 @@ impl TimingCache {
         let tick = self.tick;
         let line_bits = self.geometry.line_bytes.trailing_zeros();
         let block = addr >> line_bits;
-        let sets = self.geometry.sets() as u64;
-        let set = (block % sets) as usize;
+        let sets = self.sets;
+        let set = if sets.is_power_of_two() { block & (sets - 1) } else { block % sets } as usize;
         let ways = self.geometry.ways as usize;
         let slice = &mut self.lines[set * ways..(set + 1) * ways];
         for line in slice.iter_mut() {
@@ -173,6 +177,19 @@ mod tests {
         c.access(0x200); // evicts block at 0x100 (LRU)
         assert!(c.access(0x000));
         assert!(!c.access(0x100));
+    }
+
+    #[test]
+    fn non_power_of_two_set_counts_map_by_remainder() {
+        // 3 sets of 64-byte lines: blocks 0, 3 and 6 share set 0.
+        let g = CacheGeometry { size_bytes: 192, line_bytes: 64, ways: 1 };
+        let mut c = TimingCache::new(g);
+        assert_eq!(g.sets(), 3);
+        c.access(0x000);
+        assert!(!c.access(0x040) && !c.access(0x080), "blocks 1 and 2 miss in sets 1 and 2");
+        assert!(c.access(0x000), "block 0 stays");
+        assert!(!c.access(0x0C0), "block 3 misses in set 0");
+        assert!(!c.access(0x000), "and evicts block 0");
     }
 
     #[test]

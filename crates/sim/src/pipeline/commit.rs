@@ -6,12 +6,13 @@
 //! mismatch triggers a retry flush (or a machine check if state already
 //! escaped), and only then do stores reach memory and traps take effect.
 
+use super::predecode::DecodeTable;
 use super::rename::rename_extra;
 use super::{Pipeline, RunExit, SpcViolation};
 use crate::arch::CommitRecord;
-use crate::semantics::{operand_plan, TrapAction};
+use crate::semantics::TrapAction;
 use itr_core::CommitAction;
-use itr_isa::{decode, DecodeSignals, Opcode, SignalFlags};
+use itr_isa::{Opcode, SignalFlags};
 
 impl Pipeline {
     /// Squashes the entire window and restarts fetch at `restart_pc`
@@ -27,8 +28,9 @@ impl Pipeline {
         self.spc.reseed(restart_pc);
     }
 
-    /// Re-decodes the static trace at `start_pc` straight from memory —
-    /// the redundant copy of the §3 fallback. Returns its signature
+    /// Re-decodes the static trace at `start_pc` from committed memory
+    /// (through the decode table, which mirrors it) — the redundant copy
+    /// of the §3 fallback. Returns its signature
     /// (ground truth under a single-event-upset model: the second fetch
     /// and decode are fault-free) and its instruction count.
     fn redecode_trace(&self, start_pc: u64, max_len: u32) -> Option<(u64, u32)> {
@@ -36,15 +38,13 @@ impl Pipeline {
         let mut builder = itr_core::TraceBuilder::with_kind(max_len, fold);
         let mut pc = start_pc;
         for _ in 0..max_len {
-            let inst = decode(self.mem.read_u32(pc)).ok()?;
-            let sig = DecodeSignals::from_instruction(&inst);
+            let decoded = self.fe.table.fetch(&self.mem, pc)?;
             let extra = if self.cfg.rename_protection {
-                let plan = operand_plan(&sig);
-                rename_extra(plan.srcs, plan.dst)
+                rename_extra(decoded.plan.srcs, decoded.plan.dst)
             } else {
                 0
             };
-            if let Some(t) = builder.push_with_extra(pc, &sig, extra) {
+            if let Some(t) = builder.push_packed(pc, decoded.sig, extra) {
                 return Some((t.signature, t.len));
             }
             pc += 4;
@@ -144,14 +144,16 @@ impl Pipeline {
                 }
             }
 
-            if !self.win.front().expect("checked").done {
+            // The head retires in place; it leaves the ROB once its
+            // effects are applied.
+            let u = self.win.front().expect("checked");
+            if !u.done {
                 return;
             }
-            let u = self.win.retire().expect("checked");
 
             // Sequential-PC check (§2.5).
             if self.cfg.spc_check {
-                let is_branch_flag = u.sig.flags.contains(SignalFlags::IS_BRANCH);
+                let is_branch_flag = u.signals().flags.contains(SignalFlags::IS_BRANCH);
                 if !self.spc.check_and_advance(u.pc, is_branch_flag, u.next_pc) {
                     self.stats.spc_violations += 1;
                     self.spc_violations.push(SpcViolation { cycle: self.cycle, pc: u.pc });
@@ -166,6 +168,7 @@ impl Pipeline {
             }
             if let Some(s) = u.store {
                 self.mem.write(s.addr, s.size, s.value);
+                DecodeTable::store(&mut self.fe.table, s.addr, s.size);
                 record.store = Some((s.addr, s.size, s.value));
             }
             match u.trap {
@@ -182,8 +185,8 @@ impl Pipeline {
                     self.fe.gshare.train(u.pc, u.ghr_snapshot, taken);
                 }
             }
-            // By the true opcode: the predecode view (see `Uop::inst`).
-            if matches!(u.inst.op, Opcode::Jr | Opcode::Jalr) && u.taken == Some(true) {
+            // By the true opcode: the predecode view (see `Uop::raw`).
+            if matches!(u.raw.op, Opcode::Jr | Opcode::Jalr) && u.taken == Some(true) {
                 self.fe.btb.update(u.pc, u.next_pc);
             }
 
@@ -209,6 +212,7 @@ impl Pipeline {
                     }
                 }
             }
+            self.win.retire();
             if !on_commit(&record) {
                 self.exit = Some(RunExit::Stopped);
                 return;

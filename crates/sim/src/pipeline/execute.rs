@@ -3,9 +3,10 @@
 //! Completions mark physical registers ready; a completing branch whose
 //! computed target disagrees with its prediction squashes everything
 //! younger (rolling back the rename map and the ITR trace-formation
-//! state from the [`Uop::itr_snap`] snapshot) and redirects fetch.
+//! state from the branch's snapshot, [`Window::itr_snap`]) and redirects
+//! fetch.
 //!
-//! [`Uop::itr_snap`]: super::window::Uop
+//! [`Window::itr_snap`]: super::window::Window::itr_snap
 
 use super::Pipeline;
 
@@ -19,11 +20,11 @@ impl Pipeline {
             let Some(i) = self.win.idx_checked(seq) else {
                 continue; // squashed by an older completion this cycle
             };
-            self.win[i].done = true;
-            if let Some(d) = self.win[i].dst {
+            let u = &mut self.win[i];
+            u.done = true;
+            if let Some(d) = u.dst {
                 self.rn.phys_ready[d.phys as usize] = true;
             }
-            let u = &self.win[i];
             if u.taken.is_some() && u.next_pc != u.predicted_next {
                 self.stats.mispredicts += 1;
                 self.repair_mispredict(seq);
@@ -43,15 +44,15 @@ impl Pipeline {
         });
 
         let i = self.win.idx(branch_seq);
-        let (snap, used_gshare, taken, target, itr_snap) = {
+        let (snap, used_gshare, taken, target) = {
             let u = &self.win[i];
-            (u.ghr_snapshot, u.used_gshare, u.taken == Some(true), u.next_pc, u.itr_snap)
+            (u.ghr_snapshot, u.used_gshare, u.taken == Some(true), u.next_pc)
         };
         self.fe.redirect(target);
         if used_gshare {
             self.fe.gshare.repair(snap, taken);
         }
-        if let (Some(unit), Some(snap)) = (&mut self.itr, itr_snap.as_ref()) {
+        if let (Some(unit), Some(snap)) = (&mut self.itr, self.win.itr_snap(branch_seq)) {
             unit.restore(snap);
         }
         // Mark the prediction repaired so the uop does not re-trigger.

@@ -5,20 +5,30 @@
 //! [`Fetched`] slots the dispatch stage drains; no other frontend state
 //! is visible downstream. Redirects (mispredict repair, flush-restart)
 //! come back through [`Frontend::redirect`].
+//!
+//! Fetch takes each word already decoded from the [`DecodeTable`]: the
+//! fault-free signals and operand plan ride in the latch, so dispatch
+//! derives them again only when a decode-signal fault changed the
+//! signals. Predecode reads the same slot's true opcode and immediate
+//! ([`RawWord`](super::predecode::RawWord)) to predict the next PC.
 
+use super::predecode::{DecodeTable, Decoded};
 use super::PipelineStats;
 use crate::branch::{Btb, Gshare, ReturnStack};
 use crate::cache::TimingCache;
 use crate::config::PipelineConfig;
 use crate::mem::Memory;
-use itr_isa::{decode, Instruction, Opcode};
+use itr_isa::{DecodeSignals, Opcode, Program};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// One predecoded instruction: the fetch→dispatch latch entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(in crate::pipeline) struct Fetched {
     pub pc: u64,
-    pub inst: Instruction,
+    /// The word at `pc`, decoded (a fetch-swap fault moves it to the
+    /// neighbouring slot).
+    pub decoded: Decoded,
     pub predicted_next: u64,
     pub ghr_snapshot: u32,
     pub used_gshare: bool,
@@ -37,11 +47,14 @@ pub(in crate::pipeline) struct Frontend {
     pub gshare: Gshare,
     pub btb: Btb,
     pub ras: ReturnStack,
+    /// The program text decoded, shared with forks.
+    pub table: Arc<DecodeTable>,
 }
 
 impl Frontend {
     /// `true` when `other` fetches the same instructions from here on
-    /// (the I-cache counters are left out).
+    /// (the I-cache counters and the decode table, which memory
+    /// determines, are left out).
     pub fn same_state(&self, other: &Frontend) -> bool {
         self.fetch_pc == other.fetch_pc
             && self.icache_stall == other.icache_stall
@@ -53,9 +66,9 @@ impl Frontend {
             && self.icache.same_state(&other.icache)
     }
 
-    pub fn new(cfg: &PipelineConfig, entry: u64) -> Frontend {
+    pub fn new(cfg: &PipelineConfig, program: &Program) -> Frontend {
         Frontend {
-            fetch_pc: entry,
+            fetch_pc: program.entry(),
             icache: TimingCache::new(cfg.icache),
             icache_stall: 0,
             queue: VecDeque::new(),
@@ -63,6 +76,7 @@ impl Frontend {
             gshare: Gshare::new(cfg.gshare_bits),
             btb: Btb::new(cfg.btb_entries),
             ras: ReturnStack::new(cfg.ras_entries as usize),
+            table: DecodeTable::new(program),
         }
     }
 
@@ -75,26 +89,28 @@ impl Frontend {
         self.fetch_pc = pc;
     }
 
-    fn predecode(&mut self, pc: u64, inst: Instruction) -> Fetched {
+    fn predecode(&mut self, pc: u64, decoded: Decoded) -> Fetched {
         let ghr_snapshot = self.gshare.history();
         let mut used_gshare = false;
-        let predicted_next = match inst.op {
+        let raw = decoded.raw;
+        let predicted_next = match raw.op {
             op if op.is_cond_branch() => {
                 used_gshare = true;
                 let taken = self.gshare.predict_and_update_history(pc);
                 if taken {
-                    inst.direct_target(pc).unwrap_or(pc + 4)
+                    raw.direct_target(pc).unwrap_or(pc + 4)
                 } else {
                     pc + 4
                 }
             }
-            Opcode::J => inst.direct_target(pc).unwrap_or(pc + 4),
+            Opcode::J => raw.direct_target(pc).unwrap_or(pc + 4),
             Opcode::Jal => {
                 self.ras.push(pc + 4);
-                inst.direct_target(pc).unwrap_or(pc + 4)
+                raw.direct_target(pc).unwrap_or(pc + 4)
             }
             Opcode::Jr => {
-                if inst.rs == 31 {
+                // A fault-free `jr`'s first source is its `rs` field.
+                if DecodeSignals::unpack(decoded.sig).rsrc1 == 31 {
                     self.ras.pop().unwrap_or(pc + 4)
                 } else {
                     self.btb.lookup(pc).unwrap_or(pc + 4)
@@ -106,7 +122,7 @@ impl Frontend {
             }
             _ => pc + 4,
         };
-        Fetched { pc, inst, predicted_next, ghr_snapshot, used_gshare }
+        Fetched { pc, decoded, predicted_next, ghr_snapshot, used_gshare }
     }
 
     /// One fetch cycle: up to `width` instructions from one cache line,
@@ -136,13 +152,12 @@ impl Frontend {
                 break;
             }
             let pc = self.fetch_pc;
-            let word = mem.read_u32(pc);
-            let Ok(inst) = decode(word) else {
+            let Some(decoded) = self.table.fetch(mem, pc) else {
                 // Un-decodable word (wild fetch): stall until a redirect.
                 self.halted = true;
                 break;
             };
-            let fetched = self.predecode(pc, inst);
+            let fetched = self.predecode(pc, decoded);
             let next = fetched.predicted_next;
             self.queue.push_back(fetched);
             self.fetch_pc = next;

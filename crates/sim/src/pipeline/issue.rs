@@ -1,28 +1,32 @@
 //! Issue stage: oldest-first select among ready instructions, the TAC
 //! issue-order assertion (§1), and execution proper.
 //!
-//! Selected instructions execute immediately with a latency assigned
-//! from their signal-vector latency class (plus D-cache misses); results
-//! land back in the ROB entry and the physical register file, becoming
-//! visible at the entry's `done_cycle` (the complete stage's input).
+//! Select reads only the issue queue's [`IqEntry`]s (sources, phantom
+//! flag, load/store class) and the physical registers' ready bits; only
+//! the picks are looked up in the ROB. Selected instructions execute
+//! immediately with a latency assigned from their signal-vector latency
+//! class (plus D-cache misses); results land back in the ROB entry and
+//! the physical register file, becoming visible at the done cycle the
+//! in-flight list records (the complete stage's input).
 
 use super::lsq::OverlayLoader;
-use super::window::Uop;
+use super::window::{IqEntry, MemClass};
 use super::Pipeline;
 use crate::injection::SchedulerFault;
 use crate::semantics::{execute, ExecInput};
 
 impl Pipeline {
-    fn srcs_ready(&self, u: &Uop) -> bool {
-        !u.phantom && u.srcs.iter().flatten().all(|&p| self.rn.phys_ready[p as usize])
+    fn ready(&self, e: &IqEntry) -> bool {
+        !e.phantom && e.srcs.iter().flatten().all(|&p| self.rn.phys_ready[p as usize])
     }
 
     pub(in crate::pipeline) fn issue(&mut self) {
         // Oldest-first select among ready instructions: the issue queue
         // is in age order, so the first `issue_width` ready entries are
-        // the picks. Loads wait for every older store to issue; the
-        // barrier is taken before select, so a store issuing this cycle
-        // frees younger loads next cycle.
+        // the picks, taken as issue-queue positions (ascending). Loads
+        // wait for every older store to issue; the barrier is taken
+        // before select, so a store issuing this cycle frees younger
+        // loads next cycle.
         let barrier = self.win.store_barrier();
         let mut candidates = std::mem::take(&mut self.issue_candidates);
         candidates.clear();
@@ -30,11 +34,9 @@ impl Pipeline {
             self.win
                 .iq()
                 .iter()
-                .copied()
-                .filter(|&seq| {
-                    let u = &self.win[self.win.idx(seq)];
-                    self.srcs_ready(u) && (seq < barrier || !u.is_load())
-                })
+                .enumerate()
+                .filter(|(_, e)| self.ready(e) && (e.seq < barrier || e.class != MemClass::Load))
+                .map(|(at, _)| at)
                 .take(self.cfg.issue_width as usize),
         );
 
@@ -49,12 +51,7 @@ impl Pipeline {
                     .win
                     .iq()
                     .iter()
-                    .copied()
-                    .filter(|&seq| {
-                        let u = &self.win[self.win.idx(seq)];
-                        !u.phantom && !self.srcs_ready(u) && !u.is_load() && !u.is_store()
-                    })
-                    .min();
+                    .position(|e| !e.phantom && !self.ready(e) && e.class == MemClass::Other);
                 if let Some(v) = victim {
                     let slot = (nth_issue - issued_so_far) as usize;
                     if slot < candidates.len() {
@@ -68,41 +65,46 @@ impl Pipeline {
             }
         }
 
-        for &seq in &candidates {
-            let Some(i) = self.win.idx_checked(seq) else { continue };
+        let mut flushed = false;
+        for &at in &candidates {
+            let pick = self.win.iq()[at];
+            let seq = pick.seq;
+            let i = self.win.idx(seq);
             self.stats.issued += 1;
             // TAC-style issue-order assertion (§1): the sources of an
             // issuing instruction must be ready. A violation means the
             // select logic mis-fired; squash from the offender and
             // restart (its re-execution issues correctly).
-            if self.cfg.tac_check && !self.srcs_ready(&self.win[i]) {
+            let u = &self.win[i];
+            if self.cfg.tac_check && !self.ready(&pick) {
                 self.stats.tac_violations += 1;
                 self.stats.tac_recoveries += 1;
-                let restart_pc = self.win[i].pc;
+                let restart_pc = u.pc;
                 if let Some(unit) = &mut self.itr {
                     unit.on_full_flush();
                 }
                 self.full_flush_to(restart_pc);
+                flushed = true;
                 break;
             }
-            let u = &self.win[i];
             let src = |o: Option<u16>| o.map_or(0, |p| self.rn.phys_val[p as usize]);
+            let sig = u.signals();
             let input = ExecInput {
-                sig: &u.sig,
+                sig: &sig,
                 pc: u.pc,
-                // The predecode view (see `Uop::inst`).
-                raw_jump_target: u.inst.direct_target(u.pc),
-                src1: src(u.srcs[0]),
-                src2: src(u.srcs[1]),
+                // The predecode view (see `Uop::raw`).
+                raw_jump_target: u.raw.direct_target(u.pc),
+                src1: src(pick.srcs[0]),
+                src2: src(pick.srcs[1]),
             };
             let out = if u.is_load() {
-                let overlay = OverlayLoader { mem: &self.mem, older: self.win.older(i) };
+                let overlay = OverlayLoader { mem: &self.mem, win: &self.win, seq };
                 execute(input, &overlay)
             } else {
                 execute(input, &self.mem)
             };
 
-            let mut latency = u.sig.lat_class().cycles();
+            let mut latency = sig.lat_class().cycles();
             if let Some((addr, _)) = out.load {
                 self.stats.dcache_accesses += 1;
                 if !self.dcache.access(addr) {
@@ -111,10 +113,7 @@ impl Pipeline {
                 }
             }
 
-            let cycle = self.cycle;
-            self.win.mark_issued(i);
-            let u = &mut self.win[i];
-            u.done_cycle = cycle + latency.max(1);
+            let u = self.win.mark_issued(i, self.cycle + latency.max(1));
             u.result = out.value;
             u.next_pc = out.next_pc;
             u.taken = out.taken;
@@ -124,7 +123,9 @@ impl Pipeline {
                 self.rn.phys_val[d.phys as usize] = out.value;
             }
         }
-        self.win.drop_issued();
+        if !flushed {
+            self.win.drop_picks(&candidates);
+        }
         self.issue_candidates = candidates;
     }
 }

@@ -8,28 +8,31 @@
 //! this cycle unblocks loads from the next cycle on); and an issuing load
 //! reads memory through [`OverlayLoader`], which overlays the values of
 //! the older in-flight stores on the committed memory image —
-//! store-to-load forwarding with byte granularity.
+//! store-to-load forwarding with byte granularity. The overlay walks the
+//! window's list of stores ([`Window::older_stores`]), not every older
+//! ROB entry.
 //!
 //! [`Window::lsq_used`]: super::window::Window::lsq_used
 //! [`Window::store_barrier`]: super::window::Window::store_barrier
+//! [`Window::older_stores`]: super::window::Window::older_stores
 
-use super::window::Uop;
+use super::window::Window;
 use crate::mem::Memory;
 use crate::semantics::LoadSource;
-use std::collections::vec_deque::Iter;
 
-/// Committed memory overlaid with the stores of the older in-flight
-/// instructions (oldest first, so the youngest store to a byte wins).
+/// Committed memory overlaid with the stores older than the load `seq`
+/// (oldest first, so the youngest store to a byte wins).
 pub(in crate::pipeline) struct OverlayLoader<'a> {
     pub mem: &'a Memory,
-    pub older: Iter<'a, Uop>,
+    pub win: &'a Window,
+    pub seq: u64,
 }
 
 impl LoadSource for OverlayLoader<'_> {
     fn load(&self, addr: u64, size: u8) -> u32 {
         let size = size.min(4) as u64;
         let mut bytes = self.mem.read(addr, size as u8).to_le_bytes();
-        for s in self.older.clone().filter(|u| u.is_store()).filter_map(|u| u.store) {
+        for s in self.win.older_stores(self.seq) {
             for j in 0..s.size.min(4) as u64 {
                 let a = s.addr + j;
                 if a >= addr && a < addr + size {

@@ -1,9 +1,11 @@
 //! Decode/rename/dispatch stage: drain the fetch queue into the window.
 //!
-//! Decode derives the Table-2 signal vector (where the [`Injection`]'s
-//! decode-signal faults strike), rename maps architectural to physical
-//! registers through [`RenameState`], and dispatch allocates the ROB/IQ
-//! entries and taps the ITR unit (§2.1/§2.2 of the paper).
+//! Decode takes the Table-2 signal vector fetch read from the decode
+//! table and lets the [`Injection`]'s decode-signal faults strike it;
+//! only a struck vector's operand plan is derived again. Rename maps
+//! architectural to physical registers through [`RenameState`], and
+//! dispatch allocates the ROB/IQ entries and taps the ITR unit
+//! (§2.1/§2.2 of the paper).
 //!
 //! [`Injection`]: crate::Injection
 
@@ -82,41 +84,39 @@ impl Pipeline {
             if self.win.lsq_used() as u32 >= self.cfg.lsq_entries {
                 return;
             }
-            // Fetch-reorder fault: swap the next two instruction words
-            // (their PCs and predictions keep their slots).
+            // Fetch-reorder fault: swap the next two decoded words (their
+            // PCs and predictions keep their slots).
             if self.injection.swap == Some(self.stats.decoded) && self.fe.queue.len() >= 2 {
                 self.injection.swap.take();
-                let inst0 = self.fe.queue[0].inst;
-                self.fe.queue[0].inst = self.fe.queue[1].inst;
-                self.fe.queue[1].inst = inst0;
+                let first = self.fe.queue[0].decoded;
+                self.fe.queue[0].decoded = self.fe.queue[1].decoded;
+                self.fe.queue[1].decoded = first;
             }
             let f = self.fe.queue.pop_front().expect("checked non-empty");
 
-            // Decode: derive the signal vector; each planned decode-signal
-            // fault striking this decode perturbs it, in push order.
+            // Decode: each planned decode-signal fault striking this
+            // decode perturbs the packed signal vector, in push order.
             let decoded_so_far = self.stats.decoded;
-            let mut sig = DecodeSignals::from_instruction(&f.inst);
+            let mut packed = f.decoded.sig;
             for fault in &self.injection.decode {
                 if fault.strikes(decoded_so_far) {
-                    let packed = sig.pack();
-                    let struck = fault.apply(packed);
-                    if struck != packed {
-                        sig = DecodeSignals::unpack(struck);
-                    }
+                    packed = fault.apply(packed);
                 }
             }
             // An armed burst fault strikes the next `len` decodes after
             // the run's first ITR mismatch.
             if let (Some(burst), Some(from)) = (self.injection.burst, self.first_mismatch_decode) {
                 if decoded_so_far >= from && decoded_so_far < from.saturating_add(burst.len) {
-                    sig = sig.with_bit_flipped(burst.bit % 64);
+                    packed ^= 1 << (burst.bit % 64);
                 }
             }
             self.stats.decoded += 1;
+            let sig = DecodeSignals::unpack(packed);
 
-            // Rename: derive the map-table indexes, strike them with the
-            // planned rename fault if this is the chosen instruction.
-            let plan = operand_plan(&sig);
+            // Rename: derive the map-table indexes (again only if a fault
+            // changed the signals), strike them with the planned rename
+            // fault if this is the chosen instruction.
+            let plan = if packed == f.decoded.sig { f.decoded.plan } else { operand_plan(&sig) };
             let rename_idx = decoded_so_far;
             let perturb = |arch: u16, operand: u8| -> u16 {
                 match self.injection.rename {
@@ -138,7 +138,7 @@ impl Pipeline {
                 if self.cfg.rename_protection { rename_extra(src_arch, dst_arch) } else { 0 };
             let (trace_seq, trace_end) = match &mut self.itr {
                 Some(unit) => {
-                    let r = unit.on_dispatch_extended(f.pc, &sig, extra);
+                    let r = unit.on_dispatch_packed(f.pc, packed, extra);
                     (r.trace_seq, r.trace_end)
                 }
                 None => (0, false),
@@ -161,30 +161,31 @@ impl Pipeline {
             let may_redirect = sig.flags.contains(SignalFlags::IS_BRANCH);
             let itr_snap =
                 if may_redirect { self.itr.as_ref().map(|u| u.snapshot()) } else { None };
-            self.win.dispatch(Uop {
-                seq,
-                pc: f.pc,
-                inst: f.inst,
-                sig,
+            self.win.dispatch(
+                Uop {
+                    seq,
+                    pc: f.pc,
+                    raw: f.decoded.raw,
+                    sig: packed,
+                    dst,
+                    issued: false,
+                    done: false,
+                    result: 0,
+                    next_pc: f.pc + 4,
+                    taken: None,
+                    predicted_next: f.predicted_next,
+                    ghr_snapshot: f.ghr_snapshot,
+                    used_gshare: f.used_gshare,
+                    store: None,
+                    trap: None,
+                    trace_seq,
+                    trace_end,
+                    class: MemClass::of(&sig),
+                },
                 srcs,
-                phantom: plan.phantom_src,
-                dst,
-                issued: false,
-                done: false,
-                done_cycle: 0,
-                result: 0,
-                next_pc: f.pc + 4,
-                taken: None,
-                predicted_next: f.predicted_next,
-                ghr_snapshot: f.ghr_snapshot,
-                used_gshare: f.used_gshare,
-                store: None,
-                trap: None,
-                trace_seq,
-                trace_end,
+                plan.phantom_src,
                 itr_snap,
-                class: MemClass::of(&sig),
-            });
+            );
         }
     }
 }

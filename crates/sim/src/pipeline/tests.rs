@@ -143,6 +143,73 @@ fn store_load_forwarding_is_correct() {
     assert_eq!(pipe.output(), format!("{}{}", 0x1234, 0x0034));
 }
 
+/// FNV-1a over a run's cycle count and commit stream.
+fn commit_digest(cycles: u64, records: &[crate::arch::CommitRecord]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut word = |w: u64| {
+        for b in w.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    word(cycles);
+    for r in records {
+        word(r.pc);
+        word(r.next_pc);
+        word(r.dst.map_or(u64::MAX, |(reg, v)| u64::from(reg) << 32 | u64::from(v)));
+        word(r.store.map_or(u64::MAX, |(a, size, v)| a ^ u64::from(size) << 56 ^ u64::from(v)));
+    }
+    h
+}
+
+#[test]
+fn self_modifying_store_reaches_the_next_fetch() {
+    // `patch:` runs as `addi r9, r9, 1`, then a store copies the word at
+    // `donor:` (`addi r9, r9, 7`) over it and the loop runs `patch:`
+    // again. A delay loop longer than the ROB sits between the store and
+    // the branch back, so the store has committed before `patch:` is
+    // fetched a second time: the pipeline must run the new word, as
+    // FuncSim does.
+    let src = r#"
+        main:
+            li r9, 0
+            li r12, 2
+        patch:
+            addi r9, r9, 1
+            la r8, donor
+            lw r10, 0(r8)
+            la r11, patch
+            sw r10, 0(r11)
+            li r13, 300
+        delay:
+            addi r13, r13, -1
+            bgtz r13, delay
+            addi r12, r12, -1
+            bgtz r12, patch
+            move r4, r9
+            trap 1
+            halt
+        donor:
+            addi r9, r9, 7
+    "#;
+    let p = assemble(src).unwrap();
+    let mut golden = FuncSim::new(&p);
+    let (grecs, greason) = golden.run_collect(100_000);
+    assert_eq!(greason, StopReason::Halted);
+    assert_eq!(golden.output(), "8", "1 from the old word, 7 from the stored one");
+
+    // The fork shares everything the original has not written yet; the
+    // original's store must not show through in it.
+    let mut original = Pipeline::new(&p, PipelineConfig::default());
+    let mut fork = original.clone();
+    for pipe in [&mut original, &mut fork] {
+        let (exit, records) = finish(pipe);
+        assert_eq!(exit, RunExit::Halted);
+        assert_eq!(pipe.output(), "8");
+        assert_eq!(records, grecs, "commit stream equals FuncSim's");
+        assert_eq!(commit_digest(pipe.cycle(), &records), 0x161c_7b4a_6832_9b93, "cycle digest");
+    }
+}
+
 #[test]
 fn deadlock_fault_is_caught_by_watchdog() {
     // Flip num_rsrc of a loop-body add to 3: phantom operand. num_rsrc
@@ -719,7 +786,7 @@ fn same_state_sees_every_component() {
         }),
         ("ROB uop signals", |p| {
             let last = p.win.len() - 1;
-            p.win[last].sig = p.win[last].sig.with_bit_flipped(40);
+            p.win[last].sig ^= 1 << 40;
         }),
         ("free-list order", |p| p.rn.free_list.swap(0, 1)),
         ("stale phys_val", |p| {

@@ -55,8 +55,15 @@ fn flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
-fn opt(args: &[String], name: &str) -> Option<u64> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).and_then(|v| v.parse().ok())
+/// The value of option `name`: `None` when it is absent, an error when
+/// its value is missing or is not an unsigned integer.
+fn opt(args: &[String], name: &str) -> Result<Option<u64>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else { return Ok(None) };
+    let value = args.get(i + 1).ok_or_else(|| format!("{name} needs a value"))?;
+    value
+        .parse()
+        .map(Some)
+        .map_err(|_| format!("{name} expects an unsigned integer, got `{value}`"))
 }
 
 fn load(path: &str) -> Result<Program, Box<dyn std::error::Error>> {
@@ -73,7 +80,7 @@ fn cmd_run(args: &[String]) -> CliResult {
     let program = load(path)?;
     if flag(args, "--functional") {
         let mut sim = FuncSim::new(&program);
-        let reason = sim.run(opt(args, "--max-instrs").unwrap_or(100_000_000));
+        let reason = sim.run(opt(args, "--max-instrs")?.unwrap_or(100_000_000));
         println!("{}", sim.output());
         println!("-- {} instructions, stop: {reason:?}", sim.instr_count());
         return Ok(());
@@ -81,7 +88,7 @@ fn cmd_run(args: &[String]) -> CliResult {
     let cfg =
         if flag(args, "--no-itr") { PipelineConfig::default() } else { PipelineConfig::with_itr() };
     let mut pipe = Pipeline::new(&program, cfg);
-    let exit = pipe.run(opt(args, "--max-cycles").unwrap_or(100_000_000));
+    let exit = pipe.run(opt(args, "--max-cycles")?.unwrap_or(100_000_000));
     println!("{}", pipe.output());
     let s = pipe.stats();
     println!(
@@ -128,7 +135,7 @@ fn cmd_disasm(args: &[String]) -> CliResult {
 fn cmd_trace(args: &[String]) -> CliResult {
     let path = args.first().ok_or("missing program file")?;
     let program = load(path)?;
-    let instrs = opt(args, "--instrs").unwrap_or(1_000_000);
+    let instrs = opt(args, "--instrs")?.unwrap_or(1_000_000);
     // BTreeMap: ties in the hotness sort below break by PC, not by
     // the per-process hash seed.
     let mut by_trace: BTreeMap<u64, u64> = BTreeMap::new();
@@ -160,8 +167,8 @@ fn cmd_inject(args: &[String]) -> CliResult {
     let path = args.first().ok_or("missing program file")?;
     let program = load(path)?;
     let fault = DecodeFault {
-        nth_decode: opt(args, "--nth").ok_or("--nth required")?,
-        bit: itr::isa::DecodeSignals::checked_bit(opt(args, "--bit").ok_or("--bit required")?)?,
+        nth_decode: opt(args, "--nth")?.ok_or("--nth required")?,
+        bit: itr::isa::DecodeSignals::checked_bit(opt(args, "--bit")?.ok_or("--bit required")?)?,
     };
     println!(
         "injecting bit {} ({}) of decode #{}",
@@ -173,7 +180,7 @@ fn cmd_inject(args: &[String]) -> CliResult {
         if flag(args, "--no-itr") { PipelineConfig::default() } else { PipelineConfig::with_itr() };
     let mut pipe = Pipeline::new(&program, cfg);
     pipe.arm(fault.into());
-    let exit = pipe.run(opt(args, "--max-cycles").unwrap_or(10_000_000));
+    let exit = pipe.run(opt(args, "--max-cycles")?.unwrap_or(10_000_000));
     println!("output: {:?}", pipe.output());
     println!("exit  : {exit:?}");
     if let Some(unit) = pipe.itr() {
@@ -216,8 +223,8 @@ fn cmd_mimic(args: &[String]) -> CliResult {
             profiles::all().iter().map(|p| p.name).collect::<Vec<_>>().join(", ")
         )
     })?;
-    let instrs = opt(args, "--instrs").unwrap_or(200_000);
-    let seed = opt(args, "--seed").unwrap_or(42);
+    let instrs = opt(args, "--instrs")?.unwrap_or(200_000);
+    let seed = opt(args, "--seed")?.unwrap_or(42);
     let program = generate_mimic_sized(profile, seed, instrs);
     println!(
         "generated `{}` mimic: {} static instructions, {} data bytes",

@@ -153,3 +153,25 @@ fn facade_reexports_compose() {
     assert!(n > 100);
     assert_eq!(model.report().mismatches, 0);
 }
+
+/// `itr-cli` exits 1 naming the option when an option value does not
+/// parse or is missing, instead of running with the default.
+#[test]
+fn cli_rejects_unparsable_option_values() {
+    let cli = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_itr-cli")).args(args).output();
+        let out = out.expect("itr-cli runs");
+        (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+    };
+    let (code, err) = cli(&["run", "fib", "--max-cycles", "10x"]);
+    assert_eq!(code, Some(1), "{err}");
+    assert!(err.contains("--max-cycles expects an unsigned integer, got `10x`"), "{err}");
+    let (code, err) = cli(&["inject", "fib", "--nth", "-1", "--bit", "3"]);
+    assert_eq!(code, Some(1), "{err}");
+    assert!(err.contains("--nth expects an unsigned integer, got `-1`"), "{err}");
+    let (code, err) = cli(&["mimic", "gzip", "--instrs"]);
+    assert_eq!(code, Some(1), "{err}");
+    assert!(err.contains("--instrs needs a value"), "{err}");
+    let (code, err) = cli(&["run", "fib", "--max-cycles", "200000"]);
+    assert_eq!(code, Some(0), "{err}");
+}
