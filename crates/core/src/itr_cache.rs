@@ -111,6 +111,10 @@ pub struct CacheStats {
 #[derive(Debug, Clone)]
 pub struct ItrCache {
     config: ItrCacheConfig,
+    /// `config`'s set count and ways, computed once: a probe or insert
+    /// divides by the set count only when it is not a power of two.
+    sets: u64,
+    ways: usize,
     /// `sets * ways` lines, row-major by set.
     lines: Vec<Line>,
     stats: CacheStats,
@@ -131,6 +135,8 @@ impl ItrCache {
     pub fn new(config: ItrCacheConfig) -> ItrCache {
         ItrCache {
             config,
+            sets: u64::from(config.sets()),
+            ways: config.ways() as usize,
             lines: vec![Line::default(); config.entries as usize],
             stats: CacheStats::default(),
             tick: 0,
@@ -191,14 +197,13 @@ impl ItrCache {
         );
     }
 
-    fn set_of(&self, start_pc: u64) -> usize {
-        self.config.set_index(start_pc) as usize
-    }
-
+    /// The lines of `start_pc`'s set ([`ItrCacheConfig::set_index`]).
     fn set_range(&self, start_pc: u64) -> std::ops::Range<usize> {
-        let ways = self.config.ways() as usize;
-        let base = self.set_of(start_pc) * ways;
-        base..base + ways
+        let (word, sets) = (start_pc >> 2, self.sets);
+        let set = if sets.is_power_of_two() { word & (sets - 1) } else { word % sets };
+        debug_assert_eq!(set, u64::from(self.config.set_index(start_pc)), "set index");
+        let base = set as usize * self.ways;
+        base..base + self.ways
     }
 
     fn parity_of(signature: u64) -> bool {

@@ -193,8 +193,8 @@ impl TraceBuilder {
         }
         self.gen.fold_packed(signals);
         self.gen.fold_raw(extra);
-        let flags = DecodeSignals::unpack(signals).flags;
-        let is_branch = flags.contains(itr_isa::SignalFlags::IS_BRANCH);
+        let is_branch =
+            DecodeSignals::packed_flags(signals).contains(itr_isa::SignalFlags::IS_BRANCH);
         if is_branch || self.gen.count() >= self.max_len {
             let record = TraceRecord {
                 start_pc: self.start_pc,

@@ -324,34 +324,26 @@ impl ItrUnit {
         };
         self.stats.traces_dispatched += 1;
         let latency = self.config.cache_read_latency;
-        if latency > 0 {
+        let state = if latency > 0 {
             // The read is launched now and completes `latency` cycles
             // later; until then the entry shows neither chk nor miss and
             // commit stalls on it (the §2.2 interlock).
-            self.rob
-                .push(ItrRobEntry {
-                    start_pc: record.start_pc,
-                    signature: record.signature,
-                    len: record.len,
-                    state: ControlState::NoneSet,
-                })
-                .expect("host must stall dispatch while rob_full()");
             self.pending.push_back(PendingCheck {
                 trace_seq,
                 record,
                 ready_cycle: self.now + latency as u64,
             });
-            return DispatchResult { trace_seq, trace_end: true };
-        }
-        let state = self.resolve_check(trace_seq, &record);
-        self.rob
-            .push(ItrRobEntry {
-                start_pc: record.start_pc,
-                signature: record.signature,
-                len: record.len,
-                state,
-            })
-            .expect("host must stall dispatch while rob_full()");
+            ControlState::NoneSet
+        } else {
+            self.resolve_check(trace_seq, &record)
+        };
+        let entry = ItrRobEntry {
+            start_pc: record.start_pc,
+            signature: record.signature,
+            len: record.len,
+            state,
+        };
+        self.rob.push(entry).expect("host must stall dispatch while rob_full()");
         DispatchResult { trace_seq, trace_end: true }
     }
 

@@ -288,16 +288,18 @@ impl Fault for FaultModel {
         }
     }
 
-    /// One decode past the last struck one. A stuck-at fault models a
-    /// defect, so its window end is not taken as the end of its strikes:
-    /// it is never spent. A burst's strikes follow the run's first
-    /// mismatch; the pipeline tracks them.
+    /// One decode past the last struck one. A hard-defect stuck-at fault
+    /// (`until_decode` is `u64::MAX`) is never spent; a windowed one ends
+    /// with its window, as an intermittent one does. A burst's strikes
+    /// follow the run's first mismatch; the pipeline tracks them.
     fn strikes_end(&self) -> Option<u64> {
         match *self {
             FaultModel::Seu(f) => Some(f.nth_decode + 1),
             FaultModel::MultiBitAdjacent { nth_decode, .. }
             | FaultModel::MultiBitRandom { nth_decode, .. } => Some(nth_decode + 1),
-            FaultModel::StuckAt { .. } => None,
+            FaultModel::StuckAt { until_decode, .. } => {
+                (until_decode != u64::MAX).then_some(until_decode)
+            }
             FaultModel::Intermittent { until_decode, .. } => Some(until_decode),
             FaultModel::BurstOnRetry { primary, .. } => Some(primary.nth_decode + 1),
         }
@@ -481,6 +483,16 @@ mod tests {
             len: 4,
         };
         assert!(!burst.active_recovery_sound());
+    }
+
+    #[test]
+    fn a_windowed_stuck_at_fault_ends_with_its_window() {
+        let hard =
+            FaultModel::StuckAt { from_decode: 5, until_decode: u64::MAX, bit: 1, value: true };
+        assert_eq!(hard.strikes_end(), None, "a hard defect is never spent");
+        let window =
+            FaultModel::StuckAt { from_decode: 5, until_decode: 500, bit: 1, value: false };
+        assert_eq!(window.strikes_end(), Some(500));
     }
 
     #[test]

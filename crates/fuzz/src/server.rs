@@ -184,23 +184,56 @@ fn live_stats(fuzzer: &Fuzzer, started: Instant) -> Value {
     ])
 }
 
+/// The longest request line the server reads, in bytes.
+const MAX_REQUEST_LINE: usize = 1024;
+
+/// Reads a request line: the bytes up to the first `\n` (or to the end
+/// of the stream), over as many reads as the client's writes take.
+/// `None` when the line is longer than [`MAX_REQUEST_LINE`] bytes or is
+/// not UTF-8.
+fn read_request_line(stream: &mut impl Read) -> io::Result<Option<String>> {
+    let mut buf = [0u8; MAX_REQUEST_LINE];
+    let (mut len, mut scanned) = (0, 0);
+    let end = loop {
+        if let Some(at) = buf[scanned..len].iter().position(|&b| b == b'\n') {
+            break scanned + at;
+        }
+        if len == buf.len() {
+            return Ok(None);
+        }
+        scanned = len;
+        match stream.read(&mut buf[len..])? {
+            0 => break len,
+            n => len += n,
+        }
+    };
+    Ok(std::str::from_utf8(&buf[..end]).ok().map(|line| line.trim_end_matches('\r').to_string()))
+}
+
 /// Answers one connection. Request bodies are ignored; only the method
-/// and path of the request line matter.
+/// and path of the request line matter, and a request line that is too
+/// long or not UTF-8 is answered 400.
 fn handle(mut stream: TcpStream, fuzzer: &Fuzzer, started: Instant) -> io::Result<Handled> {
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     stream.set_write_timeout(Some(Duration::from_millis(500)))?;
-    let mut buf = [0u8; 1024];
-    let n = stream.read(&mut buf)?;
-    let head = String::from_utf8_lossy(&buf[..n]);
-    let mut parts = head.lines().next().unwrap_or("").split_whitespace();
-    let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
+    let line = read_request_line(&mut stream)?;
+    let request = line.as_deref().map(|line| {
+        let mut parts = line.split_whitespace();
+        (parts.next().unwrap_or(""), parts.next().unwrap_or(""))
+    });
 
     let json = "application/json";
-    let (status, ctype, body, handled) = match (method, path) {
-        ("GET", "/stats") => {
+    let (status, ctype, body, handled) = match request {
+        None => (
+            "400 Bad Request",
+            json,
+            "{\"error\":\"bad request line\"}".to_string(),
+            Handled::Continue,
+        ),
+        Some(("GET", "/stats")) => {
             ("200 OK", json, live_stats(fuzzer, started).to_json(), Handled::Continue)
         }
-        ("GET", "/findings") => {
+        Some(("GET", "/findings")) => {
             let docs: Vec<Value> = fuzzer.findings().iter().map(|f| f.to_value()).collect();
             let body = Value::Object(vec![
                 ("schema".to_string(), Value::Str(SERVE_SCHEMA.to_string())),
@@ -209,12 +242,14 @@ fn handle(mut stream: TcpStream, fuzzer: &Fuzzer, started: Instant) -> io::Resul
             .to_json();
             ("200 OK", json, body, Handled::Continue)
         }
-        ("GET", "/corpus") => {
+        Some(("GET", "/corpus")) => {
             let body = sync::render(&fuzzer.export_corpus());
             ("200 OK", "application/jsonl", body, Handled::Continue)
         }
-        ("POST", "/shutdown") => ("200 OK", json, "{\"ok\":true}".to_string(), Handled::Shutdown),
-        _ => (
+        Some(("POST", "/shutdown")) => {
+            ("200 OK", json, "{\"ok\":true}".to_string(), Handled::Shutdown)
+        }
+        Some(_) => (
             "404 Not Found",
             json,
             "{\"error\":\"unknown endpoint\"}".to_string(),
@@ -324,6 +359,65 @@ mod tests {
         let v = Value::parse(stats_doc.trim()).expect("stats json");
         assert_eq!(v.get("schema").and_then(Value::as_str), Some(crate::engine::STATS_SCHEMA));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A reader that hands out its bytes one per read.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let Some((&first, rest)) = self.0.split_first() else { return Ok(0) };
+            buf[0] = first;
+            self.0 = rest;
+            Ok(1)
+        }
+    }
+
+    #[test]
+    fn request_lines_are_read_across_reads_and_bounded() {
+        let line = |bytes: &[u8]| read_request_line(&mut Trickle(bytes)).expect("reads");
+        assert_eq!(
+            line(b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n").as_deref(),
+            Some("GET /stats HTTP/1.1")
+        );
+        assert_eq!(line(b"GET /stats").as_deref(), Some("GET /stats"), "a line cut by EOF");
+        assert_eq!(line(b"GET /\xff HTTP/1.1\r\n"), None, "not UTF-8");
+        let long = [b'a'; MAX_REQUEST_LINE];
+        assert_eq!(line(&long), None, "no newline in the first {MAX_REQUEST_LINE} bytes");
+        let mut fits = vec![b'a'; MAX_REQUEST_LINE - 1];
+        fits.push(b'\n');
+        assert_eq!(line(&fits).map(|l| l.len()), Some(MAX_REQUEST_LINE - 1));
+    }
+
+    #[test]
+    fn a_request_split_across_writes_is_answered() {
+        let cfg = ServeConfig {
+            fuzz: FuzzConfig { skip_seeding: true, ..FuzzConfig::quick(1, 0) },
+            batch: 1,
+            sync_every: 0,
+            ..ServeConfig::default()
+        };
+        let (tx, rx) = mpsc::channel();
+        let worker = thread::spawn(move || serve(&cfg, &mut |port| tx.send(port).expect("send")));
+        let port = rx.recv().expect("port");
+
+        let mut s = TcpStream::connect(("127.0.0.1", port)).expect("connect");
+        s.write_all(b"GE").expect("write");
+        s.flush().expect("flush");
+        thread::sleep(Duration::from_millis(100));
+        s.write_all(b"T /stats HTTP/1.1\r\n\r\n").expect("write");
+        let mut response = String::new();
+        s.read_to_string(&mut response).expect("read");
+        assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+
+        let mut s = TcpStream::connect(("127.0.0.1", port)).expect("connect");
+        s.write_all(&[b'x'; MAX_REQUEST_LINE]).expect("write");
+        let mut response = String::new();
+        s.read_to_string(&mut response).expect("read");
+        assert!(response.starts_with("HTTP/1.1 400 Bad Request"), "{response}");
+
+        http_get(port, "POST", "/shutdown");
+        worker.join().expect("join").expect("serve ok");
     }
 
     #[test]

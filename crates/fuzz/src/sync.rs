@@ -25,6 +25,7 @@
 
 use crate::case::FuzzCase;
 use itr_stats::json::Value;
+use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -91,16 +92,33 @@ pub fn render(records: &[SyncRecord]) -> String {
     out
 }
 
-/// Parses a JSONL document.
+/// The first malformed line of a sync document.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseError {
+    /// The line's 1-based number in the document, blank lines counted.
+    pub line: usize,
+    /// What [`SyncRecord::from_line`] found wrong with it.
+    pub error: String,
+}
+
+impl fmt::Display for ParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "line {}: {}", self.line, self.error)
+    }
+}
+
+impl std::error::Error for ParseError {}
+
+/// Parses a JSONL document, skipping blank lines.
 ///
 /// # Errors
 ///
-/// Returns the first malformed line's index and error.
-pub fn parse(text: &str) -> Result<Vec<SyncRecord>, String> {
+/// Returns the first malformed line: its number and its error.
+pub fn parse(text: &str) -> Result<Vec<SyncRecord>, ParseError> {
     text.lines()
-        .filter(|l| !l.trim().is_empty())
         .enumerate()
-        .map(|(i, l)| SyncRecord::from_line(l).map_err(|e| format!("line {}: {e}", i + 1)))
+        .filter(|(_, l)| !l.trim().is_empty())
+        .map(|(i, l)| SyncRecord::from_line(l).map_err(|error| ParseError { line: i + 1, error }))
         .collect()
 }
 
@@ -172,6 +190,15 @@ mod tests {
                 depth: (s % 5) as u32,
             })
             .collect()
+    }
+
+    #[test]
+    fn parse_errors_name_the_true_line() {
+        let good = records(&[1])[0].to_line();
+        let err = parse(&format!("{good}\n\n  \n{{\"schema\":\"nope\"}}\n{good}\n")).unwrap_err();
+        assert_eq!(err.line, 4, "blank lines count: {err}");
+        assert!(err.error.contains("unsupported sync schema"), "{err}");
+        assert!(err.to_string().starts_with("line 4: "), "{err}");
     }
 
     #[test]

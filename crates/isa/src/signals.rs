@@ -308,7 +308,7 @@ impl DecodeSignals {
     pub fn unpack(bits: u64) -> DecodeSignals {
         DecodeSignals {
             opcode: (bits & 0xFF) as u8,
-            flags: SignalFlags::from_bits_truncate(((bits >> 8) & 0xFFF) as u16),
+            flags: DecodeSignals::packed_flags(bits),
             shamt: ((bits >> 20) & 0x1F) as u8,
             rsrc1: ((bits >> 25) & 0x1F) as u8,
             rsrc2: ((bits >> 30) & 0x1F) as u8,
@@ -319,6 +319,13 @@ impl DecodeSignals {
             num_rdst: ((bits >> 60) & 0x1) as u8,
             mem_size: ((bits >> 61) & 0x7) as u8,
         }
+    }
+
+    /// The `flags` field of a packed vector: `unpack(bits).flags`
+    /// without unpacking the other fields.
+    #[inline]
+    pub const fn packed_flags(bits: u64) -> SignalFlags {
+        SignalFlags::from_bits_truncate(((bits >> 8) & 0xFFF) as u16)
     }
 
     /// Flips one bit of the packed vector — the single-event-upset fault

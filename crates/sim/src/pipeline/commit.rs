@@ -12,7 +12,7 @@ use super::{Pipeline, RunExit, SpcViolation};
 use crate::arch::CommitRecord;
 use crate::semantics::TrapAction;
 use itr_core::CommitAction;
-use itr_isa::{Opcode, SignalFlags};
+use itr_isa::Opcode;
 
 impl Pipeline {
     /// Squashes the entire window and restarts fetch at `restart_pc`
@@ -40,7 +40,8 @@ impl Pipeline {
         for _ in 0..max_len {
             let decoded = self.fe.table.fetch(&self.mem, pc)?;
             let extra = if self.cfg.rename_protection {
-                rename_extra(decoded.plan.srcs, decoded.plan.dst)
+                let plan = decoded.plan();
+                rename_extra(plan.srcs, plan.dst)
             } else {
                 0
             };
@@ -111,16 +112,13 @@ impl Pipeline {
         on_commit: &mut F,
     ) {
         for _ in 0..self.cfg.width {
-            if self.win.front().is_none() {
-                return;
-            }
+            let Some(head) = self.win.front() else { return };
 
             // ITR commit interlock (§2.2). Consulted before the completion
             // check: a retry can rescue a deadlocked trace (ITR+wdog+R).
-            if self.itr.is_some() {
-                let trace_seq = self.win.front().expect("checked").trace_seq;
-                let action = self.itr.as_ref().expect("checked").commit_action(trace_seq);
-                match action {
+            if let Some(unit) = &self.itr {
+                let trace_seq = head.trace_seq;
+                match unit.commit_action(trace_seq) {
                     CommitAction::Proceed => {}
                     CommitAction::Stall => return,
                     CommitAction::Retry { start_pc } => {
@@ -135,10 +133,6 @@ impl Pipeline {
                         return;
                     }
                 }
-            }
-
-            if self.itr.is_some() {
-                let trace_seq = self.win.front().expect("checked").trace_seq;
                 if self.redundant_verify_stall(trace_seq) {
                     return;
                 }
@@ -152,12 +146,9 @@ impl Pipeline {
             }
 
             // Sequential-PC check (§2.5).
-            if self.cfg.spc_check {
-                let is_branch_flag = u.signals().flags.contains(SignalFlags::IS_BRANCH);
-                if !self.spc.check_and_advance(u.pc, is_branch_flag, u.next_pc) {
-                    self.stats.spc_violations += 1;
-                    self.spc_violations.push(SpcViolation { cycle: self.cycle, pc: u.pc });
-                }
+            if self.cfg.spc_check && !self.spc.check_and_advance(u.pc, u.is_branch(), u.next_pc) {
+                self.stats.spc_violations += 1;
+                self.spc_violations.push(SpcViolation { cycle: self.cycle, pc: u.pc });
             }
 
             // Architectural effects.

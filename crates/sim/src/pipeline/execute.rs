@@ -17,10 +17,10 @@ impl Pipeline {
         let mut due = std::mem::take(&mut self.due);
         self.win.take_due(self.cycle, &mut due);
         for &seq in &due {
-            let Some(i) = self.win.idx_checked(seq) else {
+            if !self.win.contains(seq) {
                 continue; // squashed by an older completion this cycle
-            };
-            let u = &mut self.win[i];
+            }
+            let u = self.win.get_mut(seq);
             u.done = true;
             if let Some(d) = u.dst {
                 self.rn.phys_ready[d.phys as usize] = true;
@@ -43,9 +43,8 @@ impl Pipeline {
             }
         });
 
-        let i = self.win.idx(branch_seq);
         let (snap, used_gshare, taken, target) = {
-            let u = &self.win[i];
+            let u = self.win.get(branch_seq);
             (u.ghr_snapshot, u.used_gshare, u.taken == Some(true), u.next_pc)
         };
         self.fe.redirect(target);
@@ -56,6 +55,6 @@ impl Pipeline {
             unit.restore(snap);
         }
         // Mark the prediction repaired so the uop does not re-trigger.
-        self.win[i].predicted_next = target;
+        self.win.get_mut(branch_seq).predicted_next = target;
     }
 }

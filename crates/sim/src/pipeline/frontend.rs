@@ -92,7 +92,7 @@ impl Frontend {
     fn predecode(&mut self, pc: u64, decoded: Decoded) -> Fetched {
         let ghr_snapshot = self.gshare.history();
         let mut used_gshare = false;
-        let raw = decoded.raw;
+        let raw = decoded.raw();
         let predicted_next = match raw.op {
             op if op.is_cond_branch() => {
                 used_gshare = true;

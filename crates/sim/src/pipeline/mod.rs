@@ -24,7 +24,7 @@
 //! | [`frontend`] | fetch/predecode           | `Frontend` (fetch→dispatch queue)              |
 //! | [`predecode`]| text decode table         | `DecodeTable` (one slot per text word, shared by forks) |
 //! | [`rename`]   | decode/rename/dispatch    | `RenameState` (map + free list)                |
-//! | [`issue`]    | select/execute            | picks from `Window::iq`, gated by the store barrier |
+//! | [`issue`]    | select/execute            | picks from `Window::select`, gated by the store barrier |
 //! | [`execute`]  | writeback/repair          | drains the due in-flight entries               |
 //! | [`lsq`]      | store ordering/forwarding | LSQ view over the window's stores              |
 //! | [`commit`]   | retire + ITR interlock    | retires the ROB head                           |
@@ -135,9 +135,9 @@ pub struct Pipeline {
     /// Out-of-order window (ROB + issue queue).
     pub(in crate::pipeline) win: Window,
     /// Scratch buffers reused every cycle: the issue stage's select
-    /// candidates (issue-queue positions) and the complete stage's due
+    /// candidates (sequence numbers) and the complete stage's due
     /// completions.
-    pub(in crate::pipeline) issue_candidates: Vec<usize>,
+    pub(in crate::pipeline) issue_candidates: Vec<u64>,
     pub(in crate::pipeline) due: Vec<u64>,
     pub(in crate::pipeline) dcache: TimingCache,
 
@@ -214,7 +214,7 @@ impl Pipeline {
             cycle: 0,
             fe: Frontend::new(&cfg, program),
             rn: RenameState::new(cfg.phys_regs),
-            win: Window::new(),
+            win: Window::new(cfg.rob_entries),
             issue_candidates: Vec::new(),
             due: Vec::new(),
             dcache: TimingCache::new(cfg.dcache),
@@ -457,7 +457,7 @@ impl Pipeline {
         }
         self.cycle += 1;
         self.rob_occupancy.record(self.win.len() as u64);
-        self.iq_occupancy.record(self.win.iq().len() as u64);
+        self.iq_occupancy.record(self.win.iq_len() as u64);
         self.fetch_queue_occupancy.record(self.fe.queue.len() as u64);
         #[cfg(debug_assertions)]
         self.win.debug_check(self.itr.is_some());

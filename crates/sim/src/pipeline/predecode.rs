@@ -5,9 +5,10 @@
 //! fetch reads an aligned in-text PC from a [`DecodeTable`] slot instead
 //! of reading memory and decoding: the slot holds the fault-free packed
 //! signals, the [`OperandPlan`] they name, and the true opcode and
-//! immediate ([`RawWord`]). Out-of-text fetches (wild jumps into data)
-//! read and decode memory every time. Slots come in chunks of 256 words,
-//! allocated when one of their words is first fetched.
+//! immediate ([`RawWord`]), as the two words of a [`Decoded`].
+//! Out-of-text fetches (wild jumps into data) read and decode memory
+//! every time. Slots come in chunks of 256 words, allocated when one of
+//! their words is first fetched.
 //!
 //! A slot is filled on the word's first fetch, not at
 //! [`Pipeline::new`](super::Pipeline::new): a short run fetches a small
@@ -36,6 +37,13 @@ pub(in crate::pipeline) struct RawWord {
     pub imm: i32,
 }
 
+/// The word of a ROB slot never dispatched into.
+impl Default for RawWord {
+    fn default() -> RawWord {
+        RawWord { op: Opcode::ALL[0], imm: 0 }
+    }
+}
+
 impl RawWord {
     /// The direct branch or jump target of this word at `pc`.
     pub fn direct_target(&self, pc: u64) -> Option<u64> {
@@ -44,13 +52,18 @@ impl RawWord {
 }
 
 /// One decoded text word: what the fetch latch carries to dispatch.
+///
+/// Both fields are whole words, which the latch and the decode slot
+/// copy as they are; a struct of narrower fields, written field by
+/// field and then copied, costs a store-forwarding stall per fetch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(in crate::pipeline) struct Decoded {
-    pub raw: RawWord,
     /// The fault-free Table-2 signals, packed ([`DecodeSignals::pack`]).
     pub sig: u64,
-    /// The operands `sig` names ([`operand_plan`]).
-    pub plan: OperandPlan,
+    /// The true immediate and the operands `sig` names
+    /// ([`operand_plan`]), packed as in a slot's second word, without
+    /// its fill state.
+    rest: u64,
 }
 
 impl Decoded {
@@ -60,18 +73,37 @@ impl Decoded {
         let sig = DecodeSignals::from_instruction(&inst);
         let packed = sig.pack();
         debug_assert_eq!(DecodeSignals::unpack(packed), sig, "decoded signals fit their fields");
-        Some(Decoded {
-            raw: RawWord { op: inst.op, imm: inst.imm },
-            sig: packed,
-            plan: operand_plan(&sig),
-        })
+        debug_assert_eq!(Opcode::from_id(packed as u8), Some(inst.op), "signals name the opcode");
+        let p = operand_plan(&sig);
+        let rest = u64::from(inst.imm as u32)
+            | pack_reg(p.srcs[0]) << PLAN_SHIFT
+            | pack_reg(p.srcs[1]) << (PLAN_SHIFT + 7)
+            | pack_reg(p.dst) << (PLAN_SHIFT + 14)
+            | if p.phantom_src { PHANTOM } else { 0 };
+        Some(Decoded { sig: packed, rest })
+    }
+
+    /// The true opcode and immediate.
+    pub fn raw(&self) -> RawWord {
+        let op = Opcode::from_id(self.sig as u8).expect("fault-free signals name an opcode");
+        RawWord { op, imm: self.rest as u32 as i32 }
+    }
+
+    /// The operands the fault-free signals name.
+    pub fn plan(&self) -> OperandPlan {
+        let bits = self.rest;
+        OperandPlan {
+            srcs: [unpack_reg(bits >> PLAN_SHIFT), unpack_reg(bits >> (PLAN_SHIFT + 7))],
+            phantom_src: bits & PHANTOM != 0,
+            dst: unpack_reg(bits >> (PLAN_SHIFT + 14)),
+        }
     }
 }
 
-/// Bit layout of a slot's second word: the immediate in bits 0..32, the
-/// three 7-bit operand indexes ([`NO_REG`] for none) from bit 32, the
-/// phantom flag, and the fill state in the top two bits. An empty slot
-/// is all zeros.
+/// Bit layout of a slot's second word ([`Decoded::rest`]): the
+/// immediate in bits 0..32, the three 7-bit operand indexes ([`NO_REG`]
+/// for none) from bit 32, the phantom flag, and the fill state in the
+/// top two bits. An empty slot is all zeros.
 const PLAN_SHIFT: u32 = 32;
 const PHANTOM: u64 = 1 << 53;
 const UNDECODABLE: u64 = 1 << 62;
@@ -147,55 +179,56 @@ impl DecodeTable {
         Arc::new(DecodeTable { text_base: program.text_base(), len, chunks })
     }
 
-    /// The slot of an aligned in-text `pc`.
-    fn slot(&self, pc: u64) -> Option<&Slot> {
+    /// The text word index of an aligned in-text `pc`.
+    fn word(&self, pc: u64) -> Option<usize> {
         let off = pc.wrapping_sub(self.text_base);
         if !off.is_multiple_of(4) {
             return None;
         }
-        let word = usize::try_from(off / 4).ok().filter(|&w| w < self.len)?;
+        usize::try_from(off / 4).ok().filter(|&w| w < self.len)
+    }
+
+    /// The slot of an aligned in-text `pc`, allocating its chunk.
+    fn slot(&self, pc: u64) -> Option<&Slot> {
+        let word = self.word(pc)?;
         let chunk = self.chunks[word / CHUNK_WORDS].get_or_init(empty_chunk);
         Some(&chunk[word % CHUNK_WORDS])
     }
 
     /// The word at `pc` decoded; `None` when it does not decode. Reads
     /// memory and decodes only on an in-text word's first fetch, or for
-    /// any PC outside the text.
+    /// any PC outside the text. Inlined into fetch, a filled slot costs
+    /// its two loads; the fill is out of line.
+    #[inline]
     pub fn fetch(&self, mem: &Memory, pc: u64) -> Option<Decoded> {
-        let Some([sig, rest]) = self.slot(pc) else {
-            return Decoded::of(mem.read_u32(pc));
-        };
-        let bits = rest.load(Ordering::Acquire);
-        if bits & FILLED != 0 {
-            if bits & UNDECODABLE != 0 {
-                return None;
+        if let Some(word) = self.word(pc) {
+            if let Some(chunk) = self.chunks[word / CHUNK_WORDS].get() {
+                let [sig, rest] = &chunk[word % CHUNK_WORDS];
+                // Read order matters: see `fill`.
+                let bits = rest.load(Ordering::Acquire);
+                if bits & FILLED != 0 {
+                    return (bits & UNDECODABLE == 0).then(|| Decoded {
+                        sig: sig.load(Ordering::Relaxed),
+                        rest: bits & !FILLED,
+                    });
+                }
             }
-            let sig = sig.load(Ordering::Relaxed);
-            let op = Opcode::from_id(sig as u8).expect("fault-free signals name an opcode");
-            return Some(Decoded {
-                raw: RawWord { op, imm: bits as u32 as i32 },
-                sig,
-                plan: OperandPlan {
-                    srcs: [unpack_reg(bits >> PLAN_SHIFT), unpack_reg(bits >> (PLAN_SHIFT + 7))],
-                    phantom_src: bits & PHANTOM != 0,
-                    dst: unpack_reg(bits >> (PLAN_SHIFT + 14)),
-                },
-            });
         }
+        self.fill(mem, pc)
+    }
+
+    /// Decodes the word at `pc` and, when it is in the text, fills its
+    /// slot: the signals first, then the rest with FILLED, so a reader
+    /// that sees FILLED sees whole signals.
+    #[cold]
+    #[inline(never)]
+    fn fill(&self, mem: &Memory, pc: u64) -> Option<Decoded> {
         let decoded = Decoded::of(mem.read_u32(pc));
+        let Some([sig, rest]) = self.slot(pc) else { return decoded };
         match decoded {
             Some(d) => {
-                let p = d.plan;
                 sig.store(d.sig, Ordering::Relaxed);
-                rest.store(
-                    FILLED
-                        | u64::from(d.raw.imm as u32)
-                        | pack_reg(p.srcs[0]) << PLAN_SHIFT
-                        | pack_reg(p.srcs[1]) << (PLAN_SHIFT + 7)
-                        | pack_reg(p.dst) << (PLAN_SHIFT + 14)
-                        | if p.phantom_src { PHANTOM } else { 0 },
-                    Ordering::Release,
-                );
+                rest.store(FILLED | d.rest, Ordering::Release);
             }
             None => rest.store(FILLED | UNDECODABLE, Ordering::Release),
         }

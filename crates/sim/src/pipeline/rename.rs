@@ -9,7 +9,7 @@
 //!
 //! [`Injection`]: crate::Injection
 
-use super::window::{MemClass, Uop};
+use super::window::{IqEntry, MemClass, Uop};
 use super::Pipeline;
 use crate::injection::RenameFault;
 use crate::semantics::operand_plan;
@@ -26,6 +26,10 @@ pub(in crate::pipeline) struct DstAlloc {
 }
 
 /// Register-rename state: map table, free list, physical register file.
+///
+/// The register file has one entry past the `phys_regs` renamable
+/// registers, [`RenameState::no_src`]: never allocated, always ready and
+/// always zero, it stands for an unplanned source, which reads as zero.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(in crate::pipeline) struct RenameState {
     /// Architectural → physical map (65 architectural registers).
@@ -41,14 +45,19 @@ impl RenameState {
         for (i, m) in map.iter_mut().enumerate() {
             *m = i as u16;
         }
-        let mut phys_val = vec![0u32; phys_regs as usize];
+        let mut phys_val = vec![0u32; phys_regs as usize + 1];
         phys_val[29] = itr_isa::STACK_TOP as u32;
         RenameState {
             map,
             free_list: (65..phys_regs as u16).collect(),
             phys_val,
-            phys_ready: vec![true; phys_regs as usize],
+            phys_ready: vec![true; phys_regs as usize + 1],
         }
+    }
+
+    /// The always-ready zero register an unplanned source reads.
+    pub fn no_src(&self) -> u16 {
+        (self.phys_val.len() - 1) as u16
     }
 
     /// Reverts one allocation during a squash (tail-first walk).
@@ -71,7 +80,7 @@ impl Pipeline {
         for _ in 0..self.cfg.width {
             if self.fe.queue.is_empty()
                 || self.win.len() as u32 >= self.cfg.rob_entries
-                || self.win.iq().len() as u32 >= self.cfg.iq_entries
+                || self.win.iq_len() as u32 >= self.cfg.iq_entries
                 || self.rn.free_list.is_empty()
             {
                 return;
@@ -116,21 +125,22 @@ impl Pipeline {
             // Rename: derive the map-table indexes (again only if a fault
             // changed the signals), strike them with the planned rename
             // fault if this is the chosen instruction.
-            let plan = if packed == f.decoded.sig { f.decoded.plan } else { operand_plan(&sig) };
-            let rename_idx = decoded_so_far;
-            let perturb = |arch: u16, operand: u8| -> u16 {
-                match self.injection.rename {
-                    Some(RenameFault { nth_rename, operand: o, bit })
-                        if nth_rename == rename_idx && o == operand =>
-                    {
-                        (arch ^ (1 << (bit % 7)) as u16) % 65
+            let plan = if packed == f.decoded.sig { f.decoded.plan() } else { operand_plan(&sig) };
+            let (mut src_arch, mut dst_arch) = (plan.srcs, plan.dst);
+            if let Some(RenameFault { nth_rename, operand, bit }) = self.injection.rename {
+                if nth_rename == decoded_so_far {
+                    let arch = match operand {
+                        0 => src_arch[0].as_mut(),
+                        1 => src_arch[1].as_mut(),
+                        2 => dst_arch.as_mut(),
+                        _ => None,
+                    };
+                    if let Some(a) = arch {
+                        *a = (*a ^ (1 << (bit % 7)) as u16) % 65;
                     }
-                    _ => arch,
                 }
-            };
-            let src_arch =
-                [plan.srcs[0].map(|a| perturb(a, 0)), plan.srcs[1].map(|a| perturb(a, 1))];
-            let dst_arch = plan.dst.map(|a| perturb(a, 2)).filter(|&a| a != 0);
+            }
+            let dst_arch = dst_arch.filter(|&a| a != 0);
 
             // ITR dispatch tap (§2.1/§2.2), optionally folding the rename
             // indexes actually used (§1 rename-unit extension).
@@ -144,7 +154,8 @@ impl Pipeline {
                 None => (0, false),
             };
 
-            let srcs = src_arch.map(|o| o.map(|arch| self.rn.map[arch as usize]));
+            let no_src = self.rn.no_src();
+            let srcs = src_arch.map(|o| o.map_or(no_src, |arch| self.rn.map[arch as usize]));
             let dst = dst_arch.map(|arch| {
                 let phys = self.rn.free_list.pop_front().expect("checked non-empty");
                 let prev = self.rn.map[arch as usize];
@@ -161,31 +172,28 @@ impl Pipeline {
             let may_redirect = sig.flags.contains(SignalFlags::IS_BRANCH);
             let itr_snap =
                 if may_redirect { self.itr.as_ref().map(|u| u.snapshot()) } else { None };
-            self.win.dispatch(
-                Uop {
-                    seq,
-                    pc: f.pc,
-                    raw: f.decoded.raw,
-                    sig: packed,
-                    dst,
-                    issued: false,
-                    done: false,
-                    result: 0,
-                    next_pc: f.pc + 4,
-                    taken: None,
-                    predicted_next: f.predicted_next,
-                    ghr_snapshot: f.ghr_snapshot,
-                    used_gshare: f.used_gshare,
-                    store: None,
-                    trap: None,
-                    trace_seq,
-                    trace_end,
-                    class: MemClass::of(&sig),
-                },
-                srcs,
-                plan.phantom_src,
-                itr_snap,
-            );
+            let class = MemClass::of(&sig);
+            let entry = IqEntry { srcs, phantom: plan.phantom_src, class };
+            *self.win.dispatch(entry, itr_snap) = Uop {
+                seq,
+                pc: f.pc,
+                raw: f.decoded.raw(),
+                sig: packed,
+                dst,
+                issued: false,
+                done: false,
+                result: 0,
+                next_pc: f.pc + 4,
+                taken: None,
+                predicted_next: f.predicted_next,
+                ghr_snapshot: f.ghr_snapshot,
+                used_gshare: f.used_gshare,
+                store: None,
+                trap: None,
+                trace_seq,
+                trace_end,
+                class,
+            };
         }
     }
 }

@@ -785,8 +785,8 @@ fn same_state_sees_every_component() {
             p.mem.write(addr, 1, b ^ 1);
         }),
         ("ROB uop signals", |p| {
-            let last = p.win.len() - 1;
-            p.win[last].sig ^= 1 << 40;
+            let last = p.win.next_seq() - 1;
+            p.win.get_mut(last).sig ^= 1 << 40;
         }),
         ("free-list order", |p| p.rn.free_list.swap(0, 1)),
         ("stale phys_val", |p| {
